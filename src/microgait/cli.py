@@ -37,7 +37,13 @@ def _load_calib(path: str) -> np.ndarray:
         raise DataError(f"cannot read calibration CSV {path}: {exc}") from None
     if data.size == 0:
         raise DataError(f"calibration CSV {path} is empty")
-    return data.astype(np.float32)
+    with np.errstate(over="ignore"):  # a value that overflows float32 is caught below
+        data = data.astype(np.float32)
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise DataError(f"calibration CSV {path} row {int(np.argmax(bad)) + 1} "
+                        "has a non-finite value")
+    return data
 
 
 @click.group()
@@ -67,8 +73,10 @@ def cmd_quantize(model, scheme, calib, out, pretty):
     quant.save_quantized(qp, out)
 
     from .kernel import fused_infer_dequant
+    # the FP32 reference stays one call per row: a batched float32 matmul
+    # rounds differently from per-row products and would move sqnr_db
     ref = np.array([policy.infer_fp32(p, row) for row in calib_data])
-    tst = np.array([fused_infer_dequant(qp, row) for row in calib_data])
+    tst = fused_infer_dequant(qp, calib_data)
     sqnr = quant.sqnr_db(ref, tst)
 
     fp32_bytes = quant.fp32_payload_bytes(p.spec)

@@ -3,9 +3,10 @@
 This is the measurable analogue of the on-device scalar inference loop:
 int8 x int8 products accumulated in int32, an integer leaky-relu applied to
 the accumulator on hidden layers, then a fixed-point requantize per neuron
-output whose scale is calibrated on the post-activation range. Counters
+output whose scale is calibrated on the post-activation range. One code
+path serves both quant schemes and single or batched observations. Counters
 report exactly how many MACs, activations, requantizations, and extra
-per-output parameter loads one inference performs.
+per-output parameter loads a call performs, summed over its observations.
 """
 from __future__ import annotations
 
@@ -39,54 +40,66 @@ def expected_counters(spec: PolicySpec, scheme: QuantScheme) -> OpCounters:
 
 
 def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
-    """clip(round(obs / scale) + zero_point) into int8."""
-    q = np.rint(np.asarray(obs, dtype=np.float64) / scale) + zero_point
+    """clip(round(obs / scale) + zero_point) into int8, elementwise; obs must be finite."""
+    x = np.asarray(obs, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DataError("observation has a non-finite value")
+    q = np.rint(x / scale) + zero_point
     return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
 
 
 def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCounters]:
-    """Forward pass on an int8 observation; returns the int8 action and counters."""
+    """Forward pass on one int8 observation (n_in,) or a batch (B, n_in).
+
+    Returns the int8 actions, (n_out,) or (B, n_out), and the counters of all
+    inferences run: B x expected_counters for a batch.
+    """
     x = np.asarray(obs_q)
-    if x.dtype != np.int8 or x.shape != (qp.spec.input_dim,):
-        raise DataError(f"expected int8 observation of shape ({qp.spec.input_dim},)")
+    n_in = qp.spec.input_dim
+    if x.dtype != np.int8 or x.ndim not in (1, 2) or x.shape[-1] != n_in:
+        raise DataError(f"expected int8 observations of shape ({n_in},) or (B, {n_in}), "
+                        f"got {x.dtype} {x.shape}")
+    batch = x.shape[0] if x.ndim == 2 else 1
     per_feature = qp.scheme is QuantScheme.PER_FEATURE
     macs = activations = requants = param_loads = 0
     last = qp.spec.num_layers - 1
 
-    x = x.astype(np.int64)
-    for li, layer in enumerate(qp.layers):
-        n_out, n_in = layer.weights.shape
-        # int32 accumulate; int64 here is exact because overflow is excluded
-        # by the QuantizedPolicy headroom check
-        acc = layer.weights.astype(np.int64) @ x + layer.bias.astype(np.int64)
-        macs += n_out * n_in
+    # int32 accumulate, done in float64 through BLAS: every partial sum of
+    # int8 x int8 products is an integer below 2^31 in magnitude (the
+    # QuantizedPolicy headroom check), far inside float64's exact 2^53
+    x = x.astype(np.float64)
+    for li, layer in enumerate(qp.kernel_layers):
+        n_out = layer.bias.shape[0]
+        acc = x @ layer.weights_t
+        acc += layer.bias
+        acc = acc.astype(np.int64)
+        macs += batch * n_out * n_in
 
         if li != last:
             # integer leaky-relu on the accumulator; the product fits int64
-            # (|acc| < 2^31 by the headroom check, act_mult < 2^31)
-            acc = np.where(acc < 0, (acc * qp.act_mult) >> np.int64(qp.act_shift), acc)
-            activations += n_out
+            # (|acc| < 2^31 by the headroom check, act_mult <= 2^act_shift <= 2^31)
+            neg = acc < 0
+            np.multiply(acc, qp.act_mult, out=acc, where=neg)
+            np.right_shift(acc, qp.act_shift, out=acc, where=neg)
+            activations += batch * n_out
 
+        # requantize in place: clip(((mult * acc + round) >> shift) + zp)
+        acc *= layer.mult
+        acc += layer.round_term
+        acc >>= layer.shift
+        acc += layer.zero_point
+        np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
+        requants += batch * n_out
         if per_feature:
-            mults = np.array([rp.mult for rp in layer.requant], dtype=np.int64)
-            shifts = np.array([rp.shift for rp in layer.requant], dtype=np.int64)
-            rounds = np.array([rp.round_term for rp in layer.requant], dtype=np.int64)
-            zps = np.array([rp.zero_point for rp in layer.requant], dtype=np.int64)
-            param_loads += n_out
-        else:
-            rp = layer.requant[0]
-            mults, shifts = np.int64(rp.mult), np.int64(rp.shift)
-            rounds, zps = np.int64(rp.round_term), np.int64(rp.zero_point)
-        y = ((mults * acc + rounds) >> shifts) + zps
-        x = np.clip(y, INT8_MIN, INT8_MAX)
-        requants += n_out
+            param_loads += batch * n_out
+        x = acc if li == last else acc.astype(np.float64)
+        n_in = n_out
 
-    action_q = x.astype(np.int8)
-    return action_q, OpCounters(macs, activations, requants, param_loads)
+    return x.astype(np.int8), OpCounters(macs, activations, requants, param_loads)
 
 
 def fused_infer_dequant(qp: QuantizedPolicy, obs: np.ndarray) -> np.ndarray:
-    """Convenience path: quantize observation, run int8 inference, dequantize action."""
+    """Quantize observations, (n_in,) or (B, n_in), run int8 inference, dequantize the actions."""
     obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
     action_q, _ = infer_int8(qp, obs_q)
     out = qp.layers[-1]

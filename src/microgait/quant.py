@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,8 +131,32 @@ class QuantizedLayer:
     def n_in(self) -> int:
         return self.weights.shape[1]
 
-    def requant_for(self, i: int) -> RequantParams:
-        return self.requant[0] if len(self.requant) == 1 else self.requant[i]
+
+@dataclass(frozen=True)
+class KernelLayer:
+    """One layer laid out for the batched integer kernel.
+
+    The int8 weights and int32 bias are held as float64, which represents
+    them exactly, so the kernel can accumulate through BLAS. The requant
+    vectors have length 1 under per-tensor (broadcast over the layer) and
+    n_out under per-feature.
+    """
+
+    weights_t: np.ndarray   # float64, (n_in, n_out)
+    bias: np.ndarray        # float64, (n_out,)
+    mult: np.ndarray        # int64
+    shift: np.ndarray       # int64
+    round_term: np.ndarray  # int64
+    zero_point: np.ndarray  # int64
+
+    @classmethod
+    def of(cls, layer: QuantizedLayer) -> KernelLayer:
+        def vec(attr):
+            return np.array([getattr(rp, attr) for rp in layer.requant], dtype=np.int64)
+        return cls(weights_t=layer.weights.T.astype(np.float64),
+                   bias=layer.bias.astype(np.float64),
+                   mult=vec("mult"), shift=vec("shift"),
+                   round_term=vec("round_term"), zero_point=vec("zero_point"))
 
 
 @dataclass
@@ -144,21 +168,38 @@ class QuantizedPolicy:
     obs_zp: int
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
+    # built once here from `layers`, which must not be changed afterwards
+    kernel_layers: tuple[KernelLayer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = self.spec.layer_dims
         if len(self.layers) != self.spec.num_layers:
             raise DataError("quantized layer count does not match spec")
+        if not (0 <= self.act_shift <= MAX_SHIFT):
+            raise DataError(f"act_shift {self.act_shift} outside [0, {MAX_SHIFT}]")
+        # a slope of at most 1 keeps the activated accumulator inside int32
+        if not (0 <= self.act_mult <= 1 << self.act_shift):
+            raise DataError(
+                f"activation slope {self.act_mult}/2^{self.act_shift} outside [0, 1]")
+        if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
+            raise DataError(f"obs_scale must be finite and > 0, got {self.obs_scale}")
+        per_feature = self.scheme is QuantScheme.PER_FEATURE
         for i, layer in enumerate(self.layers):
             if layer.weights.shape != (dims[i + 1], dims[i]):
                 raise DataError(
                     f"layer {i} weight shape {layer.weights.shape} != {(dims[i + 1], dims[i])}")
+            entries = dims[i + 1] if per_feature else 1
+            if len(layer.requant) != entries:
+                raise DataError(
+                    f"layer {i} requant table has {len(layer.requant)} entries, "
+                    f"{self.scheme.name.lower()} needs {entries}")
             # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255
             worst = dims[i] * WEIGHT_MAX * 255 + int(np.abs(layer.bias).max(initial=0))
             if worst >= 2 ** 31:
                 raise DomainError(
                     f"layer {i} fan-in {dims[i]} can overflow the int32 accumulator "
                     f"(worst case {worst})")
+        self.kernel_layers = tuple(KernelLayer.of(layer) for layer in self.layers)
 
 
 def _affine_params(lo: float, hi: float) -> tuple[float, int]:

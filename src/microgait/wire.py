@@ -52,13 +52,25 @@ class SequenceError(ProtocolError):
     pass
 
 
+def _crc8_table() -> bytes:
+    """CRC-8 of each single byte, for the byte-at-a-time lookup (Sarwate 1988)."""
+    table = bytearray(256)
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        table[byte] = crc
+    return bytes(table)
+
+
+_CRC8_TABLE = _crc8_table()
+
+
 def crc8(data: bytes) -> int:
     """CRC-8, polynomial 0x07, init 0x00, MSB first."""
     crc = 0x00
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
+        crc = _CRC8_TABLE[crc ^ byte]
     return crc
 
 

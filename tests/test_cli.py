@@ -65,6 +65,21 @@ def test_quantize_bad_model_is_data_error(capsys, tmp_path, calib_file):
     assert err.strip().splitlines()[-1].startswith("data error:")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39"])
+def test_quantize_non_finite_calib_is_data_error(capsys, tmp_path, model_file, bad):
+    rows = np.random.default_rng(0).normal(size=(4, 24)).astype(str)
+    rows[2, 7] = bad  # 1e39 is finite in float64 but overflows float32
+    calib = tmp_path / "calib_bad.csv"
+    calib.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    code = main(["quantize", "--model", str(model_file), "--scheme", "per-feature",
+                 "--calib", str(calib), "--out", str(tmp_path / "q.bin")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.strip().splitlines()[-1].startswith("data error:")
+    assert "row 3" in err
+    assert not (tmp_path / "q.bin").exists()
+
+
 def test_cost_measured(capsys):
     code, pairs, _ = run_cli(capsys, "cost", "--measured", "5e6,47.62",
                              "--target-hz", "60")

@@ -1,10 +1,18 @@
+import math
+import time
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microgait import (
     DataError,
+    OpCounters,
     PolicySpec,
     QuantScheme,
+    QuantizedPolicy,
+    RequantParams,
     fused_infer_dequant,
     infer_int8,
     leaky_relu,
@@ -13,13 +21,40 @@ from microgait import (
     random_policy,
 )
 from microgait.kernel import expected_counters
+from microgait.quant import QuantizedLayer, encode_ratio
 from oracles import int8_forward_bigint
+
+# Near the largest fan-in the int32 headroom check admits (66311 with zero
+# bias): partial sums of int8 x int8 products reach ~2^30 here, far past the
+# 2^24 where float32 accumulation stops being exact.
+WIDE_FAN_IN = 66_000
 
 
 def _quantized(seed, scheme, dims=(24, 128, 64, 8)):
     p = random_policy(PolicySpec(dims, leaky_relu()), seed, row_scale_spread=0.5)
     calib = np.random.default_rng(1000 + seed).normal(size=(64, dims[0]))
     return quantize_policy(p, scheme, calib)
+
+
+def _random_qp(rng, dims, scheme):
+    """A QuantizedPolicy with random int8 weights, biases within the headroom
+    and requant scales that spread typical outputs over the int8 range."""
+    per_feature = scheme is QuantScheme.PER_FEATURE
+    layers = []
+    for n_in, n_out in zip(dims[:-1], dims[1:]):
+        room = min(2 ** 31 - 1 - n_in * 127 * 255, 2 ** 20)
+        typical = 73 * 74 * math.sqrt(n_in)  # rms of a sum of n_in random int8 products
+        ratios = 64 / typical * rng.uniform(0.25, 4.0, size=n_out if per_feature else 1)
+        requant = [RequantParams(*encode_ratio(float(r)), int(rng.integers(-128, 128)))
+                   for r in ratios]
+        layers.append(QuantizedLayer(
+            weights=rng.integers(-127, 128, size=(n_out, n_in), dtype=np.int8),
+            bias=rng.integers(-room, room + 1, size=n_out).astype(np.int32),
+            input_scale=1.0, input_zp=0, weight_scales=np.ones(len(requant)),
+            output_scale=1.0, output_zp=0, requant=requant))
+    act_mult, act_shift = encode_ratio(float(rng.uniform(0.01, 1.0)))
+    return QuantizedPolicy(PolicySpec(tuple(dims), leaky_relu()), scheme, layers,
+                           1.0, 0, act_mult, act_shift)
 
 
 def test_expected_counters_reference():
@@ -36,12 +71,93 @@ def test_quantize_obs_rounds_and_clips():
     assert q.dtype == np.int8
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_obs_rejects_non_finite(bad):
+    with pytest.raises(DataError):
+        quantize_obs(np.full(24, bad), 0.5, 0)
+    obs = np.zeros((3, 24))
+    obs[2, 5] = bad
+    with pytest.raises(DataError):
+        quantize_obs(obs, 0.5, 0)
+
+
 def test_infer_rejects_wrong_input():
     qp = _quantized(0, QuantScheme.PER_TENSOR)
-    with pytest.raises(DataError):
-        infer_int8(qp, np.zeros(24, dtype=np.int32))
-    with pytest.raises(DataError):
-        infer_int8(qp, np.zeros(23, dtype=np.int8))
+    for bad in (np.zeros(24, dtype=np.int32), np.zeros((4, 24), dtype=np.float64),
+                np.zeros(23, dtype=np.int8), np.zeros((4, 25), dtype=np.int8),
+                np.zeros((2, 4, 24), dtype=np.int8), np.int8(0)):
+        with pytest.raises(DataError):
+            infer_int8(qp, bad)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(list(QuantScheme)),
+       widths=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+       wide=st.booleans(),
+       batch=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_equals_stacked_single_calls(scheme, widths, wide, batch, seed):
+    rng = np.random.default_rng(seed)
+    dims = [WIDE_FAN_IN, min(widths[1], 4)] + widths[2:] if wide else widths
+    qp = _random_qp(rng, dims, scheme)
+    obs = rng.integers(-128, 128, size=(batch, dims[0]), dtype=np.int8)
+    if batch:
+        # saturated inputs matching the signs of the first weight row push
+        # the first accumulator to its largest magnitude
+        obs[0] = np.where(qp.layers[0].weights[0] >= 0, 127, -128)
+
+    got, counters = infer_int8(qp, obs)
+
+    assert got.dtype == np.int8 and got.shape == (batch, dims[-1])
+    expected = expected_counters(qp.spec, scheme)
+    assert counters == OpCounters(*(batch * v for v in astuple(expected)))
+    singles = [infer_int8(qp, row) for row in obs]
+    for row_got, (want, ops) in zip(got, singles):
+        np.testing.assert_array_equal(row_got, want)
+        assert ops == expected
+    for i in rng.choice(batch, size=min(batch, 2), replace=False):
+        np.testing.assert_array_equal(got[i], int8_forward_bigint(qp, obs[i]))
+
+
+def test_accumulation_exact_where_partial_sums_cancel():
+    """Partial sums climb to about 2^28 and cancel to a small accumulator that the
+    identity requant passes through unchanged, so any rounding in the
+    accumulation shows in the output."""
+    rng = np.random.default_rng(12)
+    n_in = WIDE_FAN_IN
+    w = rng.integers(-127, 128, size=n_in, dtype=np.int8)
+    x = np.where(w >= 0, 127, -128).astype(np.int8)
+    half = n_in // 2
+    x[half:] = np.where(w[half:] >= 0, -128, 127)
+    dot = int(np.dot(w.astype(np.int64), x.astype(np.int64)))
+    for target in (-77, 0, 1, 100):
+        layer = QuantizedLayer(
+            weights=w[None, :].copy(), bias=np.array([target - dot], dtype=np.int32),
+            input_scale=1.0, input_zp=0, weight_scales=np.ones(1),
+            output_scale=1.0, output_zp=0, requant=[RequantParams(1, 0, 0)])
+        qp = QuantizedPolicy(PolicySpec((n_in, 1), leaky_relu()), QuantScheme.PER_TENSOR,
+                             [layer], 1.0, 0, 1, 7)
+        for obs in (x, np.stack([x, x])):
+            got, _ = infer_int8(qp, obs)
+            assert np.all(got == target)
+        assert int8_forward_bigint(qp, x)[0] == target
+
+
+def test_batch_much_faster_than_single_calls():
+    qp = _quantized(5, QuantScheme.PER_FEATURE)
+    obs = np.random.default_rng(3).integers(-128, 128, size=(2048, 24), dtype=np.int8)
+
+    def best_of(n, fn):
+        times = []
+        for _ in range(n):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    batched = best_of(5, lambda: infer_int8(qp, obs))
+    single = best_of(2, lambda: [infer_int8(qp, row) for row in obs])
+    assert single >= 4 * batched, f"2048 single calls {single:.4f} s, one batch {batched:.4f} s"
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
@@ -71,10 +187,11 @@ def test_deterministic():
 def test_fused_path_composes():
     from microgait.quant import dequantize_action
     qp = _quantized(4, QuantScheme.PER_FEATURE)
-    obs = np.random.default_rng(1).normal(size=24)
-    direct = fused_infer_dequant(qp, obs)
-    obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
-    action_q, _ = infer_int8(qp, obs_q)
     out = qp.layers[-1]
-    np.testing.assert_array_equal(
-        direct, dequantize_action(action_q, out.output_scale, out.output_zp))
+    for shape in ((24,), (5, 24)):
+        obs = np.random.default_rng(1).normal(size=shape)
+        direct = fused_infer_dequant(qp, obs)
+        obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
+        action_q, _ = infer_int8(qp, obs_q)
+        np.testing.assert_array_equal(
+            direct, dequantize_action(action_q, out.output_scale, out.output_zp))

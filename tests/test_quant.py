@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -218,6 +219,54 @@ def test_load_quantized_rejects_garbage(tmp_path):
     path.write_bytes(b"XXXX")
     with pytest.raises(DataError):
         load_quantized(path)
+
+
+def test_load_rejects_requant_table_that_does_not_match_scheme(tmp_path):
+    # per-feature file whose layer-0 table has the single per-tensor entry
+    _, qf = _quantized(2, QuantScheme.PER_FEATURE)
+    _, qt = _quantized(2, QuantScheme.PER_TENSOR)
+    mixed = copy.copy(qf)
+    mixed.layers = [qt.layers[0]] + qf.layers[1:]
+    path = tmp_path / "mixed.bin"
+    save_quantized(mixed, path)
+    with pytest.raises(DataError, match="layer 0 requant table has 1 entries"):
+        load_quantized(path)
+    # and the reverse: a per-tensor file carrying per-feature tables
+    mixed = copy.copy(qf)
+    mixed.scheme = QuantScheme.PER_TENSOR
+    save_quantized(mixed, path)
+    with pytest.raises(DataError, match="requant table"):
+        load_quantized(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("act_shift", 32), ("act_shift", 255), ("act_mult", 2 ** 32 - 1),
+    ("obs_scale", math.nan), ("obs_scale", math.inf), ("obs_scale", 0.0),
+    ("obs_scale", -0.5),
+])
+def test_load_rejects_bad_header_values(tmp_path, field, value):
+    _, qp = _quantized(4, QuantScheme.PER_TENSOR)
+    bad = copy.copy(qp)
+    setattr(bad, field, value)
+    path = tmp_path / "bad.bin"
+    save_quantized(bad, path)
+    with pytest.raises(DataError):
+        load_quantized(path)
+
+
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_kernel_tables_built_at_construction(scheme):
+    _, qp = _quantized(6, scheme)
+    for layer, table in zip(qp.layers, qp.kernel_layers):
+        assert table.weights_t.shape == (layer.n_in, layer.n_out)
+        np.testing.assert_array_equal(table.weights_t, layer.weights.T)
+        np.testing.assert_array_equal(table.bias, layer.bias)
+        assert table.mult.shape == ((layer.n_out,) if scheme is QuantScheme.PER_FEATURE
+                                    else (1,))
+        assert table.mult.tolist() == [rp.mult for rp in layer.requant]
+        assert table.shift.tolist() == [rp.shift for rp in layer.requant]
+        assert table.round_term.tolist() == [rp.round_term for rp in layer.requant]
+        assert table.zero_point.tolist() == [rp.zero_point for rp in layer.requant]
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
