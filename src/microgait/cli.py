@@ -14,6 +14,7 @@ import numpy as np
 
 from . import cost, gait, harness, kinematics, policy, quant, wire
 from .errors import DataError, DomainError
+from .inputs import check_finite
 
 
 def _emit(pairs: list[tuple[str, object]], pretty: bool) -> None:
@@ -135,6 +136,7 @@ def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
         cycles = budget_values.get("cycles_per_update")
     if cycles is None:
         raise DataError("provide --cycles, --measured, or a budget with cycles_per_update")
+    check_finite("cycles_per_update", cycles)
     pairs.append(("cycles_per_update", _fmt(cycles)))
     if f_clk is not None:
         pairs.append(("f_update_max_hz", _fmt(cost.max_update_rate(f_clk, cycles))))
@@ -202,20 +204,19 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
     if episodes < 1:
         raise DataError("--episodes must be >= 1")
 
-    def make_runtime():
-        if scripted:
-            return harness.ScriptedGaitController(v_cmd)
-        if model is None:
-            raise DataError("provide --model or --scripted")
-        if quantized:
-            return harness.QuantizedRuntime(quant.load_quantized(model))
-        return harness.PolicyRuntime(policy.load_policy(model))
+    if scripted:
+        inner = harness.ScriptedGaitController(v_cmd)
+    elif model is None:
+        raise DataError("provide --model or --scripted")
+    elif quantized:
+        inner = harness.QuantizedRuntime(quant.load_quantized(model))
+    else:
+        inner = harness.PolicyRuntime(policy.load_policy(model))
+    precision = "int8" if isinstance(inner, harness.QuantizedRuntime) else "fp32"
 
-    def wrap(rt):
-        if not codec:
-            return rt
-        precision = "int8" if isinstance(rt, harness.QuantizedRuntime) else "fp32"
-        return harness.CodecRuntime(rt, precision)
+    def runtime():
+        # a fresh codec session per episode; the runtimes themselves are stateless
+        return harness.CodecRuntime(inner, precision) if codec else inner
 
     dr_config = harness.DRConfig() if randomize else None
     cmd = (v_cmd, omega)
@@ -223,9 +224,9 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
     for ep in range(episodes):
         ep_seed = seed + ep
         base_sim = harness.SimConfig(seed=ep_seed)  # baseline: inference every step
-        baseline = harness.run_episode(wrap(make_runtime()), base_sim, dr_config, cmd)
+        baseline = harness.run_episode(runtime(), base_sim, dr_config, cmd)
         sim = harness.SimConfig(f_update_hz=f_update, seed=ep_seed)
-        result = harness.run_episode(wrap(make_runtime()), sim, dr_config, cmd,
+        result = harness.run_episode(runtime(), sim, dr_config, cmd,
                                      baseline_reward=baseline.total_reward)
         prefix = f"episode{ep}_" if episodes > 1 else ""
         pairs += [(f"{prefix}total_reward", _fmt(result.total_reward)),

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataError, DomainError
+from .inputs import check_finite, read_key_values
 from .policy import PolicySpec, mac_count, activation_count, neuron_count
 from .quant import QuantScheme
 
@@ -31,6 +32,7 @@ class CycleCoeffs:
 
     def __post_init__(self):
         for name in COEFF_NAMES:
+            check_finite(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
 
@@ -42,6 +44,7 @@ class PowerParams:
     p_max_watts: float
 
     def __post_init__(self):
+        check_finite("electrical parameters", (self.v_volts, self.i_per_mhz_amps, self.p_max_watts))
         if not (self.v_volts > 0 and self.i_per_mhz_amps > 0 and self.p_max_watts > 0):
             raise DataError("electrical parameters must all be > 0")
 
@@ -75,6 +78,7 @@ def measured_cycles(m: RateMeasurement) -> float:
 
 
 def max_update_rate(f_clk_hz: float, cycles: float) -> float:
+    check_finite("clock and cycles/update", (f_clk_hz, cycles))
     if cycles <= 0:
         raise DomainError(f"cycles/update must be > 0, got {cycles}")
     return f_clk_hz / cycles
@@ -95,6 +99,7 @@ def feasible_update_rate(p: PowerParams, cycles: float) -> float:
 
 
 def required_clock(cycles: float, f_target_hz: float) -> float:
+    check_finite("cycles/update and target rate", (cycles, f_target_hz))
     if cycles <= 0:
         raise DomainError(f"cycles/update must be > 0, got {cycles}")
     if f_target_hz < 0:
@@ -136,21 +141,5 @@ BUDGET_KEYS = ("f_clk_hz", "v_volts", "i_per_mhz_amps", "p_max_watts", "cycles_p
 
 
 def load_budget(path) -> dict[str, float]:
-    """Parse a key=value budget file; keys outside BUDGET_KEYS are rejected."""
-    values: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in BUDGET_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = float(raw.strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad number {raw.strip()!r}") from None
-    return values
+    """Read a key = number budget file; every key is optional."""
+    return read_key_values(path, BUDGET_KEYS, ())

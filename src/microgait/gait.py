@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .cost import PowerParams, feasible_update_rate
 from .errors import DataError, DomainError
+from .inputs import check_finite
 
 
 class GaitRegime(enum.Enum):
@@ -40,6 +41,7 @@ class RewardCurve:
     def __post_init__(self):
         if len(self.points) < 2:
             raise DataError("reward curve needs at least 2 points")
+        check_finite("reward curve points", self.points)
         freqs = [f for f, _ in self.points]
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise DataError("curve frequencies must be strictly increasing")
@@ -48,6 +50,7 @@ class RewardCurve:
 
 
 def reward_at(curve: RewardCurve, f_update_hz: float) -> float:
+    check_finite("update rate", f_update_hz)
     pts = curve.points
     if f_update_hz <= pts[0][0]:
         return pts[0][1]

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, DomainError
+from .inputs import check_finite
 from .kernel import fused_infer_dequant, infer_int8, quantize_obs
 from .policy import Fp32Policy, ObservationSchema, infer_fp32
 from .quant import QuantizedPolicy, dequantize_action
@@ -88,6 +89,10 @@ def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
 
 # --- domain randomization -------------------------------------------------
 
+ADDITIVE_ROWS = ("observation", "action", "gravity", "dof_lower", "dof_upper")
+SCALING_ROWS = ("mass", "friction", "restitution", "damping", "stiffness")
+
+
 @dataclass(frozen=True)
 class DRConfig:
     """Randomization rows: additive rows are (mean, std) of a Gaussian draw,
@@ -105,18 +110,16 @@ class DRConfig:
     dof_upper: tuple[float, float] = (0.0, 0.01)
 
     def __post_init__(self):
-        for name in ("mass", "friction", "restitution", "damping", "stiffness"):
+        for name in ADDITIVE_ROWS + SCALING_ROWS:
+            check_finite(f"{name} row", getattr(self, name))
+        for name in SCALING_ROWS:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise DataError(f"{name} range lower {lo} > upper {hi}")
-        for name in ("observation", "action", "gravity", "dof_lower", "dof_upper"):
+        for name in ADDITIVE_ROWS:
             _, std = getattr(self, name)
             if std < 0:
                 raise DataError(f"{name} std must be >= 0")
-
-
-ADDITIVE_ROWS = ("observation", "action", "gravity", "dof_lower", "dof_upper")
-SCALING_ROWS = ("mass", "friction", "restitution", "damping", "stiffness")
 
 
 @dataclass(frozen=True)
@@ -269,29 +272,28 @@ class CodecRuntime:
     """Route another runtime's observations/actions through the wire codec."""
 
     def __init__(self, inner, precision: str = "fp32"):
-        if precision == "int8" and not isinstance(inner, QuantizedRuntime):
-            raise DataError("int8 codec transport needs a QuantizedRuntime")
+        if precision == "int8":
+            if not isinstance(inner, QuantizedRuntime):
+                raise DataError("int8 codec transport needs a QuantizedRuntime")
+            qp = inner.qp
+            out = qp.layers[-1]
+            # quantize_obs, infer_int8 and dequantize_action are read as
+            # module globals on every call, so they can be rebound for tracing
+            self._to_wire = lambda obs: quantize_obs(obs, qp.obs_scale, qp.obs_zp)
+            self._from_wire = lambda a: dequantize_action(a, out.output_scale, out.output_zp)
+            act_fn = lambda obs_q, t: infer_int8(qp, obs_q)[0]
+        else:
+            self._to_wire = lambda obs: obs
+            self._from_wire = lambda a: a.astype(np.float64)
+            act_fn = inner.act
         self.inner = inner
         self.precision = precision
         self.session = Session(precision)
-        if precision == "int8":
-            qp = inner.qp
-            self.device = LoopbackDevice(lambda q: infer_int8(qp, q)[0], "int8")
-        else:
-            self._t = 0.0
-            self.device = LoopbackDevice(lambda o: inner.act(o, self._t), "fp32")
+        self.device = LoopbackDevice(act_fn, precision)
 
     def act(self, obs: np.ndarray, t: float) -> np.ndarray:
-        if self.precision == "int8":
-            qp = self.inner.qp
-            obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
-            reply = self.device.handle(self.session.send_observation(obs_q))
-            action_q = self.session.receive_action(reply)
-            out = qp.layers[-1]
-            return dequantize_action(action_q, out.output_scale, out.output_zp)
-        self._t = t
-        reply = self.device.handle(self.session.send_observation(obs))
-        return self.session.receive_action(reply).astype(np.float64)
+        frame = self.session.send_observation(self._to_wire(obs))
+        return self._from_wire(self.session.receive_action(self.device.handle(frame, t)))
 
 
 # --- episode loop ---------------------------------------------------------
@@ -391,15 +393,3 @@ def write_trajectory_csv(result: EpisodeResult, path) -> None:
         fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
         for row in result.rows:
             fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
-
-
-def episode_summary(result: EpisodeResult) -> str:
-    lines = [
-        f"total_reward={result.total_reward:.10g}",
-        f"steps={result.steps}",
-        f"inferences={result.inference_count}",
-        f"terminated_early={str(result.terminated_early).lower()}",
-    ]
-    if result.reward_ratio is not None:
-        lines.insert(1, f"reward_ratio={result.reward_ratio:.10g}")
-    return "\n".join(lines) + "\n"

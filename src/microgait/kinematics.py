@@ -2,8 +2,8 @@
 
 Each leg has two orthogonal prismatic motors driving a two-linkage leg; the
 controller emits target angles (theta_x, theta_y) per leg which are mapped to
-motor positions on the host. A forward-kinematics inversion of the angle
-equations is provided as a round-trip oracle.
+motor positions on the host in closed form. A forward-kinematics inversion of
+the angle equations, fk_oracle, is the round-trip test oracle for ik.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
+from .inputs import check_finite, read_key_values
 
 
 @dataclass(frozen=True)
@@ -69,41 +70,22 @@ def fk_oracle(g: LegGeometry, theta_x: float, theta_y: float) -> EndEffector:
 
 def action_to_motor_targets(action: np.ndarray, geoms: list[LegGeometry]
                             ) -> list[tuple[float, float]]:
-    """Map an 8-value action (theta_x, theta_y per leg) to (x_motor, y_motor) per leg."""
+    """Map an 8-value action (theta_x, theta_y per leg) to (x_motor, y_motor) per leg.
+
+    The closed form of ik's motor equations at the commanded angles, on any branch.
+    """
     a = np.asarray(action, dtype=np.float64).ravel()
     if len(geoms) * 2 != a.size:
         raise DataError(f"action has {a.size} values for {len(geoms)} legs")
-    targets = []
-    for i, g in enumerate(geoms):
-        theta_x, theta_y = float(a[2 * i]), float(a[2 * i + 1])
-        try:
-            sol = ik(g, fk_oracle(g, theta_x, theta_y))
-        except DomainError as exc:
-            raise DomainError(f"leg {i}: {exc}") from None
-        targets.append((sol.x_motor, sol.y_motor))
-    return targets
+    check_finite("action", a)
+    return [(g.x_motor_ref + 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x),
+             g.y_motor_ref + g.l_x * math.sin(theta_x) + 0.5 * g.l_y * math.cos(theta_y))
+            for g, theta_x, theta_y in zip(geoms, a[0::2].tolist(), a[1::2].tolist())]
 
 
 GEOMETRY_KEYS = ("l_x", "l_y", "x_motor_ref", "y_motor_ref")
 
 
 def load_geometry(path) -> LegGeometry:
-    """Parse a key=value geometry file for one leg."""
-    values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            key = key.strip()
-            if not sep or key not in GEOMETRY_KEYS:
-                raise DataError(f"{path}:{lineno}: expected one of {GEOMETRY_KEYS}")
-            try:
-                values[key] = float(raw.strip())
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad number {raw.strip()!r}") from None
-    missing = [k for k in ("l_x", "l_y") if k not in values]
-    if missing:
-        raise DataError(f"{path}: missing required keys: {', '.join(missing)}")
-    return LegGeometry(**values)
+    """Read a key = number geometry file for one leg; l_x and l_y are required."""
+    return LegGeometry(**read_key_values(path, GEOMETRY_KEYS, ("l_x", "l_y")))

@@ -67,10 +67,6 @@ class PolicySpec:
         return self.layer_dims[0]
 
     @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layer_dims) - 1
 

@@ -106,7 +106,7 @@ def derive_requant(input_scale: float, weight_scale: float, output_scale: float,
     return RequantParams(mult, shift, zero_point)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedLayer:
     """One dense layer in int8 with its requantization parameters.
 
@@ -121,7 +121,10 @@ class QuantizedLayer:
     weight_scales: np.ndarray      # float, len 1 (per-tensor) or n_out
     output_scale: float
     output_zp: int
-    requant: list[RequantParams]   # len 1 (per-tensor) or n_out
+    requant: tuple[RequantParams, ...]   # len 1 (per-tensor) or n_out
+
+    def __post_init__(self):
+        object.__setattr__(self, "requant", tuple(self.requant))
 
     @property
     def n_out(self) -> int:
@@ -159,19 +162,20 @@ class KernelLayer:
                    round_term=vec("round_term"), zero_point=vec("zero_point"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedPolicy:
     spec: PolicySpec
     scheme: QuantScheme
-    layers: list[QuantizedLayer]
+    layers: tuple[QuantizedLayer, ...]
     obs_scale: float
     obs_zp: int
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
-    # built once here from `layers`, which must not be changed afterwards
+    # built once here from `layers`; the dataclass is frozen so they stay in step
     kernel_layers: tuple[KernelLayer, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         dims = self.spec.layer_dims
         if len(self.layers) != self.spec.num_layers:
             raise DataError("quantized layer count does not match spec")
@@ -199,7 +203,8 @@ class QuantizedPolicy:
                 raise DomainError(
                     f"layer {i} fan-in {dims[i]} can overflow the int32 accumulator "
                     f"(worst case {worst})")
-        self.kernel_layers = tuple(KernelLayer.of(layer) for layer in self.layers)
+        object.__setattr__(self, "kernel_layers",
+                           tuple(KernelLayer.of(layer) for layer in self.layers))
 
 
 def _affine_params(lo: float, hi: float) -> tuple[float, int]:

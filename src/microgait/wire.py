@@ -27,9 +27,14 @@ MSG_ACT_FP32 = 0x02
 MSG_OBS_INT8 = 0x11
 MSG_ACT_INT8 = 0x12
 
-_KNOWN_TYPES = {MSG_OBS_FP32, MSG_ACT_FP32, MSG_OBS_INT8, MSG_ACT_INT8}
-_OBS_TYPES = {MSG_OBS_FP32, MSG_OBS_INT8}
-_ACT_TYPES = {MSG_ACT_FP32, MSG_ACT_INT8}
+# (direction, precision) -> message type, and each type's payload (dtype, count)
+_MSG_TYPES = {("obs", "fp32"): MSG_OBS_FP32, ("act", "fp32"): MSG_ACT_FP32,
+              ("obs", "int8"): MSG_OBS_INT8, ("act", "int8"): MSG_ACT_INT8}
+_TYPE_KEYS = {msg_type: key for key, msg_type in _MSG_TYPES.items()}
+_PAYLOADS = {MSG_OBS_FP32: ("<f4", OBS_DIM), MSG_ACT_FP32: ("<f4", ACT_DIM),
+             MSG_OBS_INT8: ("<i1", OBS_DIM), MSG_ACT_INT8: ("<i1", ACT_DIM)}
+_PAYLOAD_BYTES = {t: np.dtype(dtype).itemsize * count for t, (dtype, count) in _PAYLOADS.items()}
+MAX_PAYLOAD = max(_PAYLOAD_BYTES.values())  # 96: a fp32 observation
 
 
 class SyncError(ProtocolError):
@@ -82,7 +87,7 @@ class Frame:
 
 
 def encode_frame(msg_type: int, seq: int, payload: bytes) -> bytes:
-    if msg_type not in _KNOWN_TYPES:
+    if msg_type not in _PAYLOADS:
         raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
     if not (0 <= seq <= 0xFF):
         raise ProtocolError(f"seq {seq} outside u8 range")
@@ -102,7 +107,7 @@ def decode_frame(buf: bytes) -> Frame:
     body = buf[1:5 + length]
     if crc8(body) != buf[-1]:
         raise CrcError(f"crc mismatch: computed 0x{crc8(body):02X}, got 0x{buf[-1]:02X}")
-    if msg_type not in _KNOWN_TYPES:
+    if msg_type not in _PAYLOADS:
         raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
     return Frame(msg_type, seq, bytes(buf[5:5 + length]))
 
@@ -116,8 +121,9 @@ def iter_frames(stream: bytes):
             continue
         (length,) = struct.unpack_from("<H", stream, i + 3)
         end = i + 6 + length
-        if end > len(stream):
-            # could be a truncated tail or a fake sync in garbage; keep scanning
+        if length > MAX_PAYLOAD or end > len(stream):
+            # a fake sync in garbage (no known type carries more than
+            # MAX_PAYLOAD bytes) or a truncated tail; keep scanning
             i += 1
             continue
         try:
@@ -127,61 +133,43 @@ def iter_frames(stream: bytes):
             i += 1
 
 
-def _expected_len(msg_type: int) -> int:
-    count = OBS_DIM if msg_type in _OBS_TYPES else ACT_DIM
-    return 4 * count if msg_type in (MSG_OBS_FP32, MSG_ACT_FP32) else count
-
-
-def _encode_values(values, msg_type: int, seq: int) -> bytes:
-    if msg_type in (MSG_OBS_FP32, MSG_ACT_FP32):
-        payload = np.asarray(values, dtype="<f4").tobytes()
-    else:
-        payload = np.asarray(values, dtype="<i1").tobytes()
-    if len(payload) != _expected_len(msg_type):
-        raise LengthError(
-            f"payload is {len(payload)} bytes, type 0x{msg_type:02X} "
-            f"needs {_expected_len(msg_type)}")
+def _encode(direction: str, values, precision: str, seq: int) -> bytes:
+    msg_type = _MSG_TYPES.get((direction, precision))
+    if msg_type is None:
+        raise ProtocolError(f"unknown precision {precision!r}")
+    payload = np.asarray(values, dtype=_PAYLOADS[msg_type][0]).tobytes()
+    if len(payload) != _PAYLOAD_BYTES[msg_type]:
+        raise LengthError(f"payload is {len(payload)} bytes, type 0x{msg_type:02X} "
+                          f"needs {_PAYLOAD_BYTES[msg_type]}")
     return encode_frame(msg_type, seq, payload)
 
 
-def _decode_values(frame: Frame, expected_types: set[int]) -> np.ndarray:
-    if frame.msg_type not in expected_types:
+def _decode(direction: str, buf: bytes) -> tuple[np.ndarray, str, int]:
+    frame = decode_frame(buf)
+    frame_direction, precision = _TYPE_KEYS[frame.msg_type]
+    if frame_direction != direction:
         raise UnknownTypeError(f"unexpected message type 0x{frame.msg_type:02X}")
-    if len(frame.payload) != _expected_len(frame.msg_type):
-        raise LengthError(
-            f"payload is {len(frame.payload)} bytes, type 0x{frame.msg_type:02X} "
-            f"needs {_expected_len(frame.msg_type)}")
-    if frame.msg_type in (MSG_OBS_FP32, MSG_ACT_FP32):
-        return np.frombuffer(frame.payload, dtype="<f4").copy()
-    return np.frombuffer(frame.payload, dtype="<i1").copy()
+    if len(frame.payload) != _PAYLOAD_BYTES[frame.msg_type]:
+        raise LengthError(f"payload is {len(frame.payload)} bytes, type "
+                          f"0x{frame.msg_type:02X} needs {_PAYLOAD_BYTES[frame.msg_type]}")
+    values = np.frombuffer(frame.payload, dtype=_PAYLOADS[frame.msg_type][0]).copy()
+    return values, precision, frame.seq
 
 
 def encode_observation(obs, precision: str = "fp32", seq: int = 0) -> bytes:
-    msg_type = {"fp32": MSG_OBS_FP32, "int8": MSG_OBS_INT8}.get(precision)
-    if msg_type is None:
-        raise ProtocolError(f"unknown precision {precision!r}")
-    return _encode_values(obs, msg_type, seq)
+    return _encode("obs", obs, precision, seq)
 
 
 def decode_observation(buf: bytes) -> tuple[np.ndarray, str, int]:
-    frame = decode_frame(buf)
-    values = _decode_values(frame, _OBS_TYPES)
-    precision = "fp32" if frame.msg_type == MSG_OBS_FP32 else "int8"
-    return values, precision, frame.seq
+    return _decode("obs", buf)
 
 
 def encode_action(action, precision: str = "fp32", seq: int = 0) -> bytes:
-    msg_type = {"fp32": MSG_ACT_FP32, "int8": MSG_ACT_INT8}.get(precision)
-    if msg_type is None:
-        raise ProtocolError(f"unknown precision {precision!r}")
-    return _encode_values(action, msg_type, seq)
+    return _encode("act", action, precision, seq)
 
 
 def decode_action(buf: bytes) -> tuple[np.ndarray, str, int]:
-    frame = decode_frame(buf)
-    values = _decode_values(frame, _ACT_TYPES)
-    precision = "fp32" if frame.msg_type == MSG_ACT_FP32 else "int8"
-    return values, precision, frame.seq
+    return _decode("act", buf)
 
 
 class _State(enum.Enum):
@@ -208,9 +196,6 @@ class Session:
         self._state = _State.AWAIT_ACT
         return frame
 
-    # alias matching the step-wise loop terminology
-    step = send_observation
-
     def receive_action(self, buf: bytes) -> np.ndarray:
         if self._state is not _State.AWAIT_ACT:
             raise SequenceError("action received without a pending observation")
@@ -226,17 +211,16 @@ class Session:
 
 
 class LoopbackDevice:
-    """In-memory device endpoint: decodes an observation, answers with an action."""
+    """In-memory device endpoint: decodes an observation, answers with act_fn(obs, t)."""
 
     def __init__(self, act_fn, precision: str = "fp32"):
         self.act_fn = act_fn
         self.precision = precision
 
-    def handle(self, buf: bytes) -> bytes:
+    def handle(self, buf: bytes, t: float) -> bytes:
         obs, precision, seq = decode_observation(buf)
         if precision != self.precision:
             raise UnknownTypeError(
                 f"observation precision {precision!r} != device precision "
                 f"{self.precision!r}")
-        action = self.act_fn(obs)
-        return encode_action(action, self.precision, seq)
+        return encode_action(self.act_fn(obs, t), self.precision, seq)

@@ -110,6 +110,22 @@ def test_cost_bad_measured_is_domain_error(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("args", [
+    ["select-gait", "--f-update", "nan"],
+    ["select-gait", "--power", "1.8,0.0001,0.0018", "--cycles", "inf"],
+    ["cost", "--cycles", "nan"],
+    ["cost", "--cycles", "inf"],
+    ["cost", "--cycles", "1e5", "--target-hz", "nan"],
+])
+def test_non_finite_number_is_data_error(capsys, args):
+    code = main(args)
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("data error:") and "finite" in out.err
+    assert "Traceback" not in out.err
+
+
 def test_select_gait_reference(capsys):
     code, pairs, _ = run_cli(capsys, "select-gait", "--f-update", "47.62")
     assert code == 0

@@ -118,3 +118,24 @@ def test_load_budget_errors(tmp_path):
     bad.write_text("f_clk_hz=not_a_number\n")
     with pytest.raises(DataError):
         load_budget(bad)
+    bad.write_text("f_clk_hz=5e6\ncycles_per_update=inf\n")
+    with pytest.raises(DataError, match="bad.txt:2"):
+        load_budget(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_rejected(bad):
+    with pytest.raises(DataError):
+        CycleCoeffs(c_mac=bad, c_q=1.0, c_phi=1.0)
+    with pytest.raises(DataError):
+        CycleCoeffs(c_mac=1.0, c_q=1.0, c_phi=1.0, c0=bad)
+    with pytest.raises(DataError):
+        PowerParams(v_volts=1.8, i_per_mhz_amps=0.0001, p_max_watts=bad)
+    with pytest.raises(DataError):
+        max_update_rate(5e6, bad)
+    with pytest.raises(DataError):
+        max_update_rate(bad, 1e5)
+    with pytest.raises(DataError):
+        required_clock(bad, 60.0)
+    with pytest.raises(DataError):
+        required_clock(1e5, bad)

@@ -28,6 +28,11 @@ def test_curve_validation():
         RewardCurve(((0.0, 1.0), (0.0, 2.0)))
     with pytest.raises(DataError):
         RewardCurve(((0.0, -0.1), (1.0, 0.5)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="finite"):
+            RewardCurve(((0.0, 0.1), (1.0, bad)))
+        with pytest.raises(DataError, match="finite"):
+            RewardCurve(((0.0, 0.1), (bad, 0.5)))
 
 
 def test_reward_interpolation_and_clamping():
@@ -35,6 +40,8 @@ def test_reward_interpolation_and_clamping():
     assert reward_at(curve, 15.0) == pytest.approx(0.5)
     assert reward_at(curve, 0.0) == 0.2
     assert reward_at(curve, 100.0) == 0.8
+    with pytest.raises(DataError, match="finite"):
+        reward_at(curve, float("nan"))
 
 
 def test_classify_velocity_bands(table):

@@ -53,6 +53,10 @@ def test_round_trip_property(theta_x, theta_y, l_x, l_y, xr, yr):
     sol = ik(g, fk_oracle(g, theta_x, theta_y))
     assert abs(sol.theta_x - theta_x) <= 1e-9
     assert abs(sol.theta_y - theta_y) <= 1e-9
+    # the closed-form motor targets agree with ik on the principal branch
+    [(x_m, y_m)] = action_to_motor_targets(np.array([theta_x, theta_y]), [g])
+    assert abs(x_m - sol.x_motor) <= 1e-9
+    assert abs(y_m - sol.y_motor) <= 1e-9
 
 
 def test_action_to_motor_targets():
@@ -66,6 +70,19 @@ def test_action_to_motor_targets():
         assert y_m == pytest.approx(sol.y_motor)
     with pytest.raises(DataError):
         action_to_motor_targets(np.zeros(7), geoms)
+
+
+def test_motor_targets_at_and_beyond_branch_ends():
+    # at theta_x = -pi/2 an arcsine inversion (ik of fk_oracle) rounds its argument past -1
+    g = LegGeometry(l_x=0.1, l_y=0.1)
+    [(x_m, y_m)] = action_to_motor_targets(np.array([-math.pi / 2, 0.0]), [g])
+    assert x_m == pytest.approx(0.0, abs=1e-15)
+    assert y_m == pytest.approx(-0.05)
+    # beyond +-pi/2 the angle is kept, not folded onto the principal branch
+    [(x_m, y_m)] = action_to_motor_targets(np.array([math.pi, 0.0]), [UNIT])
+    assert (x_m, y_m) == pytest.approx((1.0, 0.5))
+    with pytest.raises(DataError, match="finite"):
+        action_to_motor_targets(np.array([math.inf, 0.0]), [UNIT])
 
 
 def test_load_geometry(tmp_path):
@@ -82,4 +99,7 @@ def test_load_geometry_errors(tmp_path):
         load_geometry(path)
     path.write_text("l_z=0.02\n")
     with pytest.raises(DataError):
+        load_geometry(path)
+    path.write_text("l_x=0.02\nl_y=0.015\ny_motor_ref=nan\n")
+    with pytest.raises(DataError, match="leg.txt:3"):
         load_geometry(path)

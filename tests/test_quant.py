@@ -1,5 +1,6 @@
-import copy
+import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -221,20 +222,38 @@ def test_load_quantized_rejects_garbage(tmp_path):
         load_quantized(path)
 
 
+# TGQ1 header: magic, u8 scheme, u8 dim count, u16 dims, then "<fIBfb" alpha,
+# act_mult, act_shift, obs_scale, obs_zp
+SCHEME_OFFSET = 4
+HEADER_FIELDS = ("alpha", "act_mult", "act_shift", "obs_scale", "obs_zp")
+
+
+def _pack_header_field(data, dims, field, value):
+    i = HEADER_FIELDS.index(field)
+    offset = 6 + 2 * len(dims) + struct.calcsize("<" + "fIBfb"[:i])
+    struct.pack_into("<" + "fIBfb"[i], data, offset, value)
+
+
+def _saved_bytes(tmp_path, qp):
+    path = tmp_path / "good.bin"
+    save_quantized(qp, path)
+    return bytearray(path.read_bytes())
+
+
 def test_load_rejects_requant_table_that_does_not_match_scheme(tmp_path):
-    # per-feature file whose layer-0 table has the single per-tensor entry
-    _, qf = _quantized(2, QuantScheme.PER_FEATURE)
-    _, qt = _quantized(2, QuantScheme.PER_TENSOR)
-    mixed = copy.copy(qf)
-    mixed.layers = [qt.layers[0]] + qf.layers[1:]
     path = tmp_path / "mixed.bin"
-    save_quantized(mixed, path)
+    # a per-feature file whose tables have the single per-tensor entry
+    _, qt = _quantized(2, QuantScheme.PER_TENSOR)
+    data = _saved_bytes(tmp_path, qt)
+    data[SCHEME_OFFSET] = QuantScheme.PER_FEATURE.value
+    path.write_bytes(data)
     with pytest.raises(DataError, match="layer 0 requant table has 1 entries"):
         load_quantized(path)
     # and the reverse: a per-tensor file carrying per-feature tables
-    mixed = copy.copy(qf)
-    mixed.scheme = QuantScheme.PER_TENSOR
-    save_quantized(mixed, path)
+    _, qf = _quantized(2, QuantScheme.PER_FEATURE)
+    data = _saved_bytes(tmp_path, qf)
+    data[SCHEME_OFFSET] = QuantScheme.PER_TENSOR.value
+    path.write_bytes(data)
     with pytest.raises(DataError, match="requant table"):
         load_quantized(path)
 
@@ -246,12 +265,24 @@ def test_load_rejects_requant_table_that_does_not_match_scheme(tmp_path):
 ])
 def test_load_rejects_bad_header_values(tmp_path, field, value):
     _, qp = _quantized(4, QuantScheme.PER_TENSOR)
-    bad = copy.copy(qp)
-    setattr(bad, field, value)
+    data = _saved_bytes(tmp_path, qp)
+    _pack_header_field(data, qp.spec.layer_dims, field, value)
     path = tmp_path / "bad.bin"
-    save_quantized(bad, path)
+    path.write_bytes(data)
     with pytest.raises(DataError):
         load_quantized(path)
+
+
+def test_quantized_policy_is_frozen():
+    # kernel_layers are built from layers at construction; assignment would leave them stale
+    _, qf = _quantized(2, QuantScheme.PER_FEATURE)
+    _, qt = _quantized(3, QuantScheme.PER_FEATURE)
+    assert isinstance(qf.layers, tuple) and isinstance(qf.layers[0].requant, tuple)
+    for obj, field, value in ((qf, "layers", qt.layers), (qf, "act_shift", 3),
+                              (qf, "scheme", QuantScheme.PER_TENSOR),
+                              (qf.layers[0], "requant", qt.layers[0].requant)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, value)
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))

@@ -117,13 +117,24 @@ def test_iter_frames_resyncs_through_garbage():
     assert [f.seq for f in frames] == [1, 2]
 
 
+def test_iter_frames_skips_false_sync_longer_than_any_payload():
+    # a false 0x7E whose u16 length spans the next two frames and whose CRC
+    # happens to match the byte after them would swallow both
+    f1 = encode_observation(np.ones(24, dtype=np.float32), "fp32", 1)
+    f2 = encode_action(np.arange(8, dtype=np.int8), "int8", 2)
+    body = bytes([wire.MSG_OBS_FP32, 0]) + (len(f1) + len(f2)).to_bytes(2, "little") + f1 + f2
+    stream = bytes([wire.SYNC]) + body + bytes([crc8(body)])
+    assert [f.seq for f in iter_frames(stream)] == [1, 2]
+    assert len(f1) + len(f2) > wire.MAX_PAYLOAD == 96
+
+
 def test_session_happy_path_and_wraparound():
     session = Session("int8")
-    device = LoopbackDevice(lambda obs: obs[:8], "int8")
+    device = LoopbackDevice(lambda obs, t: obs[:8] + np.int8(t), "int8")
     for i in range(300):  # crosses the u8 wraparound
         obs = np.full(24, i % 100, dtype=np.int8)
-        action = session.receive_action(device.handle(session.send_observation(obs)))
-        assert np.all(action == i % 100)
+        action = session.receive_action(device.handle(session.send_observation(obs), 2))
+        assert np.all(action == i % 100 + 2)
 
 
 def test_session_rejects_out_of_order():
@@ -151,8 +162,3 @@ def test_session_rejects_precision_mismatch():
     with pytest.raises(UnknownTypeError):
         session.receive_action(reply)
 
-
-def test_step_alias():
-    session = Session("fp32")
-    assert session.step(np.zeros(24, dtype=np.float32)) == \
-        encode_observation(np.zeros(24, dtype=np.float32), "fp32", 0)
