@@ -3,14 +3,18 @@
 A refactor that claims the same behaviour must leave every line and digest
 here unchanged. The expected values were recorded from the code before the
 one-path-per-concept consolidation (key=value reader, table-driven codec,
-single CodecRuntime path); change them only with a deliberate change of
+single CodecRuntime path); the quantize and FP32 run-loop pins were recorded
+before the unvaried settings became constants and the two policy loaders
+shared one binary reader. Change them only with a deliberate change of
 output, recorded in CHANGES.md.
 """
 import hashlib
 
 import numpy as np
+import pytest
 
-from microgait import PolicySpec, QuantScheme, leaky_relu, quantize_policy, random_policy
+from microgait import (PolicySpec, QuantScheme, leaky_relu, quantize_policy, random_policy,
+                       save_policy)
 from microgait.cli import main
 from microgait.quant import save_quantized
 
@@ -91,3 +95,56 @@ def test_golden_run_loop_quantized_codec(capsys, tmp_path):
     ]
     assert _sha256(csv_out) == \
         "be0b6cd0c5e987c3709ee0bd03f72f0e086c438d250e7c145691b59e294b9620"
+
+
+@pytest.fixture
+def elu_model(tmp_path):
+    """A default-spec ELU policy file and a 128-row calibration CSV."""
+    model = tmp_path / "policy.bin"
+    save_policy(random_policy(PolicySpec(), 5), model)
+    assert _sha256(model) == \
+        "7a2c69d73fef7235fcedc81d62b9d1764a4662bb8bb5a12aebc1a9e9b31880da"
+    calib = tmp_path / "calib.csv"
+    np.savetxt(calib, np.random.default_rng(6).normal(scale=0.5, size=(128, 24)),
+               delimiter=",")
+    return model, calib
+
+
+@pytest.mark.parametrize("scheme, sqnr, payload, ratio, digest", [
+    ("per-tensor", "43.97206235", 12594, "3.803716055",
+     "cf79c7f86e1564809b5f4f880e9c22f40798c710ceddef9b038d2176f4cb0969"),
+    ("per-feature", "45.13990139", 13776, "3.477351916",
+     "ed7e26d7efb1b2218aff92f648a9db26c7aedca15c835f2f1901ce97cd5ccc9a"),
+])
+def test_golden_quantize(capsys, tmp_path, elu_model, scheme, sqnr, payload, ratio, digest):
+    model, calib = elu_model
+    out = tmp_path / "q.bin"
+    assert _stdout(capsys, tmp_path, "quantize", "--model", model, "--scheme", scheme,
+                   "--calib", calib, "--out", out) == [
+        f"scheme={scheme}",
+        "activation_converted=true",
+        f"sqnr_db={sqnr}",
+        "fp32_payload_bytes=47904",
+        f"int8_payload_bytes={payload}",
+        f"size_ratio={ratio}",
+        "out={tmp}/q.bin",
+        "reference_fp32_image_kb=204.54",
+        "reference_int8_image_kb=51.136",
+        "reference_image_ratio=3.999921777",
+    ]
+    assert _sha256(out) == digest
+
+
+def test_golden_run_loop_fp32_randomized(capsys, tmp_path, elu_model):
+    model, _ = elu_model
+    csv_out = tmp_path / "fp32.csv"
+    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--randomize",
+                   "--f-update", "60", "--seed", "2", "--command", "0.06", "--omega", "0.1",
+                   "--csv-out", csv_out) == [
+        "total_reward=14.64853506",
+        "reward_ratio=0.9999997775",
+        "inferences=600",
+        "csv={tmp}/fp32.csv",
+    ]
+    assert _sha256(csv_out) == \
+        "55896872d08519a223f217c40bb70620b79be99361fffa2c7868bf3144d723e1"
