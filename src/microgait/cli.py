@@ -137,6 +137,8 @@ def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
     if cycles is None:
         raise DataError("provide --cycles, --measured, or a budget with cycles_per_update")
     check_finite("cycles_per_update", cycles)
+    if cycles <= 0:
+        raise DomainError(f"cycles per update must be > 0, got {cycles}")
     pairs.append(("cycles_per_update", _fmt(cycles)))
     if f_clk is not None:
         pairs.append(("f_update_max_hz", _fmt(cost.max_update_rate(f_clk, cycles))))

@@ -50,7 +50,10 @@ class RewardCurve:
 
 
 def reward_at(curve: RewardCurve, f_update_hz: float) -> float:
+    """Reward ratio at an update rate >= 0; rates outside the curve take its end values."""
     check_finite("update rate", f_update_hz)
+    if f_update_hz < 0:
+        raise DomainError(f"update rate must be >= 0, got {f_update_hz}")
     pts = curve.points
     if f_update_hz <= pts[0][0]:
         return pts[0][1]
@@ -65,24 +68,21 @@ def reward_at(curve: RewardCurve, f_update_hz: float) -> float:
 @dataclass(frozen=True)
 class GaitTable:
     curves: dict[GaitRegime, RewardCurve]
-    v_trot_max: float = TROT_MAX_MPS
-    v_intermediate_max: float = INTERMEDIATE_MAX_MPS
 
     def __post_init__(self):
         missing = [g.value for g in GaitRegime if g not in self.curves]
         if missing:
             raise DataError(f"gait table missing curves for: {', '.join(missing)}")
-        if not (0 < self.v_trot_max < self.v_intermediate_max):
-            raise DataError("velocity thresholds must be positive and increasing")
 
 
-def classify_gait(v_cmd_mps: float, table: GaitTable) -> GaitRegime:
+def classify_gait(v_cmd_mps: float) -> GaitRegime:
     """Gait regime adopted at a commanded forward velocity."""
+    check_finite("command velocity", v_cmd_mps)
     if v_cmd_mps < 0:
         raise DomainError(f"command velocity must be >= 0, got {v_cmd_mps}")
-    if v_cmd_mps < table.v_trot_max:
+    if v_cmd_mps < TROT_MAX_MPS:
         return GaitRegime.TROT
-    if v_cmd_mps < table.v_intermediate_max:
+    if v_cmd_mps < INTERMEDIATE_MAX_MPS:
         return GaitRegime.INTERMEDIATE
     return GaitRegime.GALLOP
 

@@ -11,7 +11,7 @@ and forward drive (hence tracking reward) degrades as update rate drops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -29,28 +29,34 @@ _LEFT = (0, 2)
 _RIGHT = (1, 3)
 _FRONT = (0, 1)
 _REAR = (2, 3)
+SIM_HZ = 120.0  # plant and reward step rate
+OBS_SCHEMA = ObservationSchema()  # the observation slot layout every runtime sees
+
+
+# Per-step reward weights; reward_step also scales each term by dt.
+LIN_TRACK_WEIGHT = 1.0
+ANG_TRACK_WEIGHT = 0.5
+LIN_PENALTY_WEIGHT = 0.5
+ANG_PENALTY_WEIGHT = 0.05
+AIR_TIME_WEIGHT = 1.0
+TRACKING_SIGMA = 0.5     # tracking kernel width: Phi(e) = exp(-e^2 / sigma^2)
+AIR_TIME_OFFSET_S = 0.5  # a touchdown earns (t_air - offset), negative for short steps
 
 
 @dataclass(frozen=True)
 class RewardWeights:
-    """Per-step reward weights; each term is additionally scaled by dt."""
+    """The reward's time step; the weights themselves are the module constants above."""
 
     dt: float
-    lin_track: float = 1.0
-    ang_track: float = 0.5
-    lin_penalty: float = 0.5
-    ang_penalty: float = 0.05
-    air_time: float = 1.0
-    sigma: float = 0.5       # tracking kernel width: Phi(e) = exp(-e^2 / sigma^2)
-    air_time_offset: float = 0.5
 
     def __post_init__(self):
-        if not (self.dt > 0 and self.sigma > 0):
-            raise DataError("dt and sigma must be > 0")
+        check_finite("reward dt", self.dt)
+        if not self.dt > 0:
+            raise DataError(f"reward dt must be > 0, got {self.dt}")
 
 
-def tracking_kernel(err: float, sigma: float) -> float:
-    return math.exp(-(err * err) / (sigma * sigma))
+def tracking_kernel(err: float) -> float:
+    return math.exp(-(err * err) / (TRACKING_SIGMA * TRACKING_SIGMA))
 
 
 @dataclass
@@ -65,23 +71,18 @@ class PlantState:
     contact: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LEGS, dtype=bool))
     just_landed: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LEGS, dtype=bool))
 
-    def copy(self) -> "PlantState":
-        return PlantState(*(x.copy() for x in (
-            self.v, self.w, self.att, self.q, self.qd, self.q_targets,
-            self.t_air, self.contact, self.just_landed)))
-
 
 def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
                 ) -> tuple[float, dict[str, float]]:
     """Per-step reward: tracking terms, motion penalties, touchdown air-time bonus."""
     v_cmd, w_cmd = cmd
     dt = w.dt
-    lin = w.lin_track * dt * tracking_kernel(v_cmd - s.v[0], w.sigma)
-    ang = w.ang_track * dt * tracking_kernel(w_cmd - s.w[2], w.sigma)
-    pen_lin = -w.lin_penalty * dt * s.v[1] ** 2
-    pen_ang = -w.ang_penalty * dt * (s.w[0] ** 2 + s.w[1] ** 2)
-    air = w.air_time * dt * float(
-        np.sum((s.t_air - w.air_time_offset) * s.just_landed))
+    lin = LIN_TRACK_WEIGHT * dt * tracking_kernel(v_cmd - s.v[0])
+    ang = ANG_TRACK_WEIGHT * dt * tracking_kernel(w_cmd - s.w[2])
+    pen_lin = -LIN_PENALTY_WEIGHT * dt * s.v[1] ** 2
+    pen_ang = -ANG_PENALTY_WEIGHT * dt * (s.w[0] ** 2 + s.w[1] ** 2)
+    air = AIR_TIME_WEIGHT * dt * float(
+        np.sum((s.t_air - AIR_TIME_OFFSET_S) * s.just_landed))
     terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
              "ang_penalty": pen_ang, "air_time": air}
     return lin + ang + pen_lin + pen_ang + air, terms
@@ -165,6 +166,9 @@ class PlantParams:
     k_att: float = 0.05          # roll/pitch rate response to lift-joint motion
     q_limit: float = 1.2         # nominal joint range, rad
 
+    def __post_init__(self):
+        check_finite("plant parameters", astuple(self))
+
 
 def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
     # mass slows the body response; friction scales drive; stiffness speeds the
@@ -189,61 +193,54 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
     hi = params.q_limit + dr.dof_upper
     targets = np.clip(targets, lo, hi)
 
-    out = s.copy()
-    out.q_targets = targets
     qd = (targets - s.q) / params.tau_joint
-    out.q = s.q + dt * qd
-    out.qd = qd
-
-    lift = out.qd[0::2]
-    swing = out.qd[1::2]
-    contact = out.q[0::2] < 0.0
+    q = s.q + dt * qd
+    lift = qd[0::2]
+    swing = qd[1::2]
+    contact = q[0::2] < 0.0
 
     # rectified, saturated swing-velocity drive during stance
     drive = np.clip(-swing, -params.qd_sat, params.qd_sat) * contact
     thrust = params.k_vel * float(drive.mean())
     side_asym = float(drive[list(_LEFT)].sum() - drive[list(_RIGHT)].sum())
 
-    out.v = s.v.copy()
-    out.v[0] += dt * (thrust - s.v[0]) / params.tau_vel
-    out.v[1] += dt * (params.k_lat * side_asym - s.v[1]) / params.tau_vel
-    out.v[2] = 0.0
+    v = np.array([s.v[0] + dt * (thrust - s.v[0]) / params.tau_vel,
+                  s.v[1] + dt * (params.k_lat * side_asym - s.v[1]) / params.tau_vel,
+                  0.0])
 
-    out.w = s.w.copy()
-    out.w[2] += dt * (params.k_yaw * params.k_lat * side_asym - s.w[2]) / params.tau_vel
     roll_drive = float(lift[list(_LEFT)].mean() - lift[list(_RIGHT)].mean())
     pitch_drive = float(lift[list(_FRONT)].mean() - lift[list(_REAR)].mean())
-    out.w[0] += dt * (params.k_att * roll_drive - s.w[0]) / params.tau_att
-    out.w[1] += dt * (params.k_att * pitch_drive - s.w[1]) / params.tau_att
+    w = np.array([
+        s.w[0] + dt * (params.k_att * roll_drive - s.w[0]) / params.tau_att,
+        s.w[1] + dt * (params.k_att * pitch_drive - s.w[1]) / params.tau_att,
+        s.w[2] + dt * (params.k_yaw * params.k_lat * side_asym - s.w[2]) / params.tau_vel])
 
-    out.att = s.att + dt * (out.w[:2] - s.att / params.tau_att)
-
-    out.just_landed = contact & ~s.contact
-    out.t_air = s.t_air.copy()
-    airborne = ~contact
-    out.t_air[airborne] += dt
-    out.t_air[contact & s.contact] = 0.0
-    out.contact = contact
-    return out
+    t_air = s.t_air.copy()
+    t_air[~contact] += dt
+    t_air[contact & s.contact] = 0.0
+    return PlantState(v=v, w=w, att=s.att + dt * (w[:2] - s.att / params.tau_att),
+                      q=q, qd=qd, q_targets=targets, t_air=t_air, contact=contact,
+                      just_landed=contact & ~s.contact)
 
 
 # --- runtimes -------------------------------------------------------------
 
+SCRIPTED_GAIT_HZ = 1.5
+SCRIPTED_SWING_AMP_PER_MPS = 1.2  # swing amplitude, rad per m/s of command
+SCRIPTED_LIFT_AMP = 0.25          # lift amplitude, rad
+
+
 class ScriptedGaitController:
     """Deterministic trot-pattern target generator; stands in for a policy."""
 
-    def __init__(self, v_cmd: float, gait_freq_hz: float = 1.5,
-                 amp_per_mps: float = 1.2, lift_amp: float = 0.25):
-        self.v_cmd = v_cmd
-        self.gait_freq_hz = gait_freq_hz
-        self.amp = amp_per_mps * v_cmd
-        self.lift_amp = lift_amp
+    def __init__(self, v_cmd: float):
+        self.amp = SCRIPTED_SWING_AMP_PER_MPS * v_cmd
         self.offsets = np.array([0.0, math.pi, math.pi, 0.0])  # diagonal pairs
 
     def act(self, obs: np.ndarray, t: float) -> np.ndarray:
-        phase = 2.0 * math.pi * self.gait_freq_hz * t + self.offsets
+        phase = 2.0 * math.pi * SCRIPTED_GAIT_HZ * t + self.offsets
         targets = np.empty(NUM_JOINTS)
-        targets[0::2] = self.lift_amp * np.cos(phase)
+        targets[0::2] = SCRIPTED_LIFT_AMP * np.cos(phase)
         targets[1::2] = self.amp * np.sin(phase)
         return targets
 
@@ -300,16 +297,16 @@ class CodecRuntime:
 
 @dataclass(frozen=True)
 class SimConfig:
-    f_sim_hz: float = 120.0
     episode_s: float = 10.0
-    f_update_hz: float = 120.0
+    f_update_hz: float = SIM_HZ
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.f_sim_hz > 0 and self.episode_s > 0):
-            raise DataError("f_sim and episode length must be > 0")
-        if not (0 < self.f_update_hz <= self.f_sim_hz):
-            raise DataError("need 0 < f_update <= f_sim")
+        check_finite("episode length and update rate", (self.episode_s, self.f_update_hz))
+        if not self.episode_s > 0:
+            raise DataError("episode length must be > 0")
+        if not (0 < self.f_update_hz <= SIM_HZ):
+            raise DataError(f"need 0 < f_update <= {SIM_HZ:g} Hz")
 
 
 TRAJECTORY_COLUMNS = ("t", "vx", "vy", "wz", "reward_total", "reward_lin",
@@ -329,30 +326,31 @@ class EpisodeResult:
 
 
 def _build_observation(s: PlantState, prev_action: np.ndarray,
-                       schema: ObservationSchema, dr: DRPerturbation) -> np.ndarray:
+                       dr: DRPerturbation) -> np.ndarray:
     roll, pitch = s.att
     gravity = np.array([-math.sin(pitch), math.sin(roll),
                         -math.cos(pitch) * math.cos(roll) - dr.gravity],
                        dtype=np.float64)
-    obs = schema.pack(lin_vel=s.v, ang_vel=s.w, gravity=gravity,
-                      joint_pos=s.q, prev_action=prev_action)
+    obs = OBS_SCHEMA.pack(lin_vel=s.v, ang_vel=s.w, gravity=gravity,
+                          joint_pos=s.q, prev_action=prev_action)
     return obs + np.float32(dr.observation)
 
 
 def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
-                cmd: tuple[float, float], *, baseline_reward: float | None = None,
-                plant_params: PlantParams = PlantParams(),
-                weights: RewardWeights | None = None,
-                schema: ObservationSchema | None = None) -> EpisodeResult:
-    """Run one deterministic closed-loop episode with zero-order-hold control."""
-    dt = 1.0 / sim.f_sim_hz
-    weights = weights or RewardWeights(dt=dt)
-    schema = schema or ObservationSchema()
-    dr = sample_dr(dr_config, sim.seed) if dr_config is not None else DRPerturbation()
-    params = _apply_dr_to_params(plant_params, dr)
+                cmd: tuple[float, float], *, baseline_reward: float | None = None
+                ) -> EpisodeResult:
+    """Run one deterministic closed-loop episode with zero-order-hold control.
 
-    n_steps = round(sim.episode_s * sim.f_sim_hz)
-    n_hold = max(1, round(sim.f_sim_hz / sim.f_update_hz))
+    Update k runs at the first step where floor(step * f_update / SIM_HZ)
+    reaches k, and its action is held until the next update, so the mean
+    update rate is exactly f_update even when it does not divide SIM_HZ.
+    """
+    dt = 1.0 / SIM_HZ
+    weights = RewardWeights(dt=dt)
+    dr = sample_dr(dr_config, sim.seed) if dr_config is not None else DRPerturbation()
+    params = _apply_dr_to_params(PlantParams(), dr)
+
+    n_steps = round(sim.episode_s * SIM_HZ)
 
     state = PlantState()
     action = np.zeros(NUM_JOINTS)
@@ -363,8 +361,8 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
 
     for step in range(n_steps):
         t = step * dt
-        if step % n_hold == 0:
-            obs = _build_observation(state, action, schema, dr)
+        if math.floor(step * sim.f_update_hz / SIM_HZ) >= inference_count:
+            obs = _build_observation(state, action, dr)
             action = np.asarray(runtime.act(obs, t), dtype=np.float64).ravel()
             if action.shape != (NUM_JOINTS,):
                 raise DataError(f"runtime produced action shape {action.shape}")

@@ -1,5 +1,7 @@
-"""Checks on outside input: finite numbers and `key = number` files (a leaf module)."""
+"""Checks on outside input: finite numbers, `key = number` files, binary files (a leaf module)."""
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -34,3 +36,38 @@ def read_key_values(path, keys: tuple[str, ...], required: tuple[str, ...]) -> d
     if missing:
         raise DataError(f"{path}: missing required keys: {', '.join(missing)}")
     return values
+
+
+class BinaryReader:
+    """Little-endian reader over a whole binary file that must start with `magic`.
+
+    Reading past the end, or leaving bytes unread at `finish()`, raises DataError.
+    """
+
+    def __init__(self, path, magic: bytes, what: str):
+        with open(path, "rb") as fh:
+            self._data = fh.read()
+        self._what = what
+        if not self._data.startswith(magic):
+            raise DataError(f"bad {what} magic {self._data[:len(magic)]!r}")
+        self._off = len(magic)
+
+    def _take(self, n: int) -> bytes:
+        if n > len(self._data) - self._off:
+            raise DataError(f"truncated {self._what} file: {n} bytes needed at offset "
+                            f"{self._off} of {len(self._data)}")
+        self._off += n
+        return self._data[self._off - n:self._off]
+
+    def unpack(self, fmt: str) -> tuple:
+        """The next values of a `struct` format such as "BB" or "3f", read little-endian."""
+        return struct.unpack("<" + fmt, self._take(struct.calcsize("<" + fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """The next `count` items of a numpy dtype such as "<i1", as a writable array."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self._take(dtype.itemsize * count), dtype).copy()
+
+    def finish(self) -> None:
+        if self._off != len(self._data):
+            raise DataError(f"{len(self._data) - self._off} trailing bytes in {self._what} file")

@@ -24,6 +24,7 @@ class LegGeometry:
     y_motor_ref: float = 0.0
 
     def __post_init__(self):
+        check_finite("leg geometry", (self.l_x, self.l_y, self.x_motor_ref, self.y_motor_ref))
         if not (self.l_x > 0 and self.l_y > 0):
             raise DataError(f"linkage lengths must be > 0, got {self.l_x}, {self.l_y}")
 

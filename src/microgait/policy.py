@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .inputs import BinaryReader, check_finite
 
 POLICY_MAGIC = b"TGP1"
 
@@ -33,6 +34,7 @@ class ActivationSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
+        check_finite("activation alpha", self.alpha)
         if not (self.alpha > 0):
             raise DataError(f"activation alpha must be > 0, got {self.alpha}")
         if self.kind is ActivationKind.LEAKY_RELU and self.alpha > 1:
@@ -185,40 +187,20 @@ def save_policy(p: Fp32Policy, path) -> None:
 
 
 def load_policy(path) -> Fp32Policy:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != POLICY_MAGIC:
-        raise DataError(f"bad policy magic {data[:4]!r}")
-    off = 4
-    try:
-        (n_dims,) = struct.unpack_from("<B", data, off)
-        off += 1
-        dims = struct.unpack_from(f"<{n_dims}H", data, off)
-        off += 2 * n_dims
-        kind_val, alpha = struct.unpack_from("<Bf", data, off)
-        off += 5
-    except struct.error as exc:
-        raise DataError(f"truncated policy header: {exc}") from None
+    r = BinaryReader(path, POLICY_MAGIC, "policy")
+    (n_dims,) = r.unpack("B")
+    dims = r.unpack(f"{n_dims}H")
+    kind_val, alpha = r.unpack("Bf")
     try:
         kind = ActivationKind(kind_val)
     except ValueError:
         raise DataError(f"unknown activation kind {kind_val}") from None
     spec = PolicySpec(dims, ActivationSpec(kind, alpha))
     weights, biases = [], []
-    for i in range(spec.num_layers):
-        n_in, n_out = dims[i], dims[i + 1]
-        w_bytes = 4 * n_in * n_out
-        b_bytes = 4 * n_out
-        if off + w_bytes + b_bytes > len(data):
-            raise DataError(f"truncated policy file at layer {i}")
-        w = np.frombuffer(data, dtype="<f4", count=n_in * n_out, offset=off).reshape(n_out, n_in)
-        off += w_bytes
-        b = np.frombuffer(data, dtype="<f4", count=n_out, offset=off)
-        off += b_bytes
-        weights.append(w.copy())
-        biases.append(b.copy())
-    if off != len(data):
-        raise DataError(f"{len(data) - off} trailing bytes in policy file")
+    for n_in, n_out in zip(spec.layer_dims, spec.layer_dims[1:]):
+        weights.append(r.array("<f4", n_in * n_out).reshape(n_out, n_in))
+        biases.append(r.array("<f4", n_out))
+    r.finish()
     return Fp32Policy(spec, weights, biases)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError
+from .inputs import BinaryReader
 from .policy import (
     ActivationKind,
     ActivationSpec,
@@ -125,6 +126,10 @@ class QuantizedLayer:
 
     def __post_init__(self):
         object.__setattr__(self, "requant", tuple(self.requant))
+        scales = np.concatenate(([self.input_scale, self.output_scale], self.weight_scales))
+        if not (np.isfinite(scales).all() and (scales > 0).all()):
+            raise DataError(f"layer scales must be finite and > 0, got input {self.input_scale}, "
+                            f"output {self.output_scale}, weights {self.weight_scales}")
 
     @property
     def n_out(self) -> int:
@@ -197,8 +202,10 @@ class QuantizedPolicy:
                 raise DataError(
                     f"layer {i} requant table has {len(layer.requant)} entries, "
                     f"{self.scheme.name.lower()} needs {entries}")
-            # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255
-            worst = dims[i] * WEIGHT_MAX * 255 + int(np.abs(layer.bias).max(initial=0))
+            # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255;
+            # |bias| is taken in int64 because abs() of the int32 minimum wraps
+            worst = (dims[i] * WEIGHT_MAX * 255
+                     + int(np.abs(layer.bias, dtype=np.int64).max(initial=0)))
             if worst >= 2 ** 31:
                 raise DomainError(
                     f"layer {i} fan-in {dims[i]} can overflow the int32 accumulator "
@@ -218,11 +225,10 @@ def _affine_params(lo: float, hi: float) -> tuple[float, int]:
 
 
 def _weight_scales(w: np.ndarray, scheme: QuantScheme) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+    """Weight scales, one per output row (per-feature) or a single one (per-tensor)."""
+    m = np.abs(np.asarray(w, dtype=np.float64)).max(axis=1)
     if scheme is QuantScheme.PER_TENSOR:
-        m = np.array([np.abs(w).max()])
-    else:
-        m = np.abs(w).max(axis=1)
+        m = m.max(keepdims=True)
     m = np.where(m > 0, m, float(WEIGHT_MAX))  # all-zero tensor/row: scale defaults to 1
     return m / WEIGHT_MAX
 
@@ -264,29 +270,23 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
     layers = []
     in_scale, in_zp = obs_scale, obs_zp
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        # length 1 (per-tensor) or n_out (per-feature); both broadcast over the rows
         w_scales = _weight_scales(w, scheme)
         # divide in float64 so round-to-nearest lands within scale/2 per weight
-        w64 = w.astype(np.float64)
-        w_q = np.clip(np.rint(w64 / w_scales[:, None] if w_scales.size > 1
-                              else w64 / w_scales[0]), -WEIGHT_MAX, WEIGHT_MAX).astype(np.int8)
+        w_q = np.clip(np.rint(w.astype(np.float64) / w_scales[:, None]),
+                      -WEIGHT_MAX, WEIGHT_MAX).astype(np.int8)
         out_scale, out_zp = _affine_params(*ranges[i + 1])
-        scales_per_row = w_scales if w_scales.size > 1 else np.repeat(w_scales, w.shape[0])
-        bias_q = np.rint(b.astype(np.float64) / (in_scale * scales_per_row)).astype(np.int64)
+        bias_q = np.rint(b.astype(np.float64) / (in_scale * w_scales)).astype(np.int64)
         fold = in_zp * w_q.astype(np.int64).sum(axis=1)
         if np.abs(bias_q - fold).max(initial=0) >= 2 ** 31:
             raise DomainError(f"layer {i} quantized bias overflows int32")
         bias_folded = (bias_q - fold).astype(np.int32)
-        if scheme is QuantScheme.PER_TENSOR:
-            requant = [derive_requant(in_scale, float(w_scales[0]), out_scale, out_zp)]
-        else:
-            requant = [derive_requant(in_scale, float(s), out_scale, out_zp)
-                       for s in w_scales]
         layers.append(QuantizedLayer(
             weights=w_q, bias=bias_folded,
             input_scale=in_scale, input_zp=in_zp,
-            weight_scales=w_scales.astype(np.float64),
+            weight_scales=w_scales,
             output_scale=out_scale, output_zp=out_zp,
-            requant=requant))
+            requant=[derive_requant(in_scale, float(s), out_scale, out_zp) for s in w_scales]))
         in_scale, in_zp = out_scale, out_zp
 
     return QuantizedPolicy(
@@ -297,10 +297,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
 
 
 def dequantize_weights(layer: QuantizedLayer) -> np.ndarray:
-    scales = layer.weight_scales
-    if scales.size == 1:
-        return layer.weights.astype(np.float64) * scales[0]
-    return layer.weights.astype(np.float64) * scales[:, None]
+    return layer.weights.astype(np.float64) * layer.weight_scales[:, None]
 
 
 def dequantize_action(q: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -360,54 +357,31 @@ def save_quantized(qp: QuantizedPolicy, path) -> None:
 
 
 def load_quantized(path) -> QuantizedPolicy:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != QUANT_MAGIC:
-        raise DataError(f"bad quantized-policy magic {data[:4]!r}")
-    off = 4
+    r = BinaryReader(path, QUANT_MAGIC, "quantized-policy")
+    scheme_val, n_dims = r.unpack("BB")
+    dims = r.unpack(f"{n_dims}H")
+    alpha, act_mult, act_shift, obs_scale, obs_zp = r.unpack("fIBfb")
     try:
-        scheme_val, n_dims = struct.unpack_from("<BB", data, off)
-        off += 2
-        dims = struct.unpack_from(f"<{n_dims}H", data, off)
-        off += 2 * n_dims
-        alpha, act_mult, act_shift, obs_scale, obs_zp = struct.unpack_from("<fIBfb", data, off)
-        off += 14
         scheme = QuantScheme(scheme_val)
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"bad quantized-policy header: {exc}") from None
+    except ValueError:
+        raise DataError(f"unknown quant scheme {scheme_val}") from None
     spec = PolicySpec(dims, ActivationSpec(ActivationKind.LEAKY_RELU, alpha))
     layers = []
-    try:
-        for i in range(spec.num_layers):
-            n_in, n_out = dims[i], dims[i + 1]
-            w = np.frombuffer(data, dtype="<i1", count=n_in * n_out, offset=off)
-            w = w.reshape(n_out, n_in).copy()
-            off += n_in * n_out
-            b = np.frombuffer(data, dtype="<i4", count=n_out, offset=off).copy()
-            off += 4 * n_out
-            (n_scales,) = struct.unpack_from("<H", data, off)
-            off += 2
-            scales = struct.unpack_from(f"<{n_scales}f", data, off)
-            off += 4 * n_scales
-            in_zp, out_zp = struct.unpack_from("<bb", data, off)
-            off += 2
-            (n_rq,) = struct.unpack_from("<H", data, off)
-            off += 2
-            requant = []
-            for _ in range(n_rq):
-                mult, shift, zp = struct.unpack_from("<iBb", data, off)
-                off += 6
-                requant.append(RequantParams(mult, shift, zp))
-            if n_scales != 2 + (1 if n_rq == 1 else n_out):
-                raise DataError(f"layer {i} scale table has {n_scales} entries")
-            layers.append(QuantizedLayer(
-                weights=w, bias=b.astype(np.int32),
-                input_scale=scales[0], input_zp=in_zp,
-                weight_scales=np.asarray(scales[2:], dtype=np.float64),
-                output_scale=scales[1], output_zp=out_zp,
-                requant=requant))
-    except (struct.error, ValueError) as exc:
-        raise DataError(f"truncated quantized-policy file: {exc}") from None
-    if off != len(data):
-        raise DataError(f"{len(data) - off} trailing bytes in quantized-policy file")
+    for i, (n_in, n_out) in enumerate(zip(spec.layer_dims, spec.layer_dims[1:])):
+        w = r.array("<i1", n_in * n_out).reshape(n_out, n_in)
+        b = r.array("<i4", n_out)
+        (n_scales,) = r.unpack("H")
+        scales = r.unpack(f"{n_scales}f")
+        in_zp, out_zp = r.unpack("bb")
+        (n_rq,) = r.unpack("H")
+        requant = [RequantParams(*r.unpack("iBb")) for _ in range(n_rq)]
+        if n_scales != 2 + n_rq:  # input and output scale, one weight scale per requant entry
+            raise DataError(f"layer {i} scale table has {n_scales} entries, needs 2 + {n_rq}")
+        layers.append(QuantizedLayer(
+            weights=w, bias=b.astype(np.int32),
+            input_scale=scales[0], input_zp=in_zp,
+            weight_scales=np.asarray(scales[2:], dtype=np.float64),
+            output_scale=scales[1], output_zp=out_zp,
+            requant=requant))
+    r.finish()
     return QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

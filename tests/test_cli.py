@@ -126,6 +126,19 @@ def test_non_finite_number_is_data_error(capsys, args):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.parametrize("args", [
+    ["cost", "--cycles", "-5"],
+    ["cost", "--cycles", "0"],
+    ["select-gait", "--f-update", "-5"],
+])
+def test_out_of_domain_number_is_domain_error(capsys, args):
+    code = main(args)
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err.startswith("domain error:")
+
+
 def test_select_gait_reference(capsys):
     code, pairs, _ = run_cli(capsys, "select-gait", "--f-update", "47.62")
     assert code == 0

@@ -42,17 +42,21 @@ def test_reward_interpolation_and_clamping():
     assert reward_at(curve, 100.0) == 0.8
     with pytest.raises(DataError, match="finite"):
         reward_at(curve, float("nan"))
+    with pytest.raises(DomainError, match=">= 0"):
+        reward_at(curve, -5.0)
 
 
-def test_classify_velocity_bands(table):
-    assert classify_gait(0.0, table) is GaitRegime.TROT
-    assert classify_gait(0.02, table) is GaitRegime.TROT
-    assert classify_gait(0.025, table) is GaitRegime.INTERMEDIATE
-    assert classify_gait(0.05, table) is GaitRegime.INTERMEDIATE
-    assert classify_gait(0.075, table) is GaitRegime.GALLOP
-    assert classify_gait(0.2, table) is GaitRegime.GALLOP
+def test_classify_velocity_bands():
+    assert classify_gait(0.0) is GaitRegime.TROT
+    assert classify_gait(0.02) is GaitRegime.TROT
+    assert classify_gait(0.025) is GaitRegime.INTERMEDIATE
+    assert classify_gait(0.05) is GaitRegime.INTERMEDIATE
+    assert classify_gait(0.075) is GaitRegime.GALLOP
+    assert classify_gait(0.2) is GaitRegime.GALLOP
     with pytest.raises(DomainError):
-        classify_gait(-0.1, table)
+        classify_gait(-0.1)
+    with pytest.raises(DataError, match="finite"):
+        classify_gait(float("nan"))
 
 
 def test_select_gait_reference_frequency(table):

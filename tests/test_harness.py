@@ -173,6 +173,16 @@ def test_episode_inference_count_scales():
     assert half.inference_count == 600
 
 
+@pytest.mark.parametrize("f_update, inferences", [(100.0, 1000), (50.0, 500), (45.0, 450),
+                                                   (7.0, 70), (40.0, 400)])
+def test_episode_update_rate_is_exact(f_update, inferences):
+    # rates that do not divide the 120 Hz step rate still run at their own mean rate
+    ctrl = ScriptedGaitController(0.08)
+    res = run_episode(ctrl, SimConfig(f_update_hz=f_update, seed=0), None, (0.08, 0.0))
+    assert res.steps == 1200
+    assert res.inference_count == inferences
+
+
 def test_reward_ratio_against_self_is_one():
     ctrl = ScriptedGaitController(0.08)
     base = run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0))
@@ -188,6 +198,18 @@ def test_sim_config_validation():
         SimConfig(f_update_hz=240.0)
     with pytest.raises(DataError):
         SimConfig(episode_s=0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SimConfig(episode_s=float("inf")),
+    lambda: SimConfig(f_update_hz=float("nan")),
+    lambda: RewardWeights(dt=float("inf")),
+    lambda: PlantParams(tau_vel=float("inf")),
+    lambda: PlantParams(k_vel=float("nan")),
+])
+def test_constructors_reject_non_finite(make):
+    with pytest.raises(DataError, match="finite"):
+        make()
 
 
 def _policy_runtimes(seed=0):

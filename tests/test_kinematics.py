@@ -15,6 +15,10 @@ def test_geometry_validation():
         LegGeometry(l_x=0.0, l_y=1.0)
     with pytest.raises(DataError):
         LegGeometry(l_x=1.0, l_y=-2.0)
+    with pytest.raises(DataError, match="finite"):
+        LegGeometry(l_x=math.inf, l_y=1.0)
+    with pytest.raises(DataError, match="finite"):
+        LegGeometry(l_x=1.0, l_y=1.0, x_motor_ref=math.nan)
 
 
 def test_hand_checked_solution():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -80,6 +81,8 @@ def test_activation_alpha_validation():
         ActivationSpec(ActivationKind.ELU, 0.0)
     with pytest.raises(DataError):
         ActivationSpec(ActivationKind.LEAKY_RELU, 1.5)
+    with pytest.raises(DataError, match="finite"):
+        ActivationSpec(ActivationKind.ELU, math.inf)
 
 
 def test_infer_all_zero_weights_returns_bias():
@@ -159,6 +162,17 @@ def test_load_rejects_truncation_and_trailing(tmp_path):
     (tmp_path / "trail.bin").write_bytes(data + b"\x00")
     with pytest.raises(DataError):
         load_policy(tmp_path / "trail.bin")
+
+
+def test_load_rejects_non_finite_alpha(tmp_path):
+    path = tmp_path / "p.bin"
+    save_policy(random_policy(PolicySpec((4, 3, 2), elu()), 0), path)
+    data = bytearray(path.read_bytes())
+    # TGP1 header: magic, u8 dim count, u16 dims, u8 activation kind, f32 alpha
+    struct.pack_into("<f", data, 4 + 1 + 2 * 3 + 1, math.inf)
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="finite"):
+        load_policy(path)
 
 
 def test_observation_schema_round_trip():

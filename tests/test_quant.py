@@ -273,6 +273,50 @@ def test_load_rejects_bad_header_values(tmp_path, field, value):
         load_quantized(path)
 
 
+def _first_layer_offset(qp):
+    return 6 + 2 * len(qp.spec.layer_dims) + struct.calcsize("<fIBfb")
+
+
+def _scale_table_offset(qp, index):
+    """Byte offset of layer `index`'s f32 scale table: input, output, then weight scales."""
+    off = _first_layer_offset(qp)
+    for layer in qp.layers[:index]:
+        off += (layer.weights.size + 4 * layer.bias.size + 2 + 4 * (2 + len(layer.weight_scales))
+                + 2 + 2 + 6 * len(layer.requant))
+    layer = qp.layers[index]
+    return off + layer.weights.size + 4 * layer.bias.size + 2
+
+
+@pytest.mark.parametrize("index, slot, value", [
+    (2, 1, 0.0), (2, 1, -1.0), (2, 1, math.nan), (2, 1, math.inf),  # last output scale
+    (0, 0, 0.0), (1, 2, -1.0), (1, 3, math.inf),
+])
+def test_load_rejects_bad_layer_scales(tmp_path, index, slot, value):
+    _, qp = _quantized(4, QuantScheme.PER_FEATURE)
+    data = _saved_bytes(tmp_path, qp)
+    off = _scale_table_offset(qp, index) + 4 * slot
+    layer = qp.layers[index]
+    table = [layer.input_scale, layer.output_scale, *layer.weight_scales]
+    assert struct.unpack_from("<f", data, off)[0] == np.float32(table[slot])
+    struct.pack_into("<f", data, off, value)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match="scales must be finite and > 0"):
+        load_quantized(path)
+
+
+def test_load_rejects_int32_min_bias(tmp_path):
+    # |INT32_MIN| wraps in int32, so the headroom check must widen before abs()
+    _, qp = _quantized(4, QuantScheme.PER_TENSOR)
+    data = _saved_bytes(tmp_path, qp)
+    first_bias = _first_layer_offset(qp) + qp.layers[0].weights.size
+    struct.pack_into("<i", data, first_bias, -2 ** 31)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match="int32 accumulator"):
+        load_quantized(path)
+
+
 def test_quantized_policy_is_frozen():
     # kernel_layers are built from layers at construction; assignment would leave them stale
     _, qf = _quantized(2, QuantScheme.PER_FEATURE)
