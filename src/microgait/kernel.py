@@ -6,16 +6,18 @@ the accumulator on hidden layers, then a fixed-point requantize per neuron
 output whose scale is calibrated on the post-activation range. One code
 path serves both quant schemes and single or batched observations. Counters
 report exactly how many MACs, activations, requantizations, and extra
-per-output parameter loads a call performs, summed over its observations.
+per-output parameter loads a call performs, summed over its observations:
+every observation runs the same fixed network, so that is B x
+expected_counters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .policy import PolicySpec, mac_count, activation_count, neuron_count
+from .policy import BLOCK_ROWS, PolicySpec, mac_count, activation_count, neuron_count
 from .quant import INT8_MAX, INT8_MIN, QuantScheme, QuantizedPolicy, dequantize_action
 
 __all__ = ["OpCounters", "infer_int8", "quantize_obs", "fused_infer_dequant",
@@ -52,36 +54,45 @@ def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCo
     """Forward pass on one int8 observation (n_in,) or a batch (B, n_in).
 
     Returns the int8 actions, (n_out,) or (B, n_out), and the counters of all
-    inferences run: B x expected_counters for a batch.
+    inferences run: B x expected_counters for a batch. A batch runs in blocks
+    of BLOCK_ROWS rows, so its temporaries do not grow with B.
     """
     x = np.asarray(obs_q)
     n_in = qp.spec.input_dim
     if x.dtype != np.int8 or x.ndim not in (1, 2) or x.shape[-1] != n_in:
         raise DataError(f"expected int8 observations of shape ({n_in},) or (B, {n_in}), "
                         f"got {x.dtype} {x.shape}")
-    batch = x.shape[0] if x.ndim == 2 else 1
-    per_feature = qp.scheme is QuantScheme.PER_FEATURE
-    macs = activations = requants = param_loads = 0
-    last = qp.spec.num_layers - 1
+    per_row = expected_counters(qp.spec, qp.scheme)
+    if x.ndim == 1:
+        return _forward_int8(qp, x), per_row
+    batch = x.shape[0]
+    out = np.empty((batch, qp.spec.layer_dims[-1]), dtype=np.int8)
+    for start in range(0, batch, BLOCK_ROWS):
+        out[start:start + BLOCK_ROWS] = _forward_int8(qp, x[start:start + BLOCK_ROWS])
+    return out, OpCounters(*(batch * v for v in astuple(per_row)))
 
+
+def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
+    last = qp.spec.num_layers - 1
     # int32 accumulate, done in float64 through BLAS: every partial sum of
     # int8 x int8 products is an integer below 2^31 in magnitude (the
     # QuantizedPolicy headroom check), far inside float64's exact 2^53
     x = x.astype(np.float64)
     for li, layer in enumerate(qp.kernel_layers):
-        n_out = layer.bias.shape[0]
         acc = x @ layer.weights_t
         acc += layer.bias
         acc = acc.astype(np.int64)
-        macs += batch * n_out * n_in
 
         if li != last:
-            # integer leaky-relu on the accumulator; the product fits int64
-            # (|acc| < 2^31 by the headroom check, act_mult <= 2^act_shift <= 2^31)
-            neg = acc < 0
-            np.multiply(acc, qp.act_mult, out=acc, where=neg)
-            np.right_shift(acc, qp.act_shift, out=acc, where=neg)
-            activations += batch * n_out
+            # integer leaky-relu on the accumulator, max(acc, 0) + ((min(acc, 0)
+            # * act_mult) >> act_shift), without a masked ufunc (masks are
+            # slow); the product fits int64 (|acc| < 2^31 by the headroom
+            # check, act_mult <= 2^act_shift <= 2^31)
+            neg = np.minimum(acc, 0)
+            acc -= neg
+            neg *= qp.act_mult
+            neg >>= qp.act_shift
+            acc += neg
 
         # requantize in place: clip(((mult * acc + round) >> shift) + zp)
         acc *= layer.mult
@@ -89,13 +100,9 @@ def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCo
         acc >>= layer.shift
         acc += layer.zero_point
         np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
-        requants += batch * n_out
-        if per_feature:
-            param_loads += batch * n_out
         x = acc if li == last else acc.astype(np.float64)
-        n_in = n_out
 
-    return x.astype(np.int8), OpCounters(macs, activations, requants, param_loads)
+    return x.astype(np.int8)
 
 
 def fused_infer_dequant(qp: QuantizedPolicy, obs: np.ndarray) -> np.ndarray:

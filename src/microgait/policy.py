@@ -20,6 +20,10 @@ POLICY_MAGIC = b"TGP1"
 
 DEFAULT_LAYER_DIMS = (24, 128, 64, 8)
 
+# Rows per block when infer_fp32 or kernel.infer_int8 runs a batch: a block's
+# activations stay in cache, and the temporaries do not grow with the batch.
+BLOCK_ROWS = 256
+
 
 class ActivationKind(enum.Enum):
     ELU = 0
@@ -142,15 +146,35 @@ class Fp32Policy:
 
 
 def infer_fp32(p: Fp32Policy, obs: np.ndarray) -> np.ndarray:
-    """Reference forward pass in float32; identity on the output layer."""
+    """Reference forward pass in float32 on one observation (n_in,) or a batch
+    (B, n_in); identity on the output layer. Observations must be finite.
+
+    A batch runs in blocks of BLOCK_ROWS rows, and each row of the result is
+    bit-identical to a call on that row alone (see _forward_fp32).
+    """
     x = np.asarray(obs, dtype=np.float32)
-    if x.shape != (p.spec.input_dim,):
-        raise DataError(f"observation shape {x.shape} != ({p.spec.input_dim},)")
+    n_in = p.spec.input_dim
+    if x.ndim not in (1, 2) or x.shape[-1] != n_in:
+        raise DataError(f"observation shape {x.shape} != ({n_in},) or (B, {n_in})")
+    if not np.isfinite(x).all():
+        raise DataError("observation has a non-finite value")
+    if x.ndim == 1:
+        return _forward_fp32(p, x)
+    out = np.empty((x.shape[0], p.spec.layer_dims[-1]), dtype=np.float32)
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        out[start:start + BLOCK_ROWS] = _forward_fp32(p, x[start:start + BLOCK_ROWS])
+    return out
+
+
+def _forward_fp32(p: Fp32Policy, x: np.ndarray) -> np.ndarray:
+    # x[..., None] makes each observation a column, so a stacked matmul runs
+    # one matrix-vector product (gemv) per row, the same call a single
+    # observation gets; a 2-D x @ w.T would go to gemm and sum in another order
     last = p.spec.num_layers - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = w @ x + b
+        x = (w @ x[..., None])[..., 0] + b
         if i != last:
-            x = _activate_array(p.spec.hidden_activation, x).astype(np.float32)
+            x = _activate_array(p.spec.hidden_activation, x).astype(np.float32, copy=False)
     return x
 
 

@@ -305,11 +305,14 @@ def dequantize_action(q: np.ndarray, scale: float, zero_point: int) -> np.ndarra
 
 
 def sqnr_db(reference, test) -> float:
-    """10*log10(signal energy / error energy) over matching vector collections."""
+    """10*log10(signal energy / error energy) over matching vector collections
+    of finite values."""
     ref = np.asarray(reference, dtype=np.float64)
     tst = np.asarray(test, dtype=np.float64)
     if ref.shape != tst.shape:
         raise DataError(f"shape mismatch {ref.shape} vs {tst.shape}")
+    if not (np.isfinite(ref).all() and np.isfinite(tst).all()):
+        raise DataError("sqnr_db needs finite reference and test values")
     signal = float(np.sum(ref * ref))
     if signal == 0.0:
         raise DomainError("reference signal is identically zero")

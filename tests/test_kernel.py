@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from microgait import (
     random_policy,
 )
 from microgait.kernel import expected_counters
+from microgait.policy import BLOCK_ROWS
 from microgait.quant import QuantizedLayer, encode_ratio
 from oracles import int8_forward_bigint
 
@@ -117,6 +119,40 @@ def test_batch_equals_stacked_single_calls(scheme, widths, wide, batch, seed):
         assert ops == expected
     for i in rng.choice(batch, size=min(batch, 2), replace=False):
         np.testing.assert_array_equal(got[i], int8_forward_bigint(qp, obs[i]))
+
+
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+@pytest.mark.parametrize("batch", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
+def test_blocked_batch_equals_single_calls(scheme, batch):
+    rng = np.random.default_rng(batch)
+    qp = _random_qp(rng, [37, 29, 11, 5], scheme)
+    obs = rng.integers(-128, 128, size=(batch, 37), dtype=np.int8)
+
+    got, counters = infer_int8(qp, obs)
+
+    expected = expected_counters(qp.spec, scheme)
+    assert counters == OpCounters(*(batch * v for v in astuple(expected)))
+    np.testing.assert_array_equal(got, np.stack([infer_int8(qp, row)[0] for row in obs]))
+    # rows on each side of every block boundary, and the last row
+    for i in {0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, batch - 1}:
+        if i < batch:
+            np.testing.assert_array_equal(got[i], int8_forward_bigint(qp, obs[i]))
+
+
+def test_batch_memory_does_not_grow_with_rows():
+    qp = _quantized(6, QuantScheme.PER_FEATURE)
+    obs = np.random.default_rng(4).integers(-128, 128, size=(8 * BLOCK_ROWS, 24), dtype=np.int8)
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            infer_int8(qp, rows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block, eight_blocks = peak(obs[:BLOCK_ROWS]), peak(obs)
+    assert eight_blocks <= 2 * one_block, f"peak {eight_blocks} B for 8 blocks, {one_block} B for one"
 
 
 def test_accumulation_exact_where_partial_sums_cancel():

@@ -1,9 +1,10 @@
 import math
 import struct
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from microgait import (
     ActivationKind,
@@ -24,6 +25,7 @@ from microgait import (
     random_policy,
     save_policy,
 )
+from microgait.policy import BLOCK_ROWS
 from oracles import fp32_forward_naive
 
 dims_strategy = st.lists(st.integers(1, 64), min_size=2, max_size=6)
@@ -122,8 +124,58 @@ def test_infer_deterministic():
 
 def test_infer_shape_error():
     p = random_policy(PolicySpec((24, 8)), 0)
+    for bad in (np.zeros(23), np.zeros((4, 23)), np.zeros((2, 4, 24)), np.float32(0)):
+        with pytest.raises(DataError):
+            infer_fp32(p, bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_infer_rejects_non_finite(bad):
+    p = random_policy(PolicySpec((24, 16, 8)), 0)
+    obs = np.zeros(24)
+    obs[3] = bad
     with pytest.raises(DataError):
-        infer_fp32(p, np.zeros(23))
+        infer_fp32(p, obs)
+    batch = np.zeros((BLOCK_ROWS + 5, 24))
+    batch[BLOCK_ROWS + 2, 7] = bad
+    with pytest.raises(DataError):
+        infer_fp32(p, batch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(act=st.sampled_from([elu(), leaky_relu(), leaky_relu(0.3)]),
+       widths=st.lists(st.integers(1, 70), min_size=2, max_size=4),
+       batch=st.sampled_from([1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_bit_identical_to_single_rows(act, widths, batch, seed):
+    p = random_policy(PolicySpec(tuple(widths), act), seed % 10_000)
+    obs = np.random.default_rng(seed).normal(0.0, 2.0, size=(batch, widths[0])).astype(np.float32)
+
+    got = infer_fp32(p, obs)
+
+    assert got.dtype == np.float32 and got.shape == (batch, widths[-1])
+    singles = np.stack([infer_fp32(p, row) for row in obs])
+    np.testing.assert_array_equal(got.view(np.uint32), singles.view(np.uint32))
+    one = infer_fp32(p, obs[:1])
+    assert one.shape == (1, widths[-1])
+    np.testing.assert_array_equal(one[0].view(np.uint32), infer_fp32(p, obs[0]).view(np.uint32))
+
+
+def test_batch_much_faster_than_single_calls():
+    p = random_policy(PolicySpec((24, 128, 64, 8), leaky_relu()), 5)
+    obs = np.random.default_rng(3).normal(size=(2048, 24)).astype(np.float32)
+
+    def best_of(n, fn):
+        times = []
+        for _ in range(n):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    batched = best_of(5, lambda: infer_fp32(p, obs))
+    single = best_of(2, lambda: [infer_fp32(p, row) for row in obs])
+    assert single >= 3 * batched, f"2048 single calls {single:.4f} s, one batch {batched:.4f} s"
 
 
 def test_policy_shape_validation():

@@ -184,6 +184,17 @@ def test_sqnr_values():
         sqnr_db(np.zeros(4), np.zeros(3))
 
 
+@pytest.mark.parametrize("ref, tst", [
+    ([1.0, math.nan], [1.0, 1.0]),
+    ([1.0, 1.0], [math.nan, 1.0]),
+    ([1.0, 2.0], [1.0, math.inf]),
+    ([-math.inf, 2.0], [1.0, 2.0]),
+])
+def test_sqnr_rejects_non_finite(ref, tst):
+    with pytest.raises(DataError):
+        sqnr_db(ref, tst)
+
+
 def test_payload_byte_counts():
     spec = PolicySpec((24, 128, 64, 8), leaky_relu())
     assert fp32_payload_bytes(spec) == 47904
