@@ -24,11 +24,8 @@ from .wire import LoopbackDevice, Session
 
 NUM_LEGS = 4
 NUM_JOINTS = 8
-# joint layout: leg f owns (lift, swing) = (q[2f], q[2f+1]); legs FL, FR, RL, RR
-_LEFT = (0, 2)
-_RIGHT = (1, 3)
-_FRONT = (0, 1)
-_REAR = (2, 3)
+# joint layout: leg f owns (lift, swing) = (q[2f], q[2f+1]); legs FL, FR, RL, RR,
+# so legs 0 and 2 are the left side and legs 0 and 1 the front
 SIM_HZ = 120.0  # plant and reward step rate
 OBS_SCHEMA = ObservationSchema()  # the observation slot layout every runtime sees
 
@@ -81,8 +78,9 @@ def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
     ang = ANG_TRACK_WEIGHT * dt * tracking_kernel(w_cmd - s.w[2])
     pen_lin = -LIN_PENALTY_WEIGHT * dt * s.v[1] ** 2
     pen_ang = -ANG_PENALTY_WEIGHT * dt * (s.w[0] ** 2 + s.w[1] ** 2)
-    air = AIR_TIME_WEIGHT * dt * float(
-        np.sum((s.t_air - AIR_TIME_OFFSET_S) * s.just_landed))
+    a0, a1, a2, a3 = [(t - AIR_TIME_OFFSET_S) * landed
+                      for t, landed in zip(s.t_air.tolist(), s.just_landed.tolist())]
+    air = AIR_TIME_WEIGHT * dt * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
     terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
              "ang_penalty": pen_ang, "air_time": air}
     return lin + ang + pen_lin + pen_ang + air, terms
@@ -136,6 +134,10 @@ class DRPerturbation:
     damping: float = 1.0
     stiffness: float = 1.0
 
+    def __post_init__(self):
+        # vars(), not astuple: its deep copy costs more than the check itself
+        check_finite("perturbation", tuple(vars(self).values()))
+
 
 def sample_dr(cfg: DRConfig, seed: int) -> DRPerturbation:
     """One seeded perturbation draw (additive Gaussians, uniform scale factors)."""
@@ -168,6 +170,8 @@ class PlantParams:
 
     def __post_init__(self):
         check_finite("plant parameters", astuple(self))
+        if not min(self.tau_joint, self.tau_vel, self.tau_att) > 0:
+            raise DataError("plant time constants must be > 0")
 
 
 def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
@@ -180,10 +184,22 @@ def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
         tau_joint=p.tau_joint / max(dr.stiffness, 1e-6))
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on one float: a bound replaces x only when x is strictly past it."""
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
 def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
-               params: PlantParams = PlantParams(),
-               dr: DRPerturbation = DRPerturbation()) -> PlantState:
-    """Advance the surrogate by one step toward the held joint targets."""
+               params: PlantParams, dr: DRPerturbation) -> PlantState:
+    """Advance the surrogate by one step toward the held joint targets.
+
+    Scalar code on Python floats: on 8-element arrays numpy's per-call
+    dispatch costs more than the math. Each operation keeps its order and
+    operands from the numpy form in tests/oracles.py, so the bits match; a
+    sum folds left from +0.0 as numpy's add.reduce does, not with sum(),
+    which compensates from Python 3.12 on.
+    """
     if dt <= 0:
         raise DataError(f"dt must be > 0, got {dt}")
     targets = np.asarray(motor_targets, dtype=np.float64).ravel()
@@ -191,36 +207,40 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
         raise DataError(f"expected {NUM_JOINTS} joint targets, got shape {targets.shape}")
     lo = -params.q_limit + dr.dof_lower
     hi = params.q_limit + dr.dof_upper
-    targets = np.clip(targets, lo, hi)
+    targets = [_clip(x, lo, hi) for x in targets.tolist()]
 
-    qd = (targets - s.q) / params.tau_joint
-    q = s.q + dt * qd
-    lift = qd[0::2]
-    swing = qd[1::2]
-    contact = q[0::2] < 0.0
+    q_prev = s.q.tolist()
+    qd = [(x - q0) / params.tau_joint for x, q0 in zip(targets, q_prev)]
+    q = [q0 + dt * v for q0, v in zip(q_prev, qd)]
+    l0, l1, l2, l3 = qd[0::2]  # lift-joint velocity per leg
+    contact = [x < 0.0 for x in q[0::2]]
 
     # rectified, saturated swing-velocity drive during stance
-    drive = np.clip(-swing, -params.qd_sat, params.qd_sat) * contact
-    thrust = params.k_vel * float(drive.mean())
-    side_asym = float(drive[list(_LEFT)].sum() - drive[list(_RIGHT)].sum())
+    sat = params.qd_sat
+    d0, d1, d2, d3 = [_clip(-x, -sat, sat) * c for x, c in zip(qd[1::2], contact)]
+    thrust = params.k_vel * ((0.0 + d0 + d1 + d2 + d3) / NUM_LEGS)
+    side_asym = (0.0 + d0 + d2) - (0.0 + d1 + d3)  # left legs minus right legs
 
-    v = np.array([s.v[0] + dt * (thrust - s.v[0]) / params.tau_vel,
-                  s.v[1] + dt * (params.k_lat * side_asym - s.v[1]) / params.tau_vel,
-                  0.0])
+    vx, vy, _ = s.v.tolist()
+    v = [vx + dt * (thrust - vx) / params.tau_vel,
+         vy + dt * (params.k_lat * side_asym - vy) / params.tau_vel,
+         0.0]
 
-    roll_drive = float(lift[list(_LEFT)].mean() - lift[list(_RIGHT)].mean())
-    pitch_drive = float(lift[list(_FRONT)].mean() - lift[list(_REAR)].mean())
-    w = np.array([
-        s.w[0] + dt * (params.k_att * roll_drive - s.w[0]) / params.tau_att,
-        s.w[1] + dt * (params.k_att * pitch_drive - s.w[1]) / params.tau_att,
-        s.w[2] + dt * (params.k_yaw * params.k_lat * side_asym - s.w[2]) / params.tau_vel])
+    roll_drive = (0.0 + l0 + l2) / 2 - (0.0 + l1 + l3) / 2   # left - right
+    pitch_drive = (0.0 + l0 + l1) / 2 - (0.0 + l2 + l3) / 2  # front - rear
+    wx, wy, wz = s.w.tolist()
+    w = [wx + dt * (params.k_att * roll_drive - wx) / params.tau_att,
+         wy + dt * (params.k_att * pitch_drive - wy) / params.tau_att,
+         wz + dt * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel]
 
-    t_air = s.t_air.copy()
-    t_air[~contact] += dt
-    t_air[contact & s.contact] = 0.0
-    return PlantState(v=v, w=w, att=s.att + dt * (w[:2] - s.att / params.tau_att),
-                      q=q, qd=qd, q_targets=targets, t_air=t_air, contact=contact,
-                      just_landed=contact & ~s.contact)
+    was_down = s.contact.tolist()
+    t_air = [(0.0 if down else t) if c else t + dt
+             for t, c, down in zip(s.t_air.tolist(), contact, was_down)]
+    landed = [c and not down for c, down in zip(contact, was_down)]
+    att = [a + dt * (wi - a / params.tau_att) for a, wi in zip(s.att.tolist(), w)]
+    return PlantState(v=np.array(v), w=np.array(w), att=np.array(att), q=np.array(q),
+                      qd=np.array(qd), q_targets=np.array(targets), t_air=np.array(t_air),
+                      contact=np.array(contact), just_landed=np.array(landed))
 
 
 # --- runtimes -------------------------------------------------------------
@@ -307,6 +327,8 @@ class SimConfig:
             raise DataError("episode length must be > 0")
         if not (0 < self.f_update_hz <= SIM_HZ):
             raise DataError(f"need 0 < f_update <= {SIM_HZ:g} Hz")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 TRAJECTORY_COLUMNS = ("t", "vx", "vy", "wz", "reward_total", "reward_lin",
@@ -327,13 +349,12 @@ class EpisodeResult:
 
 def _build_observation(s: PlantState, prev_action: np.ndarray,
                        dr: DRPerturbation) -> np.ndarray:
-    roll, pitch = s.att
-    gravity = np.array([-math.sin(pitch), math.sin(roll),
-                        -math.cos(pitch) * math.cos(roll) - dr.gravity],
-                       dtype=np.float64)
+    roll, pitch = s.att.tolist()
+    gravity = [-math.sin(pitch), math.sin(roll), -math.cos(pitch) * math.cos(roll) - dr.gravity]
     obs = OBS_SCHEMA.pack(lin_vel=s.v, ang_vel=s.w, gravity=gravity,
                           joint_pos=s.q, prev_action=prev_action)
-    return obs + np.float32(dr.observation)
+    obs += np.float32(dr.observation)
+    return obs
 
 
 def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
@@ -345,6 +366,7 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     reaches k, and its action is held until the next update, so the mean
     update rate is exactly f_update even when it does not divide SIM_HZ.
     """
+    check_finite("velocity command", cmd)
     dt = 1.0 / SIM_HZ
     weights = RewardWeights(dt=dt)
     dr = sample_dr(dr_config, sim.seed) if dr_config is not None else DRPerturbation()

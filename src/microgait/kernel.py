@@ -47,7 +47,11 @@ def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DataError("observation has a non-finite value")
     q = np.rint(x / scale) + zero_point
-    return np.clip(q, INT8_MIN, INT8_MAX).astype(np.int8)
+    # two in-place ufuncs: on one observation np.clip's Python wrapper costs
+    # more than the clamp itself
+    np.maximum(q, INT8_MIN, out=q)
+    np.minimum(q, INT8_MAX, out=q)
+    return q.astype(np.int8)
 
 
 def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCounters]:
@@ -94,12 +98,15 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
             neg >>= qp.act_shift
             acc += neg
 
-        # requantize in place: clip(((mult * acc + round) >> shift) + zp)
+        # requantize in place: clip(((mult * acc + round) >> shift) + zp); the
+        # clamp is two ufuncs, as np.clip on an int64 array with Python-int
+        # bounds looks up np.iinfo on every call, three times the clamp's cost
         acc *= layer.mult
         acc += layer.round_term
         acc >>= layer.shift
         acc += layer.zero_point
-        np.clip(acc, INT8_MIN, INT8_MAX, out=acc)
+        np.maximum(acc, INT8_MIN, out=acc)
+        np.minimum(acc, INT8_MAX, out=acc)
         x = acc if li == last else acc.astype(np.float64)
 
     return x.astype(np.int8)

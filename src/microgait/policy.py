@@ -10,6 +10,7 @@ import enum
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -251,20 +252,23 @@ class ObservationSchema:
         if any(n <= 0 for _, n in self.fields):
             raise DataError("schema field sizes must be positive")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return sum(n for _, n in self.fields)
 
     def pack(self, **parts: np.ndarray) -> np.ndarray:
-        out = []
+        """The first `size` values of each field, in slot order, as one float32 array."""
+        out = np.empty(self.dim, dtype=np.float32)
+        off = 0
         for name, size in self.fields:
             if name not in parts:
                 raise DataError(f"missing observation field {name!r}")
-            v = np.asarray(parts[name], dtype=np.float32).ravel()
+            v = np.asarray(parts[name]).reshape(-1)
             if v.size < size:
                 raise DataError(f"field {name!r} has {v.size} values, needs >= {size}")
-            out.append(v[:size])
-        return np.concatenate(out)
+            out[off:off + size] = v[:size]
+            off += size
+        return out
 
     def unpack(self, obs: np.ndarray) -> dict[str, np.ndarray]:
         obs = np.asarray(obs, dtype=np.float32)

@@ -3,6 +3,8 @@
 Everything here is written from the math, not from the package internals:
 pure-Python integer arithmetic (unbounded), naive matrix products, CRC by
 polynomial long division, and a scalar re-evaluation of the reward terms.
+The plant and reward steps are also kept in their former numpy array form,
+frozen, as the bit-exact reference for the package's scalar form.
 """
 import math
 
@@ -82,3 +84,58 @@ def reward_terms_scalar(dt, vx, vy, wx, wy, wz, t_air, just_landed,
     air = 1.0 * dt * sum((t - 0.5) for t, j in zip(t_air, just_landed) if j)
     return {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
             "ang_penalty": pen_ang, "air_time": air}
+
+
+def plant_step_numpy(s, motor_targets, dt, params, dr):
+    """The toy plant step in its numpy array form, kept frozen as a reference.
+
+    `harness.plant_step` computes the same per-joint arithmetic on Python
+    floats and must return the same bits for every field.
+    """
+    targets = np.asarray(motor_targets, dtype=np.float64).ravel()
+    lo = -params.q_limit + dr.dof_lower
+    hi = params.q_limit + dr.dof_upper
+    targets = np.clip(targets, lo, hi)
+
+    qd = (targets - s.q) / params.tau_joint
+    q = s.q + dt * qd
+    lift = qd[0::2]
+    swing = qd[1::2]
+    contact = q[0::2] < 0.0
+
+    drive = np.clip(-swing, -params.qd_sat, params.qd_sat) * contact
+    thrust = params.k_vel * float(drive.mean())
+    side_asym = float(drive[[0, 2]].sum() - drive[[1, 3]].sum())
+
+    v = np.array([s.v[0] + dt * (thrust - s.v[0]) / params.tau_vel,
+                  s.v[1] + dt * (params.k_lat * side_asym - s.v[1]) / params.tau_vel,
+                  0.0])
+
+    roll_drive = float(lift[[0, 2]].mean() - lift[[1, 3]].mean())
+    pitch_drive = float(lift[[0, 1]].mean() - lift[[2, 3]].mean())
+    w = np.array([
+        s.w[0] + dt * (params.k_att * roll_drive - s.w[0]) / params.tau_att,
+        s.w[1] + dt * (params.k_att * pitch_drive - s.w[1]) / params.tau_att,
+        s.w[2] + dt * (params.k_yaw * params.k_lat * side_asym - s.w[2]) / params.tau_vel])
+
+    t_air = s.t_air.copy()
+    t_air[~contact] += dt
+    t_air[contact & s.contact] = 0.0
+    return {"v": v, "w": w, "att": s.att + dt * (w[:2] - s.att / params.tau_att),
+            "q": q, "qd": qd, "q_targets": targets, "t_air": t_air, "contact": contact,
+            "just_landed": contact & ~s.contact}
+
+
+def reward_step_numpy(s, cmd, dt, sigma=0.5):
+    """The per-step reward in its numpy form, kept frozen as a reference
+    for `harness.reward_step`: (total, terms)."""
+    phi = lambda e: math.exp(-(e * e) / (sigma * sigma))
+    v_cmd, w_cmd = cmd
+    lin = 1.0 * dt * phi(v_cmd - s.v[0])
+    ang = 0.5 * dt * phi(w_cmd - s.w[2])
+    pen_lin = -0.5 * dt * s.v[1] ** 2
+    pen_ang = -0.05 * dt * (s.w[0] ** 2 + s.w[1] ** 2)
+    air = 1.0 * dt * float(np.sum((s.t_air - 0.5) * s.just_landed))
+    terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
+             "ang_penalty": pen_ang, "air_time": air}
+    return lin + ang + pen_lin + pen_ang + air, terms

@@ -116,6 +116,12 @@ def test_cost_bad_measured_is_domain_error(capsys):
     ["cost", "--cycles", "nan"],
     ["cost", "--cycles", "inf"],
     ["cost", "--cycles", "1e5", "--target-hz", "nan"],
+    ["run-loop", "--scripted", "--command", "nan"],
+    ["run-loop", "--scripted", "--command", "inf"],
+    ["run-loop", "--scripted", "--command", "-inf"],
+    ["run-loop", "--scripted", "--command", "0.1", "--omega", "nan"],
+    ["run-loop", "--scripted", "--command", "0.1", "--omega", "inf"],
+    ["run-loop", "--scripted", "--command", "0.1", "--omega", "-inf"],
 ])
 def test_non_finite_number_is_data_error(capsys, args):
     code = main(args)
@@ -182,6 +188,14 @@ def test_run_loop_quantized_model(capsys, tmp_path, model_file, calib_file):
                              "--quantized", "--command", "0.05", "--codec")
     assert code == 0
     assert "total_reward" in pairs
+
+
+def test_run_loop_negative_seed_is_data_error(capsys):
+    code = main(["run-loop", "--scripted", "--command", "0.1", "--seed", "-1", "--randomize"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.err.startswith("data error: seed must be >= 0")
+    assert "Traceback" not in out.err
 
 
 def test_run_loop_needs_model_or_scripted(capsys):

@@ -1,5 +1,8 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microgait import (
     DataError,
@@ -25,9 +28,10 @@ from microgait.harness import (
     PolicyRuntime,
     QuantizedRuntime,
     ScriptedGaitController,
+    _apply_dr_to_params,
     write_trajectory_csv,
 )
-from oracles import reward_terms_scalar
+from oracles import plant_step_numpy, reward_step_numpy, reward_terms_scalar
 
 DT = 1.0 / 120.0
 
@@ -131,29 +135,139 @@ def test_dr_config_rejects_non_finite(row):
 
 def test_plant_step_validation():
     with pytest.raises(DataError):
-        plant_step(PlantState(), np.zeros(8), 0.0)
+        plant_step(PlantState(), np.zeros(8), 0.0, PlantParams(), DRPerturbation())
     with pytest.raises(DataError):
-        plant_step(PlantState(), np.zeros(7), DT)
+        plant_step(PlantState(), np.zeros(7), DT, PlantParams(), DRPerturbation())
 
 
 def test_plant_step_deterministic_and_pure():
     s = PlantState()
     targets = np.linspace(-0.5, 0.5, 8)
-    a = plant_step(s, targets, DT)
-    b = plant_step(s, targets, DT)
+    a = plant_step(s, targets, DT, PlantParams(), DRPerturbation())
+    b = plant_step(s, targets, DT, PlantParams(), DRPerturbation())
     for x, y in zip(vars(a).values(), vars(b).values()):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(s.q, np.zeros(8))  # input untouched
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_same_state(got, want: dict):
+    """Every PlantState field equal in dtype, shape and bits (so -0.0 != 0.0)."""
+    assert set(vars(got)) == set(want)
+    for name, ref in want.items():
+        arr = getattr(got, name)
+        assert arr.dtype == ref.dtype and arr.shape == ref.shape, name
+        if ref.dtype == bool:
+            np.testing.assert_array_equal(arr, ref, err_msg=name)
+        else:
+            np.testing.assert_array_equal(_bits(arr), _bits(ref), err_msg=name)
+
+
+_signed_zero = st.sampled_from([0.0, -0.0])
+_small = st.one_of(_signed_zero, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def _plant_cases(draw):
+    """A state, targets, parameters and perturbation; some cases hold the
+    swing joints still (every drive term a signed zero) or lift every leg
+    (all airborne), where a sum that does not start from +0.0 shows."""
+    s = PlantState()
+    for name in ("v", "w", "att", "q", "t_air"):
+        arr = getattr(s, name)
+        arr[:] = draw(st.lists(_small, min_size=arr.size, max_size=arr.size))
+    s.t_air[:] = np.abs(s.t_air) if draw(st.booleans()) else 0.5  # 0.5 s: zero air-time bonus
+    for name in ("contact", "just_landed"):
+        getattr(s, name)[:] = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+    # targets near the joints keep the drive below saturation, where sums round
+    reach = draw(st.sampled_from([1e-3, 0.1, 3.0]))
+    targets = s.q + reach * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8,
+                                                   max_size=8)))
+    if draw(st.booleans()):
+        targets[1::2] = s.q[1::2]          # zero swing velocity: zero drive
+    if draw(st.booleans()):
+        s.q[0::2] = np.abs(s.q[0::2]) + 0.5
+        targets[0::2] = np.abs(targets[0::2]) + 0.5  # every leg airborne
+    positive = st.floats(1e-3, 1.0)
+    params = PlantParams(
+        tau_joint=draw(positive), tau_vel=draw(positive), tau_att=draw(positive),
+        qd_sat=draw(st.one_of(_signed_zero, st.floats(0.0, 2.0))),
+        k_vel=draw(_small), k_lat=draw(_small), k_yaw=draw(_small), k_att=draw(_small),
+        q_limit=draw(st.one_of(_signed_zero, st.floats(0.0, 2.0))))
+    dr = DRPerturbation(dof_lower=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))),
+                        dof_upper=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))))
+    dt = draw(st.one_of(st.just(DT), st.floats(1e-4, 0.1)))
+    cmd = (draw(_small), draw(_small))
+    return s, targets, dt, params, dr, cmd
+
+
+@settings(max_examples=300, deadline=None)
+@given(_plant_cases())
+def test_plant_and_reward_match_numpy_reference(case):
+    s, targets, dt, params, dr, cmd = case
+    got = plant_step(s, targets, dt, params, dr)
+    _assert_same_state(got, plant_step_numpy(s, targets, dt, params, dr))
+    total, terms = reward_step(got, cmd, RewardWeights(dt=dt))
+    ref_total, ref_terms = reward_step_numpy(got, cmd, dt)
+    assert terms.keys() == ref_terms.keys()
+    for key, value in terms.items():
+        assert _bits(value) == _bits(ref_terms[key]), key
+    assert _bits(total) == _bits(ref_total)
+
+
+def test_plant_episode_matches_numpy_reference():
+    # 1200 chained steps of the scripted trot under one DR draw
+    dr = sample_dr(DRConfig(), 9)
+    params = _apply_dr_to_params(PlantParams(), dr)
+    ctrl = ScriptedGaitController(0.08)
+    s = ref = PlantState()
+    for step in range(1200):
+        targets = ctrl.act(None, step * DT) + dr.action
+        s = plant_step(s, targets, DT, params, dr)
+        want = plant_step_numpy(ref, targets, DT, params, dr)
+        _assert_same_state(s, want)
+        ref = PlantState(**want)
+        assert _bits(reward_step(s, (0.08, 0.0), RewardWeights(dt=DT))[0]) == \
+            _bits(reward_step_numpy(ref, (0.08, 0.0), DT)[0])
+
+
+def test_plant_and_reward_much_faster_than_numpy_reference():
+    params, dr, weights = PlantParams(), DRPerturbation(), RewardWeights(dt=DT)
+    targets = np.random.default_rng(2).uniform(-1.5, 1.5, size=(2000, 8))
+
+    def steps(plant, reward):
+        s = PlantState()
+        for row in targets:
+            s = plant(s, row)
+            reward(s)
+
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
+
+    new_times, ref_times = [], []
+    for _ in range(5):  # interleaved, so a change in host speed hits both alike
+        new_times.append(timed(lambda: steps(lambda s, t: plant_step(s, t, DT, params, dr),
+                                             lambda s: reward_step(s, (0.1, 0.0), weights))))
+        ref_times.append(timed(lambda: steps(
+            lambda s, t: PlantState(**plant_step_numpy(s, t, DT, params, dr)),
+            lambda s: reward_step_numpy(s, (0.1, 0.0), DT))))
+    new, ref = min(new_times), min(ref_times)
+    assert ref >= 2 * new, f"2000 steps: {new:.4f} s, numpy reference {ref:.4f} s"
 
 
 def test_air_timers_track_contact():
     params = PlantParams()
     s = PlantState()
     s.q[0] = 0.1      # leg 0 lift joint above ground: airborne
-    up = plant_step(s, s.q.copy(), DT, params)
+    up = plant_step(s, s.q.copy(), DT, params, DRPerturbation())
     assert not up.contact[0]
     assert up.t_air[0] == pytest.approx(DT)
-    down = plant_step(up, np.full(8, -0.5), DT, params)
+    down = plant_step(up, np.full(8, -0.5), DT, params, DRPerturbation())
     assert down.contact[0]
     assert down.just_landed[0]
 
@@ -193,6 +307,22 @@ def test_reward_ratio_against_self_is_one():
         run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0), baseline_reward=0.0)
 
 
+def test_sim_config_rejects_negative_seed():
+    with pytest.raises(DataError, match="seed"):
+        SimConfig(seed=-1)
+    assert SimConfig(seed=0).seed == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PlantParams(tau_joint=0.0),
+    lambda: PlantParams(tau_att=-0.1),
+    lambda: _apply_dr_to_params(PlantParams(), DRPerturbation(mass=0.0)),
+])
+def test_plant_time_constants_must_be_positive(make):
+    with pytest.raises(DataError, match="time constants"):
+        make()
+
+
 def test_sim_config_validation():
     with pytest.raises(DataError):
         SimConfig(f_update_hz=240.0)
@@ -206,6 +336,8 @@ def test_sim_config_validation():
     lambda: RewardWeights(dt=float("inf")),
     lambda: PlantParams(tau_vel=float("inf")),
     lambda: PlantParams(k_vel=float("nan")),
+    lambda: DRPerturbation(dof_lower=float("nan")),
+    lambda: DRPerturbation(mass=float("inf")),
 ])
 def test_constructors_reject_non_finite(make):
     with pytest.raises(DataError, match="finite"):
