@@ -5,7 +5,8 @@ here unchanged. The expected values were recorded from the code before the
 one-path-per-concept consolidation (key=value reader, table-driven codec,
 single CodecRuntime path); the quantize and FP32 run-loop pins were recorded
 before the unvaried settings became constants and the two policy loaders
-shared one binary reader. Change them only with a deliberate change of
+shared one binary reader; the leaky-relu FP32 run-loop pin was recorded
+before the FP32 leaky-relu became branch-free. Change them only with a deliberate change of
 output, recorded in CHANGES.md.
 """
 import hashlib
@@ -148,3 +149,22 @@ def test_golden_run_loop_fp32_randomized(capsys, tmp_path, elu_model):
     ]
     assert _sha256(csv_out) == \
         "55896872d08519a223f217c40bb70620b79be99361fffa2c7868bf3144d723e1"
+
+
+def test_golden_run_loop_fp32_leaky_relu_codec_randomized(capsys, tmp_path):
+    """The single-row leaky-relu FP32 forward pass, through the fp32 wire codec."""
+    model = tmp_path / "leaky.bin"
+    save_policy(random_policy(PolicySpec(hidden_activation=leaky_relu()), 9), model)
+    assert _sha256(model) == \
+        "4071aa10f3e3b65218f35077f6402c4ad2f53781fc902b2a09fc4ea387d9224e"
+    csv_out = tmp_path / "leaky.csv"
+    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--codec", "--randomize",
+                   "--f-update", "50", "--seed", "4", "--command", "0.07", "--omega", "-0.05",
+                   "--csv-out", csv_out) == [
+        "total_reward=14.74388523",
+        "reward_ratio=0.9999992128",
+        "inferences=500",
+        "csv={tmp}/leaky.csv",
+    ]
+    assert _sha256(csv_out) == \
+        "15fd98005cabe0941d0ef69449ba253c461598dd89e9c1c57e592ccccdd41fba"
