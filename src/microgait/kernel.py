@@ -12,41 +12,29 @@ expected_counters.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 
 import numpy as np
 
 from .errors import DataError
-from .policy import BLOCK_ROWS, PolicySpec, mac_count, activation_count, neuron_count
-from .quant import INT8_MAX, INT8_MIN, QuantScheme, QuantizedPolicy, dequantize_action
+from .policy import BLOCK_ROWS
+from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedPolicy, dequantize_action,
+                    expected_counters)
 
 __all__ = ["OpCounters", "infer_int8", "quantize_obs", "fused_infer_dequant",
            "expected_counters"]
 
 
-@dataclass(frozen=True)
-class OpCounters:
-    macs: int = 0
-    activations: int = 0
-    requants: int = 0
-    param_loads: int = 0
-
-
-def expected_counters(spec: PolicySpec, scheme: QuantScheme) -> OpCounters:
-    n = neuron_count(spec)
-    return OpCounters(
-        macs=mac_count(spec),
-        activations=activation_count(spec),
-        requants=n,
-        param_loads=n if scheme is QuantScheme.PER_FEATURE else 0)
-
-
 def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
     """clip(round(obs / scale) + zero_point) into int8, elementwise; obs must be finite."""
-    x = np.asarray(obs, dtype=np.float64)
-    if not np.isfinite(x).all():
+    # np.array, not np.asarray: the steps below run in place on this one
+    # float64 copy, and asarray would hand back a float64 input itself
+    q = np.array(obs, dtype=np.float64)
+    if not np.isfinite(q).all():
         raise DataError("observation has a non-finite value")
-    q = np.rint(x / scale) + zero_point
+    q /= scale
+    np.rint(q, out=q)
+    q += zero_point
     # two in-place ufuncs: on one observation np.clip's Python wrapper costs
     # more than the clamp itself
     np.maximum(q, INT8_MIN, out=q)
@@ -66,7 +54,7 @@ def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCo
     if x.dtype != np.int8 or x.ndim not in (1, 2) or x.shape[-1] != n_in:
         raise DataError(f"expected int8 observations of shape ({n_in},) or (B, {n_in}), "
                         f"got {x.dtype} {x.shape}")
-    per_row = expected_counters(qp.spec, qp.scheme)
+    per_row = qp.row_counters
     if x.ndim == 1:
         return _forward_int8(qp, x), per_row
     batch = x.shape[0]
@@ -78,6 +66,11 @@ def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCo
 
 def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     last = qp.spec.num_layers - 1
+    # integer leaky-relu max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift),
+    # without a masked ufunc, as acc + ((min(acc, 0) * act_delta) >> act_shift):
+    # the added multiple min(acc, 0) * 2^act_shift shifts out exactly. The
+    # product fits int64: |acc| < 2^31 by the headroom check, |act_delta| <= 2^31
+    act_delta = qp.act_mult - (1 << qp.act_shift)
     # int32 accumulate, done in float64 through BLAS: every partial sum of
     # int8 x int8 products is an integer below 2^31 in magnitude (the
     # QuantizedPolicy headroom check), far inside float64's exact 2^53
@@ -88,23 +81,18 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
         acc = acc.astype(np.int64)
 
         if li != last:
-            # integer leaky-relu on the accumulator, max(acc, 0) + ((min(acc, 0)
-            # * act_mult) >> act_shift), without a masked ufunc (masks are
-            # slow); the product fits int64 (|acc| < 2^31 by the headroom
-            # check, act_mult <= 2^act_shift <= 2^31)
             neg = np.minimum(acc, 0)
-            acc -= neg
-            neg *= qp.act_mult
+            neg *= act_delta
             neg >>= qp.act_shift
             acc += neg
 
-        # requantize in place: clip(((mult * acc + round) >> shift) + zp); the
-        # clamp is two ufuncs, as np.clip on an int64 array with Python-int
-        # bounds looks up np.iinfo on every call, three times the clamp's cost
+        # requantize in place: clip((mult * acc + offset) >> shift), the sum
+        # below 2^62 + 2^39. The clamp is two ufuncs, as np.clip on an int64
+        # array with Python-int bounds looks up np.iinfo on every call, three
+        # times the clamp's cost
         acc *= layer.mult
-        acc += layer.round_term
+        acc += layer.offset
         acc >>= layer.shift
-        acc += layer.zero_point
         np.maximum(acc, INT8_MIN, out=acc)
         np.minimum(acc, INT8_MAX, out=acc)
         x = acc if li == last else acc.astype(np.float64)

@@ -10,7 +10,6 @@ import enum
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +110,13 @@ def activate(a: ActivationSpec, x: float) -> float:
 def _activate_array(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
     if a.kind is ActivationKind.ELU:
         return np.where(x >= 0, x, np.float32(a.alpha) * (np.exp(x, dtype=np.float32) - np.float32(1.0)))
-    return np.where(x >= 0, x, np.float32(a.alpha) * x)
+    # leaky-relu as max(x, alpha * x): for 0 < alpha <= 1 the rounded product
+    # is at most x when x >= 0 and at least x when x < 0, so this gives the
+    # bits of the branch where(x >= 0, x, alpha * x), signed zeros and
+    # infinities included, without a data-dependent select
+    y = np.float32(a.alpha) * x
+    np.maximum(x, y, out=y)
+    return y
 
 
 @dataclass
@@ -173,9 +178,10 @@ def _forward_fp32(p: Fp32Policy, x: np.ndarray) -> np.ndarray:
     # observation gets; a 2-D x @ w.T would go to gemm and sum in another order
     last = p.spec.num_layers - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = (w @ x[..., None])[..., 0] + b
+        x = (w @ x[..., None])[..., 0]
+        x += b
         if i != last:
-            x = _activate_array(p.spec.hidden_activation, x).astype(np.float32, copy=False)
+            x = _activate_array(p.spec.hidden_activation, x)
     return x
 
 
@@ -229,32 +235,27 @@ def load_policy(path) -> Fp32Policy:
     return Fp32Policy(spec, weights, biases)
 
 
-@dataclass(frozen=True)
+# The observation slot layout: (name, size) in slot order.
+OBS_FIELDS = (
+    ("lin_vel", 3),
+    ("ang_vel", 3),
+    ("gravity", 3),
+    ("joint_pos", 8),
+    ("prev_action", 7),
+)
+
+
 class ObservationSchema:
     """Named 24-slot observation layout.
 
     The slot order is a convention frozen here so the harness and the wire
-    codec agree; the math elsewhere is layout-agnostic. The default packs
-    base linear velocity, base angular velocity, gravity direction in the
-    base frame, the eight joint positions, and the first seven entries of
-    the previous action.
+    codec agree; the math elsewhere is layout-agnostic. It packs base linear
+    velocity, base angular velocity, gravity direction in the base frame, the
+    eight joint positions, and the first seven entries of the previous action.
     """
 
-    fields: tuple[tuple[str, int], ...] = (
-        ("lin_vel", 3),
-        ("ang_vel", 3),
-        ("gravity", 3),
-        ("joint_pos", 8),
-        ("prev_action", 7),
-    )
-
-    def __post_init__(self):
-        if any(n <= 0 for _, n in self.fields):
-            raise DataError("schema field sizes must be positive")
-
-    @cached_property
-    def dim(self) -> int:
-        return sum(n for _, n in self.fields)
+    fields = OBS_FIELDS
+    dim = sum(n for _, n in OBS_FIELDS)
 
     def pack(self, **parts: np.ndarray) -> np.ndarray:
         """The first `size` values of each field, in slot order, as one float32 array."""

@@ -22,6 +22,9 @@ from .policy import (
     Fp32Policy,
     PolicySpec,
     _activate_array,
+    activation_count,
+    mac_count,
+    neuron_count,
     param_count,
 )
 
@@ -147,24 +150,44 @@ class KernelLayer:
     The int8 weights and int32 bias are held as float64, which represents
     them exactly, so the kernel can accumulate through BLAS. The requant
     vectors have length 1 under per-tensor (broadcast over the layer) and
-    n_out under per-feature.
+    n_out under per-feature. ``offset`` = round_term + (zero_point << shift)
+    folds both addends of the requantize into one before the shift, which is
+    exact because an arithmetic shift of a multiple of 2^shift is.
     """
 
     weights_t: np.ndarray   # float64, (n_in, n_out)
     bias: np.ndarray        # float64, (n_out,)
     mult: np.ndarray        # int64
     shift: np.ndarray       # int64
-    round_term: np.ndarray  # int64
-    zero_point: np.ndarray  # int64
+    offset: np.ndarray      # int64
 
     @classmethod
     def of(cls, layer: QuantizedLayer) -> KernelLayer:
-        def vec(attr):
-            return np.array([getattr(rp, attr) for rp in layer.requant], dtype=np.int64)
+        rq = layer.requant
         return cls(weights_t=layer.weights.T.astype(np.float64),
                    bias=layer.bias.astype(np.float64),
-                   mult=vec("mult"), shift=vec("shift"),
-                   round_term=vec("round_term"), zero_point=vec("zero_point"))
+                   mult=np.array([rp.mult for rp in rq], dtype=np.int64),
+                   shift=np.array([rp.shift for rp in rq], dtype=np.int64),
+                   offset=np.array([rp.round_term + (rp.zero_point << rp.shift) for rp in rq],
+                                   dtype=np.int64))
+
+
+@dataclass(frozen=True)
+class OpCounters:
+    macs: int = 0
+    activations: int = 0
+    requants: int = 0
+    param_loads: int = 0
+
+
+def expected_counters(spec: PolicySpec, scheme: QuantScheme) -> OpCounters:
+    """The operations of one inference of the fixed network under a scheme."""
+    n = neuron_count(spec)
+    return OpCounters(
+        macs=mac_count(spec),
+        activations=activation_count(spec),
+        requants=n,
+        param_loads=n if scheme is QuantScheme.PER_FEATURE else 0)
 
 
 @dataclass(frozen=True)
@@ -176,8 +199,10 @@ class QuantizedPolicy:
     obs_zp: int
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
-    # built once here from `layers`; the dataclass is frozen so they stay in step
+    # built once here from `layers`, `spec` and `scheme`; the dataclass is
+    # frozen so they stay in step
     kernel_layers: tuple[KernelLayer, ...] = field(init=False, repr=False, compare=False)
+    row_counters: OpCounters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -212,6 +237,7 @@ class QuantizedPolicy:
                     f"(worst case {worst})")
         object.__setattr__(self, "kernel_layers",
                            tuple(KernelLayer.of(layer) for layer in self.layers))
+        object.__setattr__(self, "row_counters", expected_counters(self.spec, self.scheme))
 
 
 def _affine_params(lo: float, hi: float) -> tuple[float, int]:
@@ -259,9 +285,10 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
     x = calib
     last = p.spec.num_layers - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = x @ w.T + b
+        x = x @ w.T
+        x += b
         if i != last:
-            x = _activate_array(act, x).astype(np.float32)
+            x = _activate_array(act, x)
         ranges.append((float(x.min()), float(x.max())))
 
     obs_scale, obs_zp = _affine_params(*ranges[0])

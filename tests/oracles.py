@@ -4,7 +4,8 @@ Everything here is written from the math, not from the package internals:
 pure-Python integer arithmetic (unbounded), naive matrix products, CRC by
 polynomial long division, and a scalar re-evaluation of the reward terms.
 The plant and reward steps are also kept in their former numpy array form,
-frozen, as the bit-exact reference for the package's scalar form.
+frozen, as the bit-exact reference for the package's scalar form, and the
+FP32 leaky-relu in its former branch form.
 """
 import math
 
@@ -28,6 +29,13 @@ def fp32_forward_naive(weights, biases, alpha, obs):
             y.append(acc)
         x = y
     return np.array(x)
+
+
+def leaky_relu_where(alpha, x):
+    """The FP32 leaky-relu as the branch where(x >= 0, x, alpha * x), the
+    package's former form, kept frozen as the bit-exact reference for its
+    branch-free one."""
+    return np.where(x >= 0, x, np.float32(alpha) * x)
 
 
 def requantize_unbounded(acc, mult, shift, zp):

@@ -73,6 +73,14 @@ def test_quantize_obs_rounds_and_clips():
     assert q.dtype == np.int8
 
 
+def test_quantize_obs_leaves_float64_input_unchanged():
+    obs = np.array([[0.0, 0.26, -100.0], [1.5, -0.74, 100.0]])
+    before = obs.copy()
+    quantize_obs(obs, 0.5, 3)
+    quantize_obs(obs[0], 0.5, 3)
+    np.testing.assert_array_equal(obs, before)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_quantize_obs_rejects_non_finite(bad):
     with pytest.raises(DataError):
@@ -210,6 +218,58 @@ def test_matches_bigint_oracle(scheme, dims):
         assert (counters.macs, counters.activations,
                 counters.requants, counters.param_loads) == \
             (exp.macs, exp.activations, exp.requants, exp.param_loads)
+
+
+# Requant and leaky-relu tables at the ends of their ranges: shift 0 and 31,
+# mult 0 and 2^31 - 1, zero-point -128 and 127; slope 0 and 1 at shift 0 and 31.
+CORNER_REQUANTS = [RequantParams(m, s, zp) for m in (0, 2 ** 31 - 1)
+                   for s in (0, 31) for zp in (-128, 127)]
+EXTREME_REQUANTS = CORNER_REQUANTS + [RequantParams(m, s, zp) for m in (1, 2 ** 31 - 1)
+                                      for s in (1, 13) for zp in (-128, 0, 127)]
+EXTREME_SLOPES = [(0, 0), (1, 0), (0, 31), (1 << 31, 31), encode_ratio(0.01)]
+
+
+def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
+    """Weights at +-127 and biases at +-(2^31 - 1 - n_in * 127 * 255), the
+    largest the int32 headroom check admits, so accumulators come within
+    n_in * 127 * 128 of +-2^31; requant entries cycle through `requants`."""
+    rng = np.random.default_rng(17)
+    layers = []
+    for n_in, n_out in zip(dims[:-1], dims[1:]):
+        room = 2 ** 31 - 1 - n_in * 127 * 255
+        sign = np.where(np.arange(n_out) % 3 == 0, 1, -1)
+        weights = np.repeat((127 * sign)[:, None], n_in, axis=1)
+        weights[n_out // 2:] = rng.integers(-127, 128, size=(n_out - n_out // 2, n_in))
+        bias = np.where(np.arange(n_out) % 4 == 3, 0, room * sign)
+        entries = n_out if scheme is QuantScheme.PER_FEATURE else 1
+        rq = [requants[i % len(requants)] for i in range(entries)]
+        layers.append(QuantizedLayer(
+            weights=weights.astype(np.int8), bias=bias.astype(np.int32),
+            input_scale=1.0, input_zp=0, weight_scales=np.ones(entries),
+            output_scale=1.0, output_zp=0, requant=rq))
+    return QuantizedPolicy(PolicySpec(dims, leaky_relu()), scheme, layers, 1.0, 0, *act)
+
+
+@pytest.mark.parametrize("act", EXTREME_SLOPES)
+@pytest.mark.parametrize("scheme, requants", [
+    (QuantScheme.PER_FEATURE, EXTREME_REQUANTS),
+    *((QuantScheme.PER_TENSOR, [rp]) for rp in CORNER_REQUANTS),
+])
+def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
+    qp = _extreme_qp(scheme, requants, act)
+    n_in = qp.spec.input_dim
+    rng = np.random.default_rng(5)
+    obs = np.concatenate([np.full((1, n_in), -128), np.full((1, n_in), 127),
+                          rng.integers(-128, 128, size=(14, n_in))]).astype(np.int8)
+    # the first layer's accumulators do reach the edge of the int32 range
+    first = qp.layers[0]
+    acc = obs.astype(np.int64) @ first.weights.T.astype(np.int64) + first.bias
+    assert acc.max() == -acc.min() == 2 ** 31 - 1 - n_in * 127 * 128
+
+    want = np.stack([int8_forward_bigint(qp, row) for row in obs])
+    batched, _ = infer_int8(qp, obs)
+    np.testing.assert_array_equal(batched, want)
+    np.testing.assert_array_equal(np.stack([infer_int8(qp, row)[0] for row in obs]), want)
 
 
 def test_deterministic():

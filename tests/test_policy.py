@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from microgait import (
     ActivationKind,
@@ -25,8 +26,8 @@ from microgait import (
     random_policy,
     save_policy,
 )
-from microgait.policy import BLOCK_ROWS
-from oracles import fp32_forward_naive
+from microgait.policy import BLOCK_ROWS, _activate_array
+from oracles import fp32_forward_naive, leaky_relu_where
 
 dims_strategy = st.lists(st.integers(1, 64), min_size=2, max_size=6)
 
@@ -176,6 +177,28 @@ def test_batch_much_faster_than_single_calls():
     batched = best_of(5, lambda: infer_fp32(p, obs))
     single = best_of(2, lambda: [infer_fp32(p, row) for row in obs])
     assert single >= 3 * batched, f"2048 single calls {single:.4f} s, one batch {batched:.4f} s"
+
+
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+# signed zeros, infinities, the smallest and largest subnormals, the smallest normal
+F32_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, F32_TINY, -F32_TINY,
+                         1.1754942e-38, -1.1754942e-38, 1.1754944e-38, -1.1754944e-38],
+                        dtype=np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.one_of(st.sampled_from([1.0, 0.01, F32_TINY]),
+                       st.floats(F32_TINY, 1.0, width=32)),
+       x=hnp.arrays(np.float32, st.sampled_from([(10,), (3, 24), (BLOCK_ROWS + 1, 10)]),
+                    elements=st.floats(width=32, allow_nan=False)))
+def test_leaky_relu_array_bits_match_branch_reference(alpha, x):
+    """max(x, alpha * x) gives the bits of where(x >= 0, x, alpha * x) for
+    every float32 but NaN, on single rows and (B, n) blocks."""
+    x.ravel()[:F32_SPECIALS.size] = F32_SPECIALS
+    got = _activate_array(leaky_relu(alpha), x)
+    want = leaky_relu_where(alpha, x)
+    assert got.dtype == np.float32 and got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_policy_shape_validation():

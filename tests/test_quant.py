@@ -351,8 +351,8 @@ def test_kernel_tables_built_at_construction(scheme):
                                     else (1,))
         assert table.mult.tolist() == [rp.mult for rp in layer.requant]
         assert table.shift.tolist() == [rp.shift for rp in layer.requant]
-        assert table.round_term.tolist() == [rp.round_term for rp in layer.requant]
-        assert table.zero_point.tolist() == [rp.zero_point for rp in layer.requant]
+        assert table.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
+                                         for rp in layer.requant]
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
