@@ -6,8 +6,10 @@ one-path-per-concept consolidation (key=value reader, table-driven codec,
 single CodecRuntime path); the quantize and FP32 run-loop pins were recorded
 before the unvaried settings became constants and the two policy loaders
 shared one binary reader; the leaky-relu FP32 run-loop pin was recorded
-before the FP32 leaky-relu became branch-free. Change them only with a deliberate change of
-output, recorded in CHANGES.md.
+before the FP32 leaky-relu became branch-free; the 45 Hz int8 run-loop pin
+was recorded before the plant state moved from numpy arrays to tuples of
+floats. Change them only with a deliberate change of output, recorded in
+CHANGES.md.
 """
 import hashlib
 
@@ -168,3 +170,30 @@ def test_golden_run_loop_fp32_leaky_relu_codec_randomized(capsys, tmp_path):
     ]
     assert _sha256(csv_out) == \
         "15fd98005cabe0941d0ef69449ba253c461598dd89e9c1c57e592ccccdd41fba"
+
+
+def test_golden_run_loop_quantized_randomized_45hz(capsys, tmp_path):
+    """The per-tensor int8 kernel without the codec, at a rate that does not divide 120 Hz."""
+    p = random_policy(PolicySpec((24, 128, 64, 8), leaky_relu()), 11, weight_scale=0.6)
+    calib = np.random.default_rng(12).normal(scale=0.5, size=(256, 24))
+    model = tmp_path / "pt.bin"
+    save_quantized(quantize_policy(p, QuantScheme.PER_TENSOR, calib), model)
+    assert _sha256(model) == \
+        "59dbcd9506c9339893e69aca165a4ed8501dd900811ea87a7c3c4c6505de082e"
+    csv_out = tmp_path / "pt.csv"
+    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--quantized", "--randomize",
+                   "--episodes", "2", "--seed", "5", "--command", "0.09", "--omega", "0.1",
+                   "--f-update", "45", "--csv-out", csv_out) == [
+        "episode0_total_reward=14.47272797",
+        "episode0_reward_ratio=0.9999980139",
+        "episode0_inferences=450",
+        "episode0_csv={tmp}/pt_0.csv",
+        "episode1_total_reward=14.48092459",
+        "episode1_reward_ratio=0.9999999896",
+        "episode1_inferences=450",
+        "episode1_csv={tmp}/pt_1.csv",
+    ]
+    assert {p.name: _sha256(p) for p in sorted(tmp_path.glob("pt_*.csv"))} == {
+        "pt_0.csv": "bd6819eab1604ea34b8ebba82619ada5825cae0bfdeb5e485b3d921b63e0429d",
+        "pt_1.csv": "779411c14c6d4e4783f1dd81b8b5c7d523a0bdf8d9904d8220bfd417059bd7f8",
+    }
