@@ -11,7 +11,7 @@ and forward drive (hence tracking reward) degrades as update rate drops.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -58,15 +58,21 @@ def tracking_kernel(err: float) -> float:
 
 @dataclass
 class PlantState:
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))        # base lin vel
-    w: np.ndarray = field(default_factory=lambda: np.zeros(3))        # base ang vel
-    att: np.ndarray = field(default_factory=lambda: np.zeros(2))      # roll, pitch
-    q: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS))
-    qd: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS))
-    q_targets: np.ndarray = field(default_factory=lambda: np.zeros(NUM_JOINTS))
-    t_air: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LEGS))
-    contact: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LEGS, dtype=bool))
-    just_landed: np.ndarray = field(default_factory=lambda: np.zeros(NUM_LEGS, dtype=bool))
+    """The plant state as tuples of Python floats (bools for the contact flags).
+
+    Tuples cannot change in place, so the record need not be frozen, and a
+    frozen __init__ costs four times as much on every plant step.
+    """
+
+    v: tuple[float, ...] = (0.0,) * 3                  # base lin vel
+    w: tuple[float, ...] = (0.0,) * 3                  # base ang vel
+    att: tuple[float, ...] = (0.0,) * 2                # roll, pitch
+    q: tuple[float, ...] = (0.0,) * NUM_JOINTS
+    qd: tuple[float, ...] = (0.0,) * NUM_JOINTS
+    q_targets: tuple[float, ...] = (0.0,) * NUM_JOINTS
+    t_air: tuple[float, ...] = (0.0,) * NUM_LEGS
+    contact: tuple[bool, ...] = (False,) * NUM_LEGS
+    just_landed: tuple[bool, ...] = (False,) * NUM_LEGS
 
 
 def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
@@ -79,7 +85,7 @@ def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
     pen_lin = -LIN_PENALTY_WEIGHT * dt * s.v[1] ** 2
     pen_ang = -ANG_PENALTY_WEIGHT * dt * (s.w[0] ** 2 + s.w[1] ** 2)
     a0, a1, a2, a3 = [(t - AIR_TIME_OFFSET_S) * landed
-                      for t, landed in zip(s.t_air.tolist(), s.just_landed.tolist())]
+                      for t, landed in zip(s.t_air, s.just_landed)]
     air = AIR_TIME_WEIGHT * dt * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
     terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
              "ang_penalty": pen_ang, "air_time": air}
@@ -195,10 +201,11 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
     """Advance the surrogate by one step toward the held joint targets.
 
     Scalar code on Python floats: on 8-element arrays numpy's per-call
-    dispatch costs more than the math. Each operation keeps its order and
-    operands from the numpy form in tests/oracles.py, so the bits match; a
-    sum folds left from +0.0 as numpy's add.reduce does, not with sum(),
-    which compensates from Python 3.12 on.
+    dispatch costs more than the math, so the state is tuples and the only
+    numpy here is the conversion of the targets. Each operation keeps its
+    order and operands from the numpy form in tests/oracles.py, so the bits
+    match; a sum folds left from +0.0 as numpy's add.reduce does, not with
+    sum(), which compensates from Python 3.12 on.
     """
     if dt <= 0:
         raise DataError(f"dt must be > 0, got {dt}")
@@ -207,13 +214,12 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
         raise DataError(f"expected {NUM_JOINTS} joint targets, got shape {targets.shape}")
     lo = -params.q_limit + dr.dof_lower
     hi = params.q_limit + dr.dof_upper
-    targets = [_clip(x, lo, hi) for x in targets.tolist()]
+    targets = tuple([_clip(x, lo, hi) for x in targets.tolist()])
 
-    q_prev = s.q.tolist()
-    qd = [(x - q0) / params.tau_joint for x, q0 in zip(targets, q_prev)]
-    q = [q0 + dt * v for q0, v in zip(q_prev, qd)]
+    qd = tuple([(x - q0) / params.tau_joint for x, q0 in zip(targets, s.q)])
+    q = tuple([q0 + dt * v for q0, v in zip(s.q, qd)])
     l0, l1, l2, l3 = qd[0::2]  # lift-joint velocity per leg
-    contact = [x < 0.0 for x in q[0::2]]
+    contact = tuple([x < 0.0 for x in q[0::2]])
 
     # rectified, saturated swing-velocity drive during stance
     sat = params.qd_sat
@@ -221,26 +227,23 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
     thrust = params.k_vel * ((0.0 + d0 + d1 + d2 + d3) / NUM_LEGS)
     side_asym = (0.0 + d0 + d2) - (0.0 + d1 + d3)  # left legs minus right legs
 
-    vx, vy, _ = s.v.tolist()
-    v = [vx + dt * (thrust - vx) / params.tau_vel,
+    vx, vy, _ = s.v
+    v = (vx + dt * (thrust - vx) / params.tau_vel,
          vy + dt * (params.k_lat * side_asym - vy) / params.tau_vel,
-         0.0]
+         0.0)
 
     roll_drive = (0.0 + l0 + l2) / 2 - (0.0 + l1 + l3) / 2   # left - right
     pitch_drive = (0.0 + l0 + l1) / 2 - (0.0 + l2 + l3) / 2  # front - rear
-    wx, wy, wz = s.w.tolist()
-    w = [wx + dt * (params.k_att * roll_drive - wx) / params.tau_att,
+    wx, wy, wz = s.w
+    w = (wx + dt * (params.k_att * roll_drive - wx) / params.tau_att,
          wy + dt * (params.k_att * pitch_drive - wy) / params.tau_att,
-         wz + dt * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel]
+         wz + dt * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel)
 
-    was_down = s.contact.tolist()
-    t_air = [(0.0 if down else t) if c else t + dt
-             for t, c, down in zip(s.t_air.tolist(), contact, was_down)]
-    landed = [c and not down for c, down in zip(contact, was_down)]
-    att = [a + dt * (wi - a / params.tau_att) for a, wi in zip(s.att.tolist(), w)]
-    return PlantState(v=np.array(v), w=np.array(w), att=np.array(att), q=np.array(q),
-                      qd=np.array(qd), q_targets=np.array(targets), t_air=np.array(t_air),
-                      contact=np.array(contact), just_landed=np.array(landed))
+    t_air = tuple([(0.0 if down else t) if c else t + dt
+                   for t, c, down in zip(s.t_air, contact, s.contact)])
+    landed = tuple([c and not down for c, down in zip(contact, s.contact)])
+    att = tuple([a + dt * (wi - a / params.tau_att) for a, wi in zip(s.att, w)])
+    return PlantState(v, w, att, q, qd, targets, t_air, contact, landed)
 
 
 # --- runtimes -------------------------------------------------------------
@@ -347,10 +350,10 @@ class EpisodeResult:
     terminated_early: bool
 
 
-def _build_observation(s: PlantState, prev_action: np.ndarray,
+def _build_observation(s: PlantState, prev_action: list[float],
                        dr: DRPerturbation) -> np.ndarray:
-    roll, pitch = s.att.tolist()
-    gravity = [-math.sin(pitch), math.sin(roll), -math.cos(pitch) * math.cos(roll) - dr.gravity]
+    roll, pitch = s.att
+    gravity = (-math.sin(pitch), math.sin(roll), -math.cos(pitch) * math.cos(roll) - dr.gravity)
     obs = OBS_SCHEMA.pack(lin_vel=s.v, ang_vel=s.w, gravity=gravity,
                           joint_pos=s.q, prev_action=prev_action)
     obs += np.float32(dr.observation)
@@ -376,6 +379,7 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
 
     state = PlantState()
     action = np.zeros(NUM_JOINTS)
+    held = action.tolist()  # the held action as floats, for the observation
     rows: list[tuple] = []
     total = 0.0
     inference_count = 0
@@ -384,11 +388,15 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     for step in range(n_steps):
         t = step * dt
         if math.floor(step * sim.f_update_hz / SIM_HZ) >= inference_count:
-            obs = _build_observation(state, action, dr)
+            obs = _build_observation(state, held, dr)
             action = np.asarray(runtime.act(obs, t), dtype=np.float64).ravel()
             if action.shape != (NUM_JOINTS,):
                 raise DataError(f"runtime produced action shape {action.shape}")
             action = action + dr.action
+            held = action.tolist()
+            if not all(map(math.isfinite, held)):
+                raise DataError(f"runtime produced a non-finite action at update "
+                                f"{inference_count} (t={t:.6g} s)")
             inference_count += 1
         state = plant_step(state, action, dt, params, dr)
         reward, terms = reward_step(state, cmd, weights)
@@ -396,7 +404,8 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
         rows.append((t + dt, state.v[0], state.v[1], state.w[2], reward,
                      terms["lin_track"], terms["ang_track"], terms["lin_penalty"],
                      terms["ang_penalty"], terms["air_time"]))
-        if abs(state.att[0]) > ATTITUDE_LIMIT_RAD or abs(state.att[1]) > ATTITUDE_LIMIT_RAD:
+        roll, pitch = state.att
+        if abs(roll) > ATTITUDE_LIMIT_RAD or abs(pitch) > ATTITUDE_LIMIT_RAD:
             terminated = True
             break
 

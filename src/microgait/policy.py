@@ -257,26 +257,15 @@ class ObservationSchema:
     fields = OBS_FIELDS
     dim = sum(n for _, n in OBS_FIELDS)
 
-    def pack(self, **parts: np.ndarray) -> np.ndarray:
-        """The first `size` values of each field, in slot order, as one float32 array."""
-        out = np.empty(self.dim, dtype=np.float32)
-        off = 0
+    def pack(self, **parts) -> np.ndarray:
+        """The first `size` values of each field, in slot order, as one float32
+        array; a field is a flat sequence (tuple, list or 1-D array)."""
+        values = []
         for name, size in self.fields:
             if name not in parts:
                 raise DataError(f"missing observation field {name!r}")
-            v = np.asarray(parts[name]).reshape(-1)
-            if v.size < size:
-                raise DataError(f"field {name!r} has {v.size} values, needs >= {size}")
-            out[off:off + size] = v[:size]
-            off += size
-        return out
-
-    def unpack(self, obs: np.ndarray) -> dict[str, np.ndarray]:
-        obs = np.asarray(obs, dtype=np.float32)
-        if obs.shape != (self.dim,):
-            raise DataError(f"observation shape {obs.shape} != ({self.dim},)")
-        parts, off = {}, 0
-        for name, size in self.fields:
-            parts[name] = obs[off:off + size]
-            off += size
-        return parts
+            v = parts[name]
+            if len(v) < size:
+                raise DataError(f"field {name!r} has {len(v)} values, needs >= {size}")
+            values.extend(v[:size])
+        return np.array(values, dtype=np.float32)

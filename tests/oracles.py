@@ -8,6 +8,7 @@ frozen, as the bit-exact reference for the package's scalar form, and the
 FP32 leaky-relu in its former branch form.
 """
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -94,12 +95,18 @@ def reward_terms_scalar(dt, vx, vy, wx, wy, wz, t_air, just_landed,
             "ang_penalty": pen_ang, "air_time": air}
 
 
+def _as_arrays(s):
+    """A plant state's fields as numpy arrays, whatever sequences hold them."""
+    return SimpleNamespace(**{name: np.asarray(v) for name, v in vars(s).items()})
+
+
 def plant_step_numpy(s, motor_targets, dt, params, dr):
     """The toy plant step in its numpy array form, kept frozen as a reference.
 
     `harness.plant_step` computes the same per-joint arithmetic on Python
     floats and must return the same bits for every field.
     """
+    s = _as_arrays(s)
     targets = np.asarray(motor_targets, dtype=np.float64).ravel()
     lo = -params.q_limit + dr.dof_lower
     hi = params.q_limit + dr.dof_upper
@@ -137,6 +144,7 @@ def plant_step_numpy(s, motor_targets, dt, params, dr):
 def reward_step_numpy(s, cmd, dt, sigma=0.5):
     """The per-step reward in its numpy form, kept frozen as a reference
     for `harness.reward_step`: (total, terms)."""
+    s = _as_arrays(s)
     phi = lambda e: math.exp(-(e * e) / (sigma * sigma))
     v_cmd, w_cmd = cmd
     lin = 1.0 * dt * phi(v_cmd - s.v[0])

@@ -209,11 +209,10 @@ def test_criterion_09_reward_oracle_replay():
     w = RewardWeights(dt=dt)
     rng = np.random.default_rng(0)
     for _ in range(10_000):
-        s = PlantState()
-        s.v[:] = rng.normal(scale=0.3, size=3)
-        s.w[:] = rng.normal(scale=0.8, size=3)
-        s.t_air[:] = rng.uniform(0.0, 2.0, size=4)
-        s.just_landed[:] = rng.integers(0, 2, size=4).astype(bool)
+        s = PlantState(v=tuple(rng.normal(scale=0.3, size=3).tolist()),
+                       w=tuple(rng.normal(scale=0.8, size=3).tolist()),
+                       t_air=tuple(rng.uniform(0.0, 2.0, size=4).tolist()),
+                       just_landed=tuple(rng.integers(0, 2, size=4).astype(bool).tolist()))
         cmd = (float(rng.normal(scale=0.1)), float(rng.normal(scale=0.5)))
         total, terms = reward_step(s, cmd, w)
         want = reward_terms_scalar(dt, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
@@ -222,17 +221,13 @@ def test_criterion_09_reward_oracle_replay():
             assert abs(terms[key] - val) <= 1e-12
         assert abs(total - sum(want.values())) <= 1e-12
     # closed-form cases
-    s = PlantState()
-    s.v[0], s.w[2] = 0.1, 0.3
+    s = PlantState(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
     total, terms = reward_step(s, (0.1, 0.3), w)
     assert total == 1.5 * dt                      # perfect tracking, Phi(0)=1
-    s = PlantState()
-    s.v[1] = 0.1
+    s = PlantState(v=(0.0, 0.1, 0.0))
     _, terms = reward_step(s, (0.0, 0.0), w)
     assert terms["lin_penalty"] == -0.5 * dt * 0.1 ** 2
-    s = PlantState()
-    s.t_air[2] = 0.5
-    s.just_landed[2] = True
+    s = PlantState(t_air=(0.0, 0.0, 0.5, 0.0), just_landed=(False, False, True, False))
     _, terms = reward_step(s, (0.0, 0.0), w)
     assert terms["air_time"] == 0.0               # (t_air - 0.5) zero crossing
 

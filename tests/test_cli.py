@@ -132,6 +132,19 @@ def test_non_finite_number_is_data_error(capsys, args):
     assert "Traceback" not in out.err
 
 
+def test_run_loop_non_finite_action_is_data_error(capsys, tmp_path):
+    # large finite weights overflow float32 in the forward pass: the action is
+    # rejected where the runtime returns it, not as the next observation
+    path = tmp_path / "big.bin"
+    save_policy(random_policy(PolicySpec(), 1, weight_scale=20.0), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run-loop", "--model", str(path), "--command", "0.1", "--f-update", "30"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err == "data error: runtime produced a non-finite action at update 12 (t=0.1 s)\n"
+
+
 @pytest.mark.parametrize("args", [
     ["cost", "--cycles", "-5"],
     ["cost", "--cycles", "0"],

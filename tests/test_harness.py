@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,17 +37,14 @@ from oracles import plant_step_numpy, reward_step_numpy, reward_terms_scalar
 DT = 1.0 / 120.0
 
 
-def _state(**kw):
-    s = PlantState()
-    for key, val in kw.items():
-        getattr(s, key)[...] = val
-    return s
+def _state(**fields):
+    """A PlantState whose given fields (any flat sequences) become tuples of
+    Python floats or bools."""
+    return PlantState(**{name: tuple(np.asarray(v).tolist()) for name, v in fields.items()})
 
 
 def test_reward_perfect_tracking():
-    s = _state()
-    s.v[0] = 0.1
-    s.w[2] = 0.3
+    s = _state(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
     total, terms = reward_step(s, (0.1, 0.3), RewardWeights(dt=DT))
     assert total == pytest.approx(1.5 * DT)
     assert terms["lin_track"] == pytest.approx(DT)
@@ -55,19 +53,16 @@ def test_reward_perfect_tracking():
 
 
 def test_reward_lateral_penalty():
-    s = _state()
-    s.v[1] = 0.1
+    s = _state(v=(0.0, 0.1, 0.0))
     _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
     assert terms["lin_penalty"] == pytest.approx(-0.5 * DT * 0.01)
 
 
 def test_reward_air_time_zero_crossing():
-    s = _state()
-    s.t_air[0] = 0.5
-    s.just_landed[0] = True
+    s = _state(t_air=(0.5, 0.0, 0.0, 0.0), just_landed=(True, False, False, False))
     _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
     assert terms["air_time"] == 0.0
-    s.t_air[0] = 0.8
+    s = replace(s, t_air=(0.8, 0.0, 0.0, 0.0))
     _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
     assert terms["air_time"] == pytest.approx(DT * 0.3)
 
@@ -76,11 +71,9 @@ def test_reward_matches_scalar_oracle():
     rng = np.random.default_rng(0)
     w = RewardWeights(dt=DT)
     for _ in range(200):
-        s = PlantState()
-        s.v[:] = rng.normal(scale=0.2, size=3)
-        s.w[:] = rng.normal(scale=0.5, size=3)
-        s.t_air[:] = rng.uniform(0, 1.5, size=4)
-        s.just_landed[:] = rng.integers(0, 2, size=4).astype(bool)
+        s = _state(v=rng.normal(scale=0.2, size=3), w=rng.normal(scale=0.5, size=3),
+                   t_air=rng.uniform(0, 1.5, size=4),
+                   just_landed=rng.integers(0, 2, size=4).astype(bool))
         cmd = (rng.normal(scale=0.1), rng.normal(scale=0.3))
         total, terms = reward_step(s, cmd, w)
         want = reward_terms_scalar(DT, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
@@ -155,15 +148,20 @@ def _bits(x):
 
 
 def _assert_same_state(got, want: dict):
-    """Every PlantState field equal in dtype, shape and bits (so -0.0 != 0.0)."""
+    """Every PlantState field a tuple of Python floats (bools for a bool
+    reference) equal to the reference array element by element, in bits for
+    the floats (so -0.0 != 0.0)."""
     assert set(vars(got)) == set(want)
     for name, ref in want.items():
-        arr = getattr(got, name)
-        assert arr.dtype == ref.dtype and arr.shape == ref.shape, name
-        if ref.dtype == bool:
-            np.testing.assert_array_equal(arr, ref, err_msg=name)
+        values = getattr(got, name)
+        assert type(values) is tuple and len(values) == ref.size, name
+        kind = bool if ref.dtype == bool else float
+        assert all(type(x) is kind for x in values), name
+        if kind is bool:
+            assert values == tuple(ref.tolist()), name
         else:
-            np.testing.assert_array_equal(_bits(arr), _bits(ref), err_msg=name)
+            for i, (x, r) in enumerate(zip(values, ref.tolist())):
+                assert _bits(x) == _bits(r), f"{name}[{i}]: {x!r} != {r!r}"
 
 
 _signed_zero = st.sampled_from([0.0, -0.0])
@@ -175,22 +173,21 @@ def _plant_cases(draw):
     """A state, targets, parameters and perturbation; some cases hold the
     swing joints still (every drive term a signed zero) or lift every leg
     (all airborne), where a sum that does not start from +0.0 shows."""
-    s = PlantState()
-    for name in ("v", "w", "att", "q", "t_air"):
-        arr = getattr(s, name)
-        arr[:] = draw(st.lists(_small, min_size=arr.size, max_size=arr.size))
-    s.t_air[:] = np.abs(s.t_air) if draw(st.booleans()) else 0.5  # 0.5 s: zero air-time bonus
+    f = {name: np.array(draw(st.lists(_small, min_size=size, max_size=size)))
+         for name, size in (("v", 3), ("w", 3), ("att", 2), ("q", 8), ("t_air", 4))}
+    f["t_air"] = np.abs(f["t_air"]) if draw(st.booleans()) else np.full(4, 0.5)  # 0.5 s: no bonus
     for name in ("contact", "just_landed"):
-        getattr(s, name)[:] = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        f[name] = draw(st.lists(st.booleans(), min_size=4, max_size=4))
     # targets near the joints keep the drive below saturation, where sums round
     reach = draw(st.sampled_from([1e-3, 0.1, 3.0]))
-    targets = s.q + reach * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8,
-                                                   max_size=8)))
+    targets = f["q"] + reach * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8,
+                                                      max_size=8)))
     if draw(st.booleans()):
-        targets[1::2] = s.q[1::2]          # zero swing velocity: zero drive
+        targets[1::2] = f["q"][1::2]          # zero swing velocity: zero drive
     if draw(st.booleans()):
-        s.q[0::2] = np.abs(s.q[0::2]) + 0.5
+        f["q"][0::2] = np.abs(f["q"][0::2]) + 0.5
         targets[0::2] = np.abs(targets[0::2]) + 0.5  # every leg airborne
+    s = _state(**f)
     positive = st.floats(1e-3, 1.0)
     params = PlantParams(
         tau_joint=draw(positive), tau_vel=draw(positive), tau_att=draw(positive),
@@ -229,7 +226,7 @@ def test_plant_episode_matches_numpy_reference():
         s = plant_step(s, targets, DT, params, dr)
         want = plant_step_numpy(ref, targets, DT, params, dr)
         _assert_same_state(s, want)
-        ref = PlantState(**want)
+        ref = _state(**want)
         assert _bits(reward_step(s, (0.08, 0.0), RewardWeights(dt=DT))[0]) == \
             _bits(reward_step_numpy(ref, (0.08, 0.0), DT)[0])
 
@@ -262,9 +259,8 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 
 def test_air_timers_track_contact():
     params = PlantParams()
-    s = PlantState()
-    s.q[0] = 0.1      # leg 0 lift joint above ground: airborne
-    up = plant_step(s, s.q.copy(), DT, params, DRPerturbation())
+    s = _state(q=(0.1,) + (0.0,) * 7)  # leg 0 lift joint above ground: airborne
+    up = plant_step(s, s.q, DT, params, DRPerturbation())
     assert not up.contact[0]
     assert up.t_air[0] == pytest.approx(DT)
     down = plant_step(up, np.full(8, -0.5), DT, params, DRPerturbation())
@@ -295,6 +291,29 @@ def test_episode_update_rate_is_exact(f_update, inferences):
     res = run_episode(ctrl, SimConfig(f_update_hz=f_update, seed=0), None, (0.08, 0.0))
     assert res.steps == 1200
     assert res.inference_count == inferences
+
+
+class _NonFiniteAfter:
+    """Zero targets until t passes 0.09 s, then one joint target `bad`."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def act(self, obs, t):
+        action = np.zeros(8)
+        if t > 0.09:
+            action[3] = self.bad
+        return action
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_episode_rejects_non_finite_action(bad):
+    # at 30 Hz update 3 runs at step 12, t = 0.1 s
+    sim = SimConfig(episode_s=1.0, f_update_hz=30.0, seed=0)
+    with pytest.raises(DataError, match=r"non-finite action at update 3 \(t=0\.1 s\)"):
+        run_episode(_NonFiniteAfter(bad), sim, None, (0.05, 0.0))
+    res = run_episode(_NonFiniteAfter(5.0), sim, None, (0.05, 0.0))  # a finite one is held
+    assert res.steps == 120 and res.inference_count == 30
 
 
 def test_reward_ratio_against_self_is_one():

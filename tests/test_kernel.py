@@ -1,4 +1,7 @@
 import math
+import ctypes
+import glob
+import os
 import time
 import tracemalloc
 from dataclasses import astuple
@@ -187,20 +190,33 @@ def test_accumulation_exact_where_partial_sums_cancel():
         assert int8_forward_bigint(qp, x)[0] == target
 
 
+def test_blas_runs_one_thread():
+    # tests/conftest.py pins the thread count before numpy loads; numpy's
+    # wheels bundle scipy-openblas, which ctypes reaches in the copy already loaded
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    get_num_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get_num_threads.restype = ctypes.c_int
+    get_num_threads.argtypes = []
+    assert get_num_threads() == 1
+
+
 def test_batch_much_faster_than_single_calls():
     qp = _quantized(5, QuantScheme.PER_FEATURE)
     obs = np.random.default_rng(3).integers(-128, 128, size=(2048, 24), dtype=np.int8)
 
-    def best_of(n, fn):
-        times = []
-        for _ in range(n):
-            start = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def timed(fn):
+        start = time.perf_counter()
+        fn()
+        return time.perf_counter() - start
 
-    batched = best_of(5, lambda: infer_int8(qp, obs))
-    single = best_of(2, lambda: [infer_int8(qp, row) for row in obs])
+    batched_times, single_times = [], []
+    for _ in range(4):  # interleaved, so a change in host speed hits both alike
+        batched_times.append(timed(lambda: infer_int8(qp, obs)))
+        single_times.append(timed(lambda: [infer_int8(qp, row) for row in obs]))
+    batched, single = min(batched_times), min(single_times)
     assert single >= 4 * batched, f"2048 single calls {single:.4f} s, one batch {batched:.4f} s"
 
 
