@@ -43,16 +43,13 @@ from .cost import (
     max_clock,
     max_update_rate,
     measured_cycles,
-    power_at_clock,
     required_clock,
 )
 from .gait import (
     GaitRegime,
     GaitTable,
     RewardCurve,
-    classify_gait,
     load_gait_table,
-    min_frequency_for,
     reward_at,
     select_gait,
     select_gait_for_power,
@@ -63,7 +60,6 @@ from .harness import (
     DRPerturbation,
     PlantParams,
     PlantState,
-    RewardWeights,
     SimConfig,
     plant_step,
     reward_step,

@@ -38,8 +38,7 @@ def _load_calib(path: str) -> np.ndarray:
         raise DataError(f"cannot read calibration CSV {path}: {exc}") from None
     if data.size == 0:
         raise DataError(f"calibration CSV {path} is empty")
-    with np.errstate(over="ignore"):  # a value that overflows float32 is caught below
-        data = data.astype(np.float32)
+    data = data.astype(np.float32)  # a value that overflows float32 is caught below
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         raise DataError(f"calibration CSV {path} row {int(np.argmax(bad)) + 1} "
@@ -300,7 +299,10 @@ def cmd_codec(selftest, hexfile, pretty):
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        # an overflow or invalid float operation leaves a non-finite value,
+        # which every command rejects as a DataError, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return exc.exit_code
     except click.UsageError as exc:

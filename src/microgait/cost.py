@@ -84,12 +84,6 @@ def max_update_rate(f_clk_hz: float, cycles: float) -> float:
     return f_clk_hz / cycles
 
 
-def power_at_clock(p: PowerParams, f_clk_hz: float) -> float:
-    if f_clk_hz < 0:
-        raise DomainError(f"clock must be >= 0, got {f_clk_hz}")
-    return p.v_volts * p.i_per_mhz_amps * (f_clk_hz / 1e6)
-
-
 def max_clock(p: PowerParams) -> float:
     return 1e6 * p.p_max_watts / (p.v_volts * p.i_per_mhz_amps)
 

@@ -24,10 +24,6 @@ class GaitRegime(enum.Enum):
     GALLOP = "gallop"
 
 
-# Command-velocity bands (m/s) separating the observed gait regimes.
-TROT_MAX_MPS = 0.025
-INTERMEDIATE_MAX_MPS = 0.075
-
 # Slower gait wins ties: statically stabler choice at a given reward.
 _GAIT_ORDER = (GaitRegime.TROT, GaitRegime.INTERMEDIATE, GaitRegime.GALLOP)
 
@@ -75,18 +71,6 @@ class GaitTable:
             raise DataError(f"gait table missing curves for: {', '.join(missing)}")
 
 
-def classify_gait(v_cmd_mps: float) -> GaitRegime:
-    """Gait regime adopted at a commanded forward velocity."""
-    check_finite("command velocity", v_cmd_mps)
-    if v_cmd_mps < 0:
-        raise DomainError(f"command velocity must be >= 0, got {v_cmd_mps}")
-    if v_cmd_mps < TROT_MAX_MPS:
-        return GaitRegime.TROT
-    if v_cmd_mps < INTERMEDIATE_MAX_MPS:
-        return GaitRegime.INTERMEDIATE
-    return GaitRegime.GALLOP
-
-
 def select_gait(table: GaitTable, f_update_hz: float) -> tuple[GaitRegime, float]:
     """Regime maximizing reward ratio at the given update frequency."""
     best, best_r = None, -1.0
@@ -103,20 +87,6 @@ def select_gait_for_power(table: GaitTable, p: PowerParams, cycles: float
     f_u = feasible_update_rate(p, cycles)
     g, r = select_gait(table, f_u)
     return g, f_u, r
-
-
-def min_frequency_for(curve: RewardCurve, r_min: float) -> float:
-    """Smallest in-domain frequency whose interpolated reward reaches r_min."""
-    pts = curve.points
-    if pts[0][1] >= r_min:
-        return pts[0][0]
-    for (f0, r0), (f1, r1) in zip(pts, pts[1:]):
-        if r1 >= r_min:
-            if r1 == r0:
-                return f1
-            t = (r_min - r0) / (r1 - r0)
-            return f0 + t * (f1 - f0)
-    raise DomainError(f"curve never reaches reward ratio {r_min}")
 
 
 def load_gait_table(path=None) -> GaitTable:

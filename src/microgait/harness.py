@@ -27,10 +27,13 @@ NUM_JOINTS = 8
 # joint layout: leg f owns (lift, swing) = (q[2f], q[2f+1]); legs FL, FR, RL, RR,
 # so legs 0 and 2 are the left side and legs 0 and 1 the front
 SIM_HZ = 120.0  # plant and reward step rate
+DT = 1.0 / SIM_HZ  # plant and reward step, s
+EPISODE_S = 10.0  # episode length, s
+F32_MAX = float(np.finfo(np.float32).max)  # an action feeds a float32 observation slot
 OBS_SCHEMA = ObservationSchema()  # the observation slot layout every runtime sees
 
 
-# Per-step reward weights; reward_step also scales each term by dt.
+# Per-step reward weights; reward_step also scales each term by DT.
 LIN_TRACK_WEIGHT = 1.0
 ANG_TRACK_WEIGHT = 0.5
 LIN_PENALTY_WEIGHT = 0.5
@@ -38,18 +41,6 @@ ANG_PENALTY_WEIGHT = 0.05
 AIR_TIME_WEIGHT = 1.0
 TRACKING_SIGMA = 0.5     # tracking kernel width: Phi(e) = exp(-e^2 / sigma^2)
 AIR_TIME_OFFSET_S = 0.5  # a touchdown earns (t_air - offset), negative for short steps
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    """The reward's time step; the weights themselves are the module constants above."""
-
-    dt: float
-
-    def __post_init__(self):
-        check_finite("reward dt", self.dt)
-        if not self.dt > 0:
-            raise DataError(f"reward dt must be > 0, got {self.dt}")
 
 
 def tracking_kernel(err: float) -> float:
@@ -75,18 +66,16 @@ class PlantState:
     just_landed: tuple[bool, ...] = (False,) * NUM_LEGS
 
 
-def reward_step(s: PlantState, cmd: tuple[float, float], w: RewardWeights
-                ) -> tuple[float, dict[str, float]]:
+def reward_step(s: PlantState, cmd: tuple[float, float]) -> tuple[float, dict[str, float]]:
     """Per-step reward: tracking terms, motion penalties, touchdown air-time bonus."""
     v_cmd, w_cmd = cmd
-    dt = w.dt
-    lin = LIN_TRACK_WEIGHT * dt * tracking_kernel(v_cmd - s.v[0])
-    ang = ANG_TRACK_WEIGHT * dt * tracking_kernel(w_cmd - s.w[2])
-    pen_lin = -LIN_PENALTY_WEIGHT * dt * s.v[1] ** 2
-    pen_ang = -ANG_PENALTY_WEIGHT * dt * (s.w[0] ** 2 + s.w[1] ** 2)
+    lin = LIN_TRACK_WEIGHT * DT * tracking_kernel(v_cmd - s.v[0])
+    ang = ANG_TRACK_WEIGHT * DT * tracking_kernel(w_cmd - s.w[2])
+    pen_lin = -LIN_PENALTY_WEIGHT * DT * s.v[1] ** 2
+    pen_ang = -ANG_PENALTY_WEIGHT * DT * (s.w[0] ** 2 + s.w[1] ** 2)
     a0, a1, a2, a3 = [(t - AIR_TIME_OFFSET_S) * landed
                       for t, landed in zip(s.t_air, s.just_landed)]
-    air = AIR_TIME_WEIGHT * dt * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
+    air = AIR_TIME_WEIGHT * DT * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
     terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
              "ang_penalty": pen_ang, "air_time": air}
     return lin + ang + pen_lin + pen_ang + air, terms
@@ -196,28 +185,26 @@ def _clip(x: float, lo: float, hi: float) -> float:
     return hi if hi < x else x
 
 
-def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
-               params: PlantParams, dr: DRPerturbation) -> PlantState:
-    """Advance the surrogate by one step toward the held joint targets.
+def plant_step(s: PlantState, targets: list[float], params: PlantParams,
+               dr: DRPerturbation) -> PlantState:
+    """Advance the surrogate by one step of DT toward the held joint targets,
+    NUM_JOINTS Python floats.
 
     Scalar code on Python floats: on 8-element arrays numpy's per-call
-    dispatch costs more than the math, so the state is tuples and the only
-    numpy here is the conversion of the targets. Each operation keeps its
-    order and operands from the numpy form in tests/oracles.py, so the bits
-    match; a sum folds left from +0.0 as numpy's add.reduce does, not with
-    sum(), which compensates from Python 3.12 on.
+    dispatch costs more than the math, so the state is tuples and no numpy
+    runs here. Each operation keeps its order and operands from the numpy
+    form in tests/oracles.py, so the bits match; a sum folds left from +0.0
+    as numpy's add.reduce does, not with sum(), which compensates from
+    Python 3.12 on.
     """
-    if dt <= 0:
-        raise DataError(f"dt must be > 0, got {dt}")
-    targets = np.asarray(motor_targets, dtype=np.float64).ravel()
-    if targets.shape != (NUM_JOINTS,):
-        raise DataError(f"expected {NUM_JOINTS} joint targets, got shape {targets.shape}")
+    if len(targets) != NUM_JOINTS:
+        raise DataError(f"expected {NUM_JOINTS} joint targets, got {len(targets)}")
     lo = -params.q_limit + dr.dof_lower
     hi = params.q_limit + dr.dof_upper
-    targets = tuple([_clip(x, lo, hi) for x in targets.tolist()])
+    targets = tuple([_clip(x, lo, hi) for x in targets])
 
     qd = tuple([(x - q0) / params.tau_joint for x, q0 in zip(targets, s.q)])
-    q = tuple([q0 + dt * v for q0, v in zip(s.q, qd)])
+    q = tuple([q0 + DT * v for q0, v in zip(s.q, qd)])
     l0, l1, l2, l3 = qd[0::2]  # lift-joint velocity per leg
     contact = tuple([x < 0.0 for x in q[0::2]])
 
@@ -228,21 +215,21 @@ def plant_step(s: PlantState, motor_targets: np.ndarray, dt: float,
     side_asym = (0.0 + d0 + d2) - (0.0 + d1 + d3)  # left legs minus right legs
 
     vx, vy, _ = s.v
-    v = (vx + dt * (thrust - vx) / params.tau_vel,
-         vy + dt * (params.k_lat * side_asym - vy) / params.tau_vel,
+    v = (vx + DT * (thrust - vx) / params.tau_vel,
+         vy + DT * (params.k_lat * side_asym - vy) / params.tau_vel,
          0.0)
 
     roll_drive = (0.0 + l0 + l2) / 2 - (0.0 + l1 + l3) / 2   # left - right
     pitch_drive = (0.0 + l0 + l1) / 2 - (0.0 + l2 + l3) / 2  # front - rear
     wx, wy, wz = s.w
-    w = (wx + dt * (params.k_att * roll_drive - wx) / params.tau_att,
-         wy + dt * (params.k_att * pitch_drive - wy) / params.tau_att,
-         wz + dt * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel)
+    w = (wx + DT * (params.k_att * roll_drive - wx) / params.tau_att,
+         wy + DT * (params.k_att * pitch_drive - wy) / params.tau_att,
+         wz + DT * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel)
 
-    t_air = tuple([(0.0 if down else t) if c else t + dt
+    t_air = tuple([(0.0 if down else t) if c else t + DT
                    for t, c, down in zip(s.t_air, contact, s.contact)])
     landed = tuple([c and not down for c, down in zip(contact, s.contact)])
-    att = tuple([a + dt * (wi - a / params.tau_att) for a, wi in zip(s.att, w)])
+    att = tuple([a + DT * (wi - a / params.tau_att) for a, wi in zip(s.att, w)])
     return PlantState(v, w, att, q, qd, targets, t_air, contact, landed)
 
 
@@ -320,14 +307,11 @@ class CodecRuntime:
 
 @dataclass(frozen=True)
 class SimConfig:
-    episode_s: float = 10.0
     f_update_hz: float = SIM_HZ
     seed: int = 0
 
     def __post_init__(self):
-        check_finite("episode length and update rate", (self.episode_s, self.f_update_hz))
-        if not self.episode_s > 0:
-            raise DataError("episode length must be > 0")
+        check_finite("update rate", self.f_update_hz)
         if not (0 < self.f_update_hz <= SIM_HZ):
             raise DataError(f"need 0 < f_update <= {SIM_HZ:g} Hz")
         if self.seed < 0:
@@ -370,38 +354,35 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     update rate is exactly f_update even when it does not divide SIM_HZ.
     """
     check_finite("velocity command", cmd)
-    dt = 1.0 / SIM_HZ
-    weights = RewardWeights(dt=dt)
     dr = sample_dr(dr_config, sim.seed) if dr_config is not None else DRPerturbation()
     params = _apply_dr_to_params(PlantParams(), dr)
 
-    n_steps = round(sim.episode_s * SIM_HZ)
+    n_steps = round(EPISODE_S * SIM_HZ)
 
     state = PlantState()
-    action = np.zeros(NUM_JOINTS)
-    held = action.tolist()  # the held action as floats, for the observation
+    held = [0.0] * NUM_JOINTS  # the held action as floats
     rows: list[tuple] = []
     total = 0.0
     inference_count = 0
     terminated = False
 
     for step in range(n_steps):
-        t = step * dt
+        t = step * DT
         if math.floor(step * sim.f_update_hz / SIM_HZ) >= inference_count:
             obs = _build_observation(state, held, dr)
             action = np.asarray(runtime.act(obs, t), dtype=np.float64).ravel()
             if action.shape != (NUM_JOINTS,):
                 raise DataError(f"runtime produced action shape {action.shape}")
-            action = action + dr.action
-            held = action.tolist()
-            if not all(map(math.isfinite, held)):
-                raise DataError(f"runtime produced a non-finite action at update "
-                                f"{inference_count} (t={t:.6g} s)")
+            held = (action + dr.action).tolist()
+            # also rejects NaN; a value past F32_MAX would become inf in the observation
+            if not all([-F32_MAX <= x <= F32_MAX for x in held]):
+                raise DataError(f"runtime produced a non-finite or float32-overflowing "
+                                f"action at update {inference_count} (t={t:.6g} s)")
             inference_count += 1
-        state = plant_step(state, action, dt, params, dr)
-        reward, terms = reward_step(state, cmd, weights)
+        state = plant_step(state, held, params, dr)
+        reward, terms = reward_step(state, cmd)
         total += reward
-        rows.append((t + dt, state.v[0], state.v[1], state.w[2], reward,
+        rows.append((t + DT, state.v[0], state.v[1], state.w[2], reward,
                      terms["lin_track"], terms["ang_track"], terms["lin_penalty"],
                      terms["ang_penalty"], terms["air_time"]))
         roll, pitch = state.att

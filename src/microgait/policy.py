@@ -109,7 +109,10 @@ def activate(a: ActivationSpec, x: float) -> float:
 
 def _activate_array(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
     if a.kind is ActivationKind.ELU:
-        return np.where(x >= 0, x, np.float32(a.alpha) * (np.exp(x, dtype=np.float32) - np.float32(1.0)))
+        # exp of min(x, 0), not of x: the branch where x >= 0 is discarded, and
+        # its exp would overflow for x > 88; min(x, 0) is x wherever it is kept
+        neg = np.minimum(x, np.float32(0.0))
+        return np.where(x >= 0, x, np.float32(a.alpha) * (np.exp(neg, dtype=np.float32) - np.float32(1.0)))
     # leaky-relu as max(x, alpha * x): for 0 < alpha <= 1 the rounded product
     # is at most x when x >= 0 and at least x when x < 0, so this gives the
     # bits of the branch where(x >= 0, x, alpha * x), signed zeros and

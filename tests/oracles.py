@@ -5,7 +5,7 @@ pure-Python integer arithmetic (unbounded), naive matrix products, CRC by
 polynomial long division, and a scalar re-evaluation of the reward terms.
 The plant and reward steps are also kept in their former numpy array form,
 frozen, as the bit-exact reference for the package's scalar form, and the
-FP32 leaky-relu in its former branch form.
+FP32 leaky-relu and ELU in their former forms.
 """
 import math
 from types import SimpleNamespace
@@ -37,6 +37,13 @@ def leaky_relu_where(alpha, x):
     package's former form, kept frozen as the bit-exact reference for its
     branch-free one."""
     return np.where(x >= 0, x, np.float32(alpha) * x)
+
+
+def elu_where(alpha, x):
+    """The FP32 ELU as the package first wrote it, with exp taken of x on both
+    branches, kept frozen as the bit-exact reference for its form that takes
+    exp of min(x, 0); this one overflows in the discarded branch for x > 88."""
+    return np.where(x >= 0, x, np.float32(alpha) * (np.exp(x, dtype=np.float32) - np.float32(1.0)))
 
 
 def requantize_unbounded(acc, mult, shift, zp):

@@ -18,7 +18,6 @@ from microgait import (
     PolicySpec,
     QuantScheme,
     RequantParams,
-    RewardWeights,
     SimConfig,
     fk_oracle,
     ik,
@@ -205,8 +204,7 @@ def test_criterion_08_ik_round_trip():
 
 
 def test_criterion_09_reward_oracle_replay():
-    dt = 1.0 / 120.0
-    w = RewardWeights(dt=dt)
+    dt = 1.0 / 120.0  # the harness step rate
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         s = PlantState(v=tuple(rng.normal(scale=0.3, size=3).tolist()),
@@ -214,7 +212,7 @@ def test_criterion_09_reward_oracle_replay():
                        t_air=tuple(rng.uniform(0.0, 2.0, size=4).tolist()),
                        just_landed=tuple(rng.integers(0, 2, size=4).astype(bool).tolist()))
         cmd = (float(rng.normal(scale=0.1)), float(rng.normal(scale=0.5)))
-        total, terms = reward_step(s, cmd, w)
+        total, terms = reward_step(s, cmd)
         want = reward_terms_scalar(dt, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
                                    s.t_air, s.just_landed, cmd[0], cmd[1])
         for key, val in want.items():
@@ -222,13 +220,13 @@ def test_criterion_09_reward_oracle_replay():
         assert abs(total - sum(want.values())) <= 1e-12
     # closed-form cases
     s = PlantState(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
-    total, terms = reward_step(s, (0.1, 0.3), w)
+    total, terms = reward_step(s, (0.1, 0.3))
     assert total == 1.5 * dt                      # perfect tracking, Phi(0)=1
     s = PlantState(v=(0.0, 0.1, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0), w)
+    _, terms = reward_step(s, (0.0, 0.0))
     assert terms["lin_penalty"] == -0.5 * dt * 0.1 ** 2
     s = PlantState(t_air=(0.0, 0.0, 0.5, 0.0), just_landed=(False, False, True, False))
-    _, terms = reward_step(s, (0.0, 0.0), w)
+    _, terms = reward_step(s, (0.0, 0.0))
     assert terms["air_time"] == 0.0               # (t_air - 0.5) zero crossing
 
 

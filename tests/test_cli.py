@@ -132,17 +132,21 @@ def test_non_finite_number_is_data_error(capsys, args):
     assert "Traceback" not in out.err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning would print more than one line
 def test_run_loop_non_finite_action_is_data_error(capsys, tmp_path):
     # large finite weights overflow float32 in the forward pass: the action is
-    # rejected where the runtime returns it, not as the next observation
+    # rejected where the runtime returns it, not as the next observation, and
+    # stderr holds only the one error line
     path = tmp_path / "big.bin"
-    save_policy(random_policy(PolicySpec(), 1, weight_scale=20.0), path)
-    with np.errstate(over="ignore", invalid="ignore"):
+    for scale, where in ((20.0, "update 12 (t=0.1 s)"), (6.0, "update 25 (t=0.208333 s)"),
+                         (3.0, "update 59 (t=0.491667 s)")):
+        save_policy(random_policy(PolicySpec(), 1, weight_scale=scale), path)
         code = main(["run-loop", "--model", str(path), "--command", "0.1", "--f-update", "30"])
-    out = capsys.readouterr()
-    assert code == 3
-    assert out.out == ""
-    assert out.err == "data error: runtime produced a non-finite action at update 12 (t=0.1 s)\n"
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert out.err == ("data error: runtime produced a non-finite or float32-overflowing "
+                           f"action at {where}\n")
 
 
 @pytest.mark.parametrize("args", [

@@ -16,7 +16,6 @@ from microgait import (
     max_clock,
     max_update_rate,
     measured_cycles,
-    power_at_clock,
     required_clock,
 )
 from microgait.cost import load_budget
@@ -62,14 +61,10 @@ def test_rate_domain_errors():
 
 def test_power_model():
     p = PowerParams(v_volts=1.8, i_per_mhz_amps=0.0001, p_max_watts=0.0018)
-    assert power_at_clock(p, 5e6) == pytest.approx(1.8 * 0.0001 * 5)
     assert max_clock(p) == pytest.approx(10e6)
-    assert power_at_clock(p, max_clock(p)) == pytest.approx(p.p_max_watts)
     assert feasible_update_rate(p, 1e5) == pytest.approx(100.0)
     with pytest.raises(DataError):
         PowerParams(0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        power_at_clock(p, -1.0)
 
 
 def _varied_specs():

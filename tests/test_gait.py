@@ -6,9 +6,7 @@ from microgait import (
     DomainError,
     GaitRegime,
     PowerParams,
-    classify_gait,
     load_gait_table,
-    min_frequency_for,
     reward_at,
     select_gait,
     select_gait_for_power,
@@ -46,19 +44,6 @@ def test_reward_interpolation_and_clamping():
         reward_at(curve, -5.0)
 
 
-def test_classify_velocity_bands():
-    assert classify_gait(0.0) is GaitRegime.TROT
-    assert classify_gait(0.02) is GaitRegime.TROT
-    assert classify_gait(0.025) is GaitRegime.INTERMEDIATE
-    assert classify_gait(0.05) is GaitRegime.INTERMEDIATE
-    assert classify_gait(0.075) is GaitRegime.GALLOP
-    assert classify_gait(0.2) is GaitRegime.GALLOP
-    with pytest.raises(DomainError):
-        classify_gait(-0.1)
-    with pytest.raises(DataError, match="finite"):
-        classify_gait(float("nan"))
-
-
 def test_select_gait_reference_frequency(table):
     regime, reward = select_gait(table, 47.62)
     assert regime is GaitRegime.TROT
@@ -87,20 +72,6 @@ def test_tie_breaks_toward_slower_gait():
     flat = RewardCurve(((0.0, 0.5), (100.0, 0.5)))
     table = GaitTable({g: flat for g in GaitRegime})
     assert select_gait(table, 50.0)[0] is GaitRegime.TROT
-
-
-def test_min_frequency_anchors(table):
-    assert min_frequency_for(table.curves[GaitRegime.INTERMEDIATE], 0.98) \
-        == pytest.approx(60.0)
-    assert min_frequency_for(table.curves[GaitRegime.GALLOP], 0.99) \
-        == pytest.approx(85.0)
-    with pytest.raises(DomainError):
-        min_frequency_for(table.curves[GaitRegime.TROT], 2.0)
-
-
-def test_min_frequency_at_curve_start():
-    curve = RewardCurve(((5.0, 0.9), (10.0, 0.95)))
-    assert min_frequency_for(curve, 0.5) == 5.0
 
 
 def test_select_gait_for_power(table):

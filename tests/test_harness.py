@@ -14,7 +14,6 @@ from microgait import (
     PlantState,
     PolicySpec,
     QuantScheme,
-    RewardWeights,
     SimConfig,
     leaky_relu,
     plant_step,
@@ -25,6 +24,7 @@ from microgait import (
     sample_dr,
 )
 from microgait.harness import (
+    DT,
     CodecRuntime,
     PolicyRuntime,
     QuantizedRuntime,
@@ -33,8 +33,6 @@ from microgait.harness import (
     write_trajectory_csv,
 )
 from oracles import plant_step_numpy, reward_step_numpy, reward_terms_scalar
-
-DT = 1.0 / 120.0
 
 
 def _state(**fields):
@@ -45,7 +43,7 @@ def _state(**fields):
 
 def test_reward_perfect_tracking():
     s = _state(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
-    total, terms = reward_step(s, (0.1, 0.3), RewardWeights(dt=DT))
+    total, terms = reward_step(s, (0.1, 0.3))
     assert total == pytest.approx(1.5 * DT)
     assert terms["lin_track"] == pytest.approx(DT)
     assert terms["ang_track"] == pytest.approx(0.5 * DT)
@@ -54,28 +52,27 @@ def test_reward_perfect_tracking():
 
 def test_reward_lateral_penalty():
     s = _state(v=(0.0, 0.1, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
+    _, terms = reward_step(s, (0.0, 0.0))
     assert terms["lin_penalty"] == pytest.approx(-0.5 * DT * 0.01)
 
 
 def test_reward_air_time_zero_crossing():
     s = _state(t_air=(0.5, 0.0, 0.0, 0.0), just_landed=(True, False, False, False))
-    _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
+    _, terms = reward_step(s, (0.0, 0.0))
     assert terms["air_time"] == 0.0
     s = replace(s, t_air=(0.8, 0.0, 0.0, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0), RewardWeights(dt=DT))
+    _, terms = reward_step(s, (0.0, 0.0))
     assert terms["air_time"] == pytest.approx(DT * 0.3)
 
 
 def test_reward_matches_scalar_oracle():
     rng = np.random.default_rng(0)
-    w = RewardWeights(dt=DT)
     for _ in range(200):
         s = _state(v=rng.normal(scale=0.2, size=3), w=rng.normal(scale=0.5, size=3),
                    t_air=rng.uniform(0, 1.5, size=4),
                    just_landed=rng.integers(0, 2, size=4).astype(bool))
         cmd = (rng.normal(scale=0.1), rng.normal(scale=0.3))
-        total, terms = reward_step(s, cmd, w)
+        total, terms = reward_step(s, cmd)
         want = reward_terms_scalar(DT, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
                                    s.t_air, s.just_landed, cmd[0], cmd[1])
         for key in want:
@@ -127,17 +124,16 @@ def test_dr_config_rejects_non_finite(row):
 
 
 def test_plant_step_validation():
-    with pytest.raises(DataError):
-        plant_step(PlantState(), np.zeros(8), 0.0, PlantParams(), DRPerturbation())
-    with pytest.raises(DataError):
-        plant_step(PlantState(), np.zeros(7), DT, PlantParams(), DRPerturbation())
+    for n in (7, 9):
+        with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
+            plant_step(PlantState(), [0.0] * n, PlantParams(), DRPerturbation())
 
 
 def test_plant_step_deterministic_and_pure():
     s = PlantState()
-    targets = np.linspace(-0.5, 0.5, 8)
-    a = plant_step(s, targets, DT, PlantParams(), DRPerturbation())
-    b = plant_step(s, targets, DT, PlantParams(), DRPerturbation())
+    targets = np.linspace(-0.5, 0.5, 8).tolist()
+    a = plant_step(s, targets, PlantParams(), DRPerturbation())
+    b = plant_step(s, targets, PlantParams(), DRPerturbation())
     for x, y in zip(vars(a).values(), vars(b).values()):
         np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(s.q, np.zeros(8))  # input untouched
@@ -196,19 +192,18 @@ def _plant_cases(draw):
         q_limit=draw(st.one_of(_signed_zero, st.floats(0.0, 2.0))))
     dr = DRPerturbation(dof_lower=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))),
                         dof_upper=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))))
-    dt = draw(st.one_of(st.just(DT), st.floats(1e-4, 0.1)))
     cmd = (draw(_small), draw(_small))
-    return s, targets, dt, params, dr, cmd
+    return s, targets, params, dr, cmd
 
 
 @settings(max_examples=300, deadline=None)
 @given(_plant_cases())
 def test_plant_and_reward_match_numpy_reference(case):
-    s, targets, dt, params, dr, cmd = case
-    got = plant_step(s, targets, dt, params, dr)
-    _assert_same_state(got, plant_step_numpy(s, targets, dt, params, dr))
-    total, terms = reward_step(got, cmd, RewardWeights(dt=dt))
-    ref_total, ref_terms = reward_step_numpy(got, cmd, dt)
+    s, targets, params, dr, cmd = case
+    got = plant_step(s, targets.tolist(), params, dr)
+    _assert_same_state(got, plant_step_numpy(s, targets, DT, params, dr))
+    total, terms = reward_step(got, cmd)
+    ref_total, ref_terms = reward_step_numpy(got, cmd, DT)
     assert terms.keys() == ref_terms.keys()
     for key, value in terms.items():
         assert _bits(value) == _bits(ref_terms[key]), key
@@ -223,21 +218,22 @@ def test_plant_episode_matches_numpy_reference():
     s = ref = PlantState()
     for step in range(1200):
         targets = ctrl.act(None, step * DT) + dr.action
-        s = plant_step(s, targets, DT, params, dr)
+        s = plant_step(s, targets.tolist(), params, dr)
         want = plant_step_numpy(ref, targets, DT, params, dr)
         _assert_same_state(s, want)
         ref = _state(**want)
-        assert _bits(reward_step(s, (0.08, 0.0), RewardWeights(dt=DT))[0]) == \
+        assert _bits(reward_step(s, (0.08, 0.0))[0]) == \
             _bits(reward_step_numpy(ref, (0.08, 0.0), DT)[0])
 
 
 def test_plant_and_reward_much_faster_than_numpy_reference():
-    params, dr, weights = PlantParams(), DRPerturbation(), RewardWeights(dt=DT)
+    params, dr = PlantParams(), DRPerturbation()
     targets = np.random.default_rng(2).uniform(-1.5, 1.5, size=(2000, 8))
+    held = targets.tolist()  # each form takes the targets as run_episode holds them
 
-    def steps(plant, reward):
+    def steps(rows, plant, reward):
         s = PlantState()
-        for row in targets:
+        for row in rows:
             s = plant(s, row)
             reward(s)
 
@@ -248,10 +244,10 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 
     new_times, ref_times = [], []
     for _ in range(5):  # interleaved, so a change in host speed hits both alike
-        new_times.append(timed(lambda: steps(lambda s, t: plant_step(s, t, DT, params, dr),
-                                             lambda s: reward_step(s, (0.1, 0.0), weights))))
+        new_times.append(timed(lambda: steps(held, lambda s, t: plant_step(s, t, params, dr),
+                                             lambda s: reward_step(s, (0.1, 0.0)))))
         ref_times.append(timed(lambda: steps(
-            lambda s, t: PlantState(**plant_step_numpy(s, t, DT, params, dr)),
+            targets, lambda s, t: PlantState(**plant_step_numpy(s, t, DT, params, dr)),
             lambda s: reward_step_numpy(s, (0.1, 0.0), DT))))
     new, ref = min(new_times), min(ref_times)
     assert ref >= 2 * new, f"2000 steps: {new:.4f} s, numpy reference {ref:.4f} s"
@@ -260,10 +256,10 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 def test_air_timers_track_contact():
     params = PlantParams()
     s = _state(q=(0.1,) + (0.0,) * 7)  # leg 0 lift joint above ground: airborne
-    up = plant_step(s, s.q, DT, params, DRPerturbation())
+    up = plant_step(s, s.q, params, DRPerturbation())
     assert not up.contact[0]
     assert up.t_air[0] == pytest.approx(DT)
-    down = plant_step(up, np.full(8, -0.5), DT, params, DRPerturbation())
+    down = plant_step(up, [-0.5] * 8, params, DRPerturbation())
     assert down.contact[0]
     assert down.just_landed[0]
 
@@ -306,14 +302,16 @@ class _NonFiniteAfter:
         return action
 
 
-@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, -1e39])
 def test_episode_rejects_non_finite_action(bad):
-    # at 30 Hz update 3 runs at step 12, t = 0.1 s
-    sim = SimConfig(episode_s=1.0, f_update_hz=30.0, seed=0)
-    with pytest.raises(DataError, match=r"non-finite action at update 3 \(t=0\.1 s\)"):
+    # at 30 Hz update 3 runs at step 12, t = 0.1 s; a value past the float32
+    # range would become inf in the next observation
+    sim = SimConfig(f_update_hz=30.0, seed=0)
+    with pytest.raises(DataError, match=r"non-finite or float32-overflowing action "
+                                        r"at update 3 \(t=0\.1 s\)"):
         run_episode(_NonFiniteAfter(bad), sim, None, (0.05, 0.0))
     res = run_episode(_NonFiniteAfter(5.0), sim, None, (0.05, 0.0))  # a finite one is held
-    assert res.steps == 120 and res.inference_count == 30
+    assert res.steps == 1200 and res.inference_count == 300
 
 
 def test_reward_ratio_against_self_is_one():
@@ -346,13 +344,13 @@ def test_sim_config_validation():
     with pytest.raises(DataError):
         SimConfig(f_update_hz=240.0)
     with pytest.raises(DataError):
-        SimConfig(episode_s=0.0)
+        SimConfig(f_update_hz=0.0)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: SimConfig(episode_s=float("inf")),
+    lambda: SimConfig(f_update_hz=float("inf")),
     lambda: SimConfig(f_update_hz=float("nan")),
-    lambda: RewardWeights(dt=float("inf")),
+    lambda: PlantParams(q_limit=float("-inf")),
     lambda: PlantParams(tau_vel=float("inf")),
     lambda: PlantParams(k_vel=float("nan")),
     lambda: DRPerturbation(dof_lower=float("nan")),
@@ -373,7 +371,7 @@ def _policy_runtimes(seed=0):
 
 def test_codec_runtime_transparent_fp32():
     rt, _ = _policy_runtimes()
-    sim = SimConfig(episode_s=1.0, f_update_hz=60.0, seed=3)
+    sim = SimConfig(f_update_hz=60.0, seed=3)
     direct = run_episode(rt, sim, None, (0.05, 0.0))
     routed = run_episode(CodecRuntime(PolicyRuntime(rt.policy), "fp32"),
                          sim, None, (0.05, 0.0))
@@ -382,7 +380,7 @@ def test_codec_runtime_transparent_fp32():
 
 def test_codec_runtime_int8_matches_local_kernel():
     _, qrt = _policy_runtimes()
-    sim = SimConfig(episode_s=1.0, f_update_hz=60.0, seed=3)
+    sim = SimConfig(f_update_hz=60.0, seed=3)
     direct = run_episode(qrt, sim, None, (0.05, 0.0))
     routed = run_episode(CodecRuntime(QuantizedRuntime(qrt.qp), "int8"),
                          sim, None, (0.05, 0.0))

@@ -27,7 +27,7 @@ from microgait import (
     save_policy,
 )
 from microgait.policy import BLOCK_ROWS, _activate_array
-from oracles import fp32_forward_naive, leaky_relu_where
+from oracles import elu_where, fp32_forward_naive, leaky_relu_where
 
 dims_strategy = st.lists(st.integers(1, 64), min_size=2, max_size=6)
 
@@ -199,6 +199,26 @@ def test_leaky_relu_array_bits_match_branch_reference(alpha, x):
     want = leaky_relu_where(alpha, x)
     assert got.dtype == np.float32 and got.shape == x.shape
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.one_of(st.just(1.0), st.floats(F32_TINY, 10.0, width=32)),
+       x=hnp.arrays(np.float32, st.sampled_from([(10,), (3, 24)]),
+                    elements=st.floats(width=32, allow_nan=False)))
+def test_elu_array_bits_match_where_reference_without_warning(alpha, x):
+    """exp of min(x, 0) gives the bits of the former where(x >= 0, x, alpha *
+    (exp(x) - 1)) for every float32 but NaN, and warns of no overflow in the
+    branch it discards, so a default ELU policy runs on large finite input."""
+    x.ravel()[:F32_SPECIALS.size] = F32_SPECIALS
+    x.ravel()[-1] = 500.0
+    got = _activate_array(ActivationSpec(ActivationKind.ELU, alpha), x)
+    with np.errstate(over="ignore"):
+        want = elu_where(alpha, x)
+    assert got.dtype == np.float32 and got.shape == x.shape
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    out = infer_fp32(random_policy(PolicySpec(), 0), np.full(24, 500.0, dtype=np.float32))
+    assert np.isfinite(out).all()
 
 
 def test_policy_shape_validation():
