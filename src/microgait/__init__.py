@@ -6,7 +6,6 @@ from .policy import (
     ActivationKind,
     ActivationSpec,
     Fp32Policy,
-    ObservationSchema,
     PolicySpec,
     activate,
     activation_count,

@@ -227,11 +227,12 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
         base_sim = harness.SimConfig(seed=ep_seed)  # baseline: inference every step
         baseline = harness.run_episode(runtime(), base_sim, dr_config, cmd)
         sim = harness.SimConfig(f_update_hz=f_update, seed=ep_seed)
-        result = harness.run_episode(runtime(), sim, dr_config, cmd,
-                                     baseline_reward=baseline.total_reward)
+        result = harness.run_episode(runtime(), sim, dr_config, cmd)
+        if baseline.total_reward == 0:
+            raise DomainError("baseline reward is zero; ratio undefined")
         prefix = f"episode{ep}_" if episodes > 1 else ""
         pairs += [(f"{prefix}total_reward", _fmt(result.total_reward)),
-                  (f"{prefix}reward_ratio", _fmt(result.reward_ratio)),
+                  (f"{prefix}reward_ratio", _fmt(result.total_reward / baseline.total_reward)),
                   (f"{prefix}inferences", result.inference_count)]
         if csv_out is not None:
             path = Path(csv_out)

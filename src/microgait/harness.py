@@ -15,10 +15,10 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError
 from .inputs import check_finite
 from .kernel import fused_infer_dequant, infer_int8, quantize_obs
-from .policy import Fp32Policy, ObservationSchema, infer_fp32
+from .policy import Fp32Policy, infer_fp32
 from .quant import QuantizedPolicy, dequantize_action
 from .wire import LoopbackDevice, Session
 
@@ -30,7 +30,6 @@ SIM_HZ = 120.0  # plant and reward step rate
 DT = 1.0 / SIM_HZ  # plant and reward step, s
 EPISODE_S = 10.0  # episode length, s
 F32_MAX = float(np.finfo(np.float32).max)  # an action feeds a float32 observation slot
-OBS_SCHEMA = ObservationSchema()  # the observation slot layout every runtime sees
 
 
 # Per-step reward weights; reward_step also scales each term by DT.
@@ -66,8 +65,13 @@ class PlantState:
     just_landed: tuple[bool, ...] = (False,) * NUM_LEGS
 
 
-def reward_step(s: PlantState, cmd: tuple[float, float]) -> tuple[float, dict[str, float]]:
-    """Per-step reward: tracking terms, motion penalties, touchdown air-time bonus."""
+TRAJECTORY_COLUMNS = ("t", "vx", "vy", "wz", "reward_total", "reward_lin",
+                      "reward_ang", "pen_lin", "pen_ang", "reward_air")
+
+
+def reward_step(s: PlantState, cmd: tuple[float, float]) -> tuple[float, ...]:
+    """Per-step reward: tracking terms, motion penalties, touchdown air-time
+    bonus, and their total, in the order of TRAJECTORY_COLUMNS[4:]."""
     v_cmd, w_cmd = cmd
     lin = LIN_TRACK_WEIGHT * DT * tracking_kernel(v_cmd - s.v[0])
     ang = ANG_TRACK_WEIGHT * DT * tracking_kernel(w_cmd - s.w[2])
@@ -76,44 +80,31 @@ def reward_step(s: PlantState, cmd: tuple[float, float]) -> tuple[float, dict[st
     a0, a1, a2, a3 = [(t - AIR_TIME_OFFSET_S) * landed
                       for t, landed in zip(s.t_air, s.just_landed)]
     air = AIR_TIME_WEIGHT * DT * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
-    terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
-             "ang_penalty": pen_ang, "air_time": air}
-    return lin + ang + pen_lin + pen_ang + air, terms
+    return lin + ang + pen_lin + pen_ang + air, lin, ang, pen_lin, pen_ang, air
 
 
 # --- domain randomization -------------------------------------------------
 
-ADDITIVE_ROWS = ("observation", "action", "gravity", "dof_lower", "dof_upper")
-SCALING_ROWS = ("mass", "friction", "restitution", "damping", "stiffness")
+# Additive rows: name -> (mean, std) of a Gaussian draw.
+ADDITIVE_ROWS = {
+    "observation": (0.0, 0.002),
+    "action": (0.0, 0.02),
+    "gravity": (0.0, 0.4),
+    "dof_lower": (0.0, 0.01),
+    "dof_upper": (0.0, 0.01),
+}
+# Scaling rows: name -> (lo, hi) of a uniform multiplicative factor.
+SCALING_ROWS = {
+    "mass": (0.05, 0.15),
+    "friction": (0.07, 0.13),
+    "restitution": (0.0, 0.7),
+    "damping": (0.5, 1.5),
+    "stiffness": (0.5, 1.5),
+}
 
 
-@dataclass(frozen=True)
 class DRConfig:
-    """Randomization rows: additive rows are (mean, std) of a Gaussian draw,
-    scaling rows are (lo, hi) of a Uniform multiplicative factor."""
-
-    observation: tuple[float, float] = (0.0, 0.002)
-    action: tuple[float, float] = (0.0, 0.02)
-    gravity: tuple[float, float] = (0.0, 0.4)
-    mass: tuple[float, float] = (0.05, 0.15)
-    friction: tuple[float, float] = (0.07, 0.13)
-    restitution: tuple[float, float] = (0.0, 0.7)
-    damping: tuple[float, float] = (0.5, 1.5)
-    stiffness: tuple[float, float] = (0.5, 1.5)
-    dof_lower: tuple[float, float] = (0.0, 0.01)
-    dof_upper: tuple[float, float] = (0.0, 0.01)
-
-    def __post_init__(self):
-        for name in ADDITIVE_ROWS + SCALING_ROWS:
-            check_finite(f"{name} row", getattr(self, name))
-        for name in SCALING_ROWS:
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise DataError(f"{name} range lower {lo} > upper {hi}")
-        for name in ADDITIVE_ROWS:
-            _, std = getattr(self, name)
-            if std < 0:
-                raise DataError(f"{name} std must be >= 0")
+    """Randomization on: run_episode draws its perturbation with sample_dr."""
 
 
 @dataclass(frozen=True)
@@ -134,38 +125,38 @@ class DRPerturbation:
         check_finite("perturbation", tuple(vars(self).values()))
 
 
-def sample_dr(cfg: DRConfig, seed: int) -> DRPerturbation:
-    """One seeded perturbation draw (additive Gaussians, uniform scale factors)."""
+def sample_dr(seed: int) -> DRPerturbation:
+    """One seeded perturbation draw: a Gaussian per ADDITIVE_ROWS row, then a
+    uniform factor per SCALING_ROWS row, in table order."""
     rng = np.random.default_rng(seed)
-    values = {}
-    for name in ADDITIVE_ROWS:
-        mean, std = getattr(cfg, name)
-        values[name] = mean + std * float(rng.standard_normal()) if std > 0 else mean
-    for name in SCALING_ROWS:
-        lo, hi = getattr(cfg, name)
-        values[name] = float(rng.uniform(lo, hi)) if hi > lo else lo
+    values = {name: mean + std * float(rng.standard_normal())
+              for name, (mean, std) in ADDITIVE_ROWS.items()}
+    for name, (lo, hi) in SCALING_ROWS.items():
+        values[name] = float(rng.uniform(lo, hi))
     return DRPerturbation(**values)
 
 
 # --- toy plant ------------------------------------------------------------
 
+# Declared surrogate constants (not fit to any physical robot); PlantParams
+# holds the three that domain randomization perturbs.
+TAU_ATT = 0.15  # attitude relaxation, s
+QD_SAT = 0.75   # saturating joint-velocity element, rad/s
+K_LAT = 0.02    # lateral response to left/right drive asymmetry
+K_YAW = 0.2     # yaw response to left/right drive asymmetry
+K_ATT = 0.05    # roll/pitch rate response to lift-joint motion
+Q_LIMIT = 1.2   # nominal joint range, rad
+
+
 @dataclass(frozen=True)
 class PlantParams:
-    """Declared surrogate constants (not fit to any physical robot)."""
-
     tau_joint: float = 0.02      # joint servo time constant, s
     tau_vel: float = 0.25        # body velocity time constant, s
-    tau_att: float = 0.15        # attitude relaxation, s
-    qd_sat: float = 0.75         # saturating joint-velocity element, rad/s
     k_vel: float = 0.28          # forward drive gain, (m/s) per (rad/s)
-    k_lat: float = 0.02          # lateral response to left/right drive asymmetry
-    k_yaw: float = 0.2           # yaw response to left/right drive asymmetry
-    k_att: float = 0.05          # roll/pitch rate response to lift-joint motion
-    q_limit: float = 1.2         # nominal joint range, rad
 
     def __post_init__(self):
         check_finite("plant parameters", astuple(self))
-        if not min(self.tau_joint, self.tau_vel, self.tau_att) > 0:
+        if not min(self.tau_joint, self.tau_vel) > 0:
             raise DataError("plant time constants must be > 0")
 
 
@@ -188,7 +179,7 @@ def _clip(x: float, lo: float, hi: float) -> float:
 def plant_step(s: PlantState, targets: list[float], params: PlantParams,
                dr: DRPerturbation) -> PlantState:
     """Advance the surrogate by one step of DT toward the held joint targets,
-    NUM_JOINTS Python floats.
+    NUM_JOINTS finite numbers (held as floats in q_targets).
 
     Scalar code on Python floats: on 8-element arrays numpy's per-call
     dispatch costs more than the math, so the state is tuples and no numpy
@@ -199,9 +190,12 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
     """
     if len(targets) != NUM_JOINTS:
         raise DataError(f"expected {NUM_JOINTS} joint targets, got {len(targets)}")
-    lo = -params.q_limit + dr.dof_lower
-    hi = params.q_limit + dr.dof_upper
-    targets = tuple([_clip(x, lo, hi) for x in targets])
+    if not all(map(math.isfinite, targets)):
+        j = next(j for j, x in enumerate(targets) if not math.isfinite(x))
+        raise DataError(f"joint {j} target is not finite: {targets[j]}")
+    lo = -Q_LIMIT + dr.dof_lower
+    hi = Q_LIMIT + dr.dof_upper
+    targets = tuple([_clip(float(x), lo, hi) for x in targets])
 
     qd = tuple([(x - q0) / params.tau_joint for x, q0 in zip(targets, s.q)])
     q = tuple([q0 + DT * v for q0, v in zip(s.q, qd)])
@@ -209,27 +203,26 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
     contact = tuple([x < 0.0 for x in q[0::2]])
 
     # rectified, saturated swing-velocity drive during stance
-    sat = params.qd_sat
-    d0, d1, d2, d3 = [_clip(-x, -sat, sat) * c for x, c in zip(qd[1::2], contact)]
+    d0, d1, d2, d3 = [_clip(-x, -QD_SAT, QD_SAT) * c for x, c in zip(qd[1::2], contact)]
     thrust = params.k_vel * ((0.0 + d0 + d1 + d2 + d3) / NUM_LEGS)
     side_asym = (0.0 + d0 + d2) - (0.0 + d1 + d3)  # left legs minus right legs
 
     vx, vy, _ = s.v
     v = (vx + DT * (thrust - vx) / params.tau_vel,
-         vy + DT * (params.k_lat * side_asym - vy) / params.tau_vel,
+         vy + DT * (K_LAT * side_asym - vy) / params.tau_vel,
          0.0)
 
     roll_drive = (0.0 + l0 + l2) / 2 - (0.0 + l1 + l3) / 2   # left - right
     pitch_drive = (0.0 + l0 + l1) / 2 - (0.0 + l2 + l3) / 2  # front - rear
     wx, wy, wz = s.w
-    w = (wx + DT * (params.k_att * roll_drive - wx) / params.tau_att,
-         wy + DT * (params.k_att * pitch_drive - wy) / params.tau_att,
-         wz + DT * (params.k_yaw * params.k_lat * side_asym - wz) / params.tau_vel)
+    w = (wx + DT * (K_ATT * roll_drive - wx) / TAU_ATT,
+         wy + DT * (K_ATT * pitch_drive - wy) / TAU_ATT,
+         wz + DT * (K_YAW * K_LAT * side_asym - wz) / params.tau_vel)
 
     t_air = tuple([(0.0 if down else t) if c else t + DT
                    for t, c, down in zip(s.t_air, contact, s.contact)])
     landed = tuple([c and not down for c, down in zip(contact, s.contact)])
-    att = tuple([a + DT * (wi - a / params.tau_att) for a, wi in zip(s.att, w)])
+    att = tuple([a + DT * (wi - a / TAU_ATT) for a, wi in zip(s.att, w)])
     return PlantState(v, w, att, q, qd, targets, t_air, contact, landed)
 
 
@@ -262,7 +255,7 @@ class PolicyRuntime:
         self.policy = policy
 
     def act(self, obs: np.ndarray, t: float) -> np.ndarray:
-        return infer_fp32(self.policy, obs).astype(np.float64)
+        return infer_fp32(self.policy, obs)
 
 
 class QuantizedRuntime:
@@ -290,8 +283,7 @@ class CodecRuntime:
             self._from_wire = lambda a: dequantize_action(a, out.output_scale, out.output_zp)
             act_fn = lambda obs_q, t: infer_int8(qp, obs_q)[0]
         else:
-            self._to_wire = lambda obs: obs
-            self._from_wire = lambda a: a.astype(np.float64)
+            self._to_wire = self._from_wire = lambda x: x
             act_fn = inner.act
         self.inner = inner
         self.precision = precision
@@ -318,9 +310,6 @@ class SimConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
-TRAJECTORY_COLUMNS = ("t", "vx", "vy", "wz", "reward_total", "reward_lin",
-                      "reward_ang", "pen_lin", "pen_ang", "reward_air")
-
 ATTITUDE_LIMIT_RAD = math.pi / 4
 
 
@@ -328,7 +317,6 @@ ATTITUDE_LIMIT_RAD = math.pi / 4
 class EpisodeResult:
     rows: list[tuple]
     total_reward: float
-    reward_ratio: float | None
     steps: int
     inference_count: int
     terminated_early: bool
@@ -338,15 +326,15 @@ def _build_observation(s: PlantState, prev_action: list[float],
                        dr: DRPerturbation) -> np.ndarray:
     roll, pitch = s.att
     gravity = (-math.sin(pitch), math.sin(roll), -math.cos(pitch) * math.cos(roll) - dr.gravity)
-    obs = OBS_SCHEMA.pack(lin_vel=s.v, ang_vel=s.w, gravity=gravity,
-                          joint_pos=s.q, prev_action=prev_action)
+    # 24 slots: base linear velocity 0-2, base angular velocity 3-5, gravity in
+    # the base frame 6-8, joint positions 9-16, the previous action's first 7 17-23
+    obs = np.array((*s.v, *s.w, *gravity, *s.q, *prev_action[:7]), dtype=np.float32)
     obs += np.float32(dr.observation)
     return obs
 
 
 def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
-                cmd: tuple[float, float], *, baseline_reward: float | None = None
-                ) -> EpisodeResult:
+                cmd: tuple[float, float]) -> EpisodeResult:
     """Run one deterministic closed-loop episode with zero-order-hold control.
 
     Update k runs at the first step where floor(step * f_update / SIM_HZ)
@@ -354,7 +342,7 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     update rate is exactly f_update even when it does not divide SIM_HZ.
     """
     check_finite("velocity command", cmd)
-    dr = sample_dr(dr_config, sim.seed) if dr_config is not None else DRPerturbation()
+    dr = sample_dr(sim.seed) if dr_config is not None else DRPerturbation()
     params = _apply_dr_to_params(PlantParams(), dr)
 
     n_steps = round(EPISODE_S * SIM_HZ)
@@ -380,22 +368,15 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
                                 f"action at update {inference_count} (t={t:.6g} s)")
             inference_count += 1
         state = plant_step(state, held, params, dr)
-        reward, terms = reward_step(state, cmd)
-        total += reward
-        rows.append((t + DT, state.v[0], state.v[1], state.w[2], reward,
-                     terms["lin_track"], terms["ang_track"], terms["lin_penalty"],
-                     terms["ang_penalty"], terms["air_time"]))
+        reward = reward_step(state, cmd)
+        total += reward[0]
+        rows.append((t + DT, state.v[0], state.v[1], state.w[2], *reward))
         roll, pitch = state.att
         if abs(roll) > ATTITUDE_LIMIT_RAD or abs(pitch) > ATTITUDE_LIMIT_RAD:
             terminated = True
             break
 
-    ratio = None
-    if baseline_reward is not None:
-        if baseline_reward == 0:
-            raise DomainError("baseline reward is zero; ratio undefined")
-        ratio = total / baseline_reward
-    return EpisodeResult(rows, total, ratio, len(rows), inference_count, terminated)
+    return EpisodeResult(rows, total, len(rows), inference_count, terminated)
 
 
 def write_trajectory_csv(result: EpisodeResult, path) -> None:

@@ -236,39 +236,3 @@ def load_policy(path) -> Fp32Policy:
         biases.append(r.array("<f4", n_out))
     r.finish()
     return Fp32Policy(spec, weights, biases)
-
-
-# The observation slot layout: (name, size) in slot order.
-OBS_FIELDS = (
-    ("lin_vel", 3),
-    ("ang_vel", 3),
-    ("gravity", 3),
-    ("joint_pos", 8),
-    ("prev_action", 7),
-)
-
-
-class ObservationSchema:
-    """Named 24-slot observation layout.
-
-    The slot order is a convention frozen here so the harness and the wire
-    codec agree; the math elsewhere is layout-agnostic. It packs base linear
-    velocity, base angular velocity, gravity direction in the base frame, the
-    eight joint positions, and the first seven entries of the previous action.
-    """
-
-    fields = OBS_FIELDS
-    dim = sum(n for _, n in OBS_FIELDS)
-
-    def pack(self, **parts) -> np.ndarray:
-        """The first `size` values of each field, in slot order, as one float32
-        array; a field is a flat sequence (tuple, list or 1-D array)."""
-        values = []
-        for name, size in self.fields:
-            if name not in parts:
-                raise DataError(f"missing observation field {name!r}")
-            v = parts[name]
-            if len(v) < size:
-                raise DataError(f"field {name!r} has {len(v)} values, needs >= {size}")
-            values.extend(v[:size])
-        return np.array(values, dtype=np.float32)

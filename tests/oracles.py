@@ -91,15 +91,16 @@ def crc8_longdiv(data):
 
 def reward_terms_scalar(dt, vx, vy, wx, wy, wz, t_air, just_landed,
                         v_cmd, w_cmd, sigma=0.5):
-    """Scalar re-evaluation of the five per-step reward terms."""
+    """Scalar re-evaluation of the five per-step reward terms, keyed by their
+    trajectory CSV columns."""
     phi = lambda e: math.exp(-(e * e) / (sigma * sigma))
     lin = 1.0 * dt * phi(v_cmd - vx)
     ang = 0.5 * dt * phi(w_cmd - wz)
     pen_lin = -0.5 * dt * vy * vy
     pen_ang = -0.05 * dt * (wx * wx + wy * wy)
     air = 1.0 * dt * sum((t - 0.5) for t, j in zip(t_air, just_landed) if j)
-    return {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
-            "ang_penalty": pen_ang, "air_time": air}
+    return {"reward_lin": lin, "reward_ang": ang, "pen_lin": pen_lin,
+            "pen_ang": pen_ang, "reward_air": air}
 
 
 def _as_arrays(s):
@@ -150,7 +151,7 @@ def plant_step_numpy(s, motor_targets, dt, params, dr):
 
 def reward_step_numpy(s, cmd, dt, sigma=0.5):
     """The per-step reward in its numpy form, kept frozen as a reference
-    for `harness.reward_step`: (total, terms)."""
+    for `harness.reward_step`: (total, terms keyed by their CSV columns)."""
     s = _as_arrays(s)
     phi = lambda e: math.exp(-(e * e) / (sigma * sigma))
     v_cmd, w_cmd = cmd
@@ -159,6 +160,6 @@ def reward_step_numpy(s, cmd, dt, sigma=0.5):
     pen_lin = -0.5 * dt * s.v[1] ** 2
     pen_ang = -0.05 * dt * (s.w[0] ** 2 + s.w[1] ** 2)
     air = 1.0 * dt * float(np.sum((s.t_air - 0.5) * s.just_landed))
-    terms = {"lin_track": lin, "ang_track": ang, "lin_penalty": pen_lin,
-             "ang_penalty": pen_ang, "air_time": air}
+    terms = {"reward_lin": lin, "reward_ang": ang, "pen_lin": pen_lin,
+             "pen_ang": pen_ang, "reward_air": air}
     return lin + ang + pen_lin + pen_ang + air, terms

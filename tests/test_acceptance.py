@@ -33,7 +33,7 @@ from microgait import (
 )
 from microgait.cost import measured_cycles, required_clock, RateMeasurement
 from microgait.gait import load_gait_table, reward_at, select_gait
-from microgait.harness import ScriptedGaitController, write_trajectory_csv
+from microgait.harness import TRAJECTORY_COLUMNS, ScriptedGaitController, write_trajectory_csv
 from microgait.kernel import expected_counters, fused_infer_dequant
 from microgait.quant import fp32_payload_bytes, int8_payload_bytes
 from microgait import wire
@@ -212,22 +212,22 @@ def test_criterion_09_reward_oracle_replay():
                        t_air=tuple(rng.uniform(0.0, 2.0, size=4).tolist()),
                        just_landed=tuple(rng.integers(0, 2, size=4).astype(bool).tolist()))
         cmd = (float(rng.normal(scale=0.1)), float(rng.normal(scale=0.5)))
-        total, terms = reward_step(s, cmd)
+        terms = dict(zip(TRAJECTORY_COLUMNS[4:], reward_step(s, cmd)))
         want = reward_terms_scalar(dt, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
                                    s.t_air, s.just_landed, cmd[0], cmd[1])
         for key, val in want.items():
             assert abs(terms[key] - val) <= 1e-12
-        assert abs(total - sum(want.values())) <= 1e-12
+        assert abs(terms["reward_total"] - sum(want.values())) <= 1e-12
     # closed-form cases
     s = PlantState(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
-    total, terms = reward_step(s, (0.1, 0.3))
+    total = reward_step(s, (0.1, 0.3))[0]
     assert total == 1.5 * dt                      # perfect tracking, Phi(0)=1
     s = PlantState(v=(0.0, 0.1, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0))
-    assert terms["lin_penalty"] == -0.5 * dt * 0.1 ** 2
+    terms = dict(zip(TRAJECTORY_COLUMNS[4:], reward_step(s, (0.0, 0.0))))
+    assert terms["pen_lin"] == -0.5 * dt * 0.1 ** 2
     s = PlantState(t_air=(0.0, 0.0, 0.5, 0.0), just_landed=(False, False, True, False))
-    _, terms = reward_step(s, (0.0, 0.0))
-    assert terms["air_time"] == 0.0               # (t_air - 0.5) zero crossing
+    terms = dict(zip(TRAJECTORY_COLUMNS[4:], reward_step(s, (0.0, 0.0))))
+    assert terms["reward_air"] == 0.0             # (t_air - 0.5) zero crossing
 
 
 def test_criterion_10_harness_degradation_and_determinism(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from microgait import PolicySpec, QuantScheme, leaky_relu, quantize_policy, random_policy
+from microgait import PolicySpec, QuantScheme, harness, leaky_relu, quantize_policy, random_policy
 from microgait.cli import main
 from microgait.policy import save_policy
 from microgait.quant import save_quantized
@@ -205,6 +205,17 @@ def test_run_loop_quantized_model(capsys, tmp_path, model_file, calib_file):
                              "--quantized", "--command", "0.05", "--codec")
     assert code == 0
     assert "total_reward" in pairs
+
+
+def test_reward_ratio_against_self_is_one(capsys, monkeypatch):
+    # at the 120 Hz step rate the episode repeats its baseline exactly
+    code, pairs, _ = run_cli(capsys, "run-loop", "--scripted", "--command", "0.08")
+    assert code == 0 and pairs["reward_ratio"] == "1"
+    zero = harness.EpisodeResult([], 0.0, 0, 0, False)
+    monkeypatch.setattr(harness, "run_episode", lambda *args: zero)
+    code = main(["run-loop", "--scripted", "--command", "0.08"])
+    assert code == 4
+    assert "domain error: baseline reward is zero" in capsys.readouterr().err
 
 
 def test_run_loop_negative_seed_is_data_error(capsys):

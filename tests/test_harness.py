@@ -1,5 +1,7 @@
+import math
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from microgait import (
     DataError,
-    DomainError,
     DRConfig,
     DRPerturbation,
     PlantParams,
@@ -25,11 +26,19 @@ from microgait import (
 )
 from microgait.harness import (
     DT,
+    K_ATT,
+    K_LAT,
+    K_YAW,
+    Q_LIMIT,
+    QD_SAT,
+    TAU_ATT,
+    TRAJECTORY_COLUMNS,
     CodecRuntime,
     PolicyRuntime,
     QuantizedRuntime,
     ScriptedGaitController,
     _apply_dr_to_params,
+    _build_observation,
     write_trajectory_csv,
 )
 from oracles import plant_step_numpy, reward_step_numpy, reward_terms_scalar
@@ -41,28 +50,37 @@ def _state(**fields):
     return PlantState(**{name: tuple(np.asarray(v).tolist()) for name, v in fields.items()})
 
 
+def _reward(s, cmd):
+    """reward_step's total and terms keyed by their trajectory CSV columns."""
+    return dict(zip(TRAJECTORY_COLUMNS[4:], reward_step(s, cmd)))
+
+
+def _oracle_params(params):
+    """PlantParams and the plant constants in one namespace, the form the
+    frozen numpy plant step reads them in."""
+    return SimpleNamespace(**vars(params), tau_att=TAU_ATT, qd_sat=QD_SAT, k_lat=K_LAT,
+                           k_yaw=K_YAW, k_att=K_ATT, q_limit=Q_LIMIT)
+
+
 def test_reward_perfect_tracking():
     s = _state(v=(0.1, 0.0, 0.0), w=(0.0, 0.0, 0.3))
-    total, terms = reward_step(s, (0.1, 0.3))
-    assert total == pytest.approx(1.5 * DT)
-    assert terms["lin_track"] == pytest.approx(DT)
-    assert terms["ang_track"] == pytest.approx(0.5 * DT)
-    assert terms["lin_penalty"] == terms["ang_penalty"] == terms["air_time"] == 0.0
+    r = _reward(s, (0.1, 0.3))
+    assert r["reward_total"] == pytest.approx(1.5 * DT)
+    assert r["reward_lin"] == pytest.approx(DT)
+    assert r["reward_ang"] == pytest.approx(0.5 * DT)
+    assert r["pen_lin"] == r["pen_ang"] == r["reward_air"] == 0.0
 
 
 def test_reward_lateral_penalty():
     s = _state(v=(0.0, 0.1, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0))
-    assert terms["lin_penalty"] == pytest.approx(-0.5 * DT * 0.01)
+    assert _reward(s, (0.0, 0.0))["pen_lin"] == pytest.approx(-0.5 * DT * 0.01)
 
 
 def test_reward_air_time_zero_crossing():
     s = _state(t_air=(0.5, 0.0, 0.0, 0.0), just_landed=(True, False, False, False))
-    _, terms = reward_step(s, (0.0, 0.0))
-    assert terms["air_time"] == 0.0
+    assert _reward(s, (0.0, 0.0))["reward_air"] == 0.0
     s = replace(s, t_air=(0.8, 0.0, 0.0, 0.0))
-    _, terms = reward_step(s, (0.0, 0.0))
-    assert terms["air_time"] == pytest.approx(DT * 0.3)
+    assert _reward(s, (0.0, 0.0))["reward_air"] == pytest.approx(DT * 0.3)
 
 
 def test_reward_matches_scalar_oracle():
@@ -72,61 +90,49 @@ def test_reward_matches_scalar_oracle():
                    t_air=rng.uniform(0, 1.5, size=4),
                    just_landed=rng.integers(0, 2, size=4).astype(bool))
         cmd = (rng.normal(scale=0.1), rng.normal(scale=0.3))
-        total, terms = reward_step(s, cmd)
+        r = _reward(s, cmd)
         want = reward_terms_scalar(DT, s.v[0], s.v[1], s.w[0], s.w[1], s.w[2],
                                    s.t_air, s.just_landed, cmd[0], cmd[1])
         for key in want:
-            assert terms[key] == pytest.approx(want[key], abs=1e-15)
-        assert total == pytest.approx(sum(want.values()), abs=1e-14)
+            assert r[key] == pytest.approx(want[key], abs=1e-15)
+        assert r["reward_total"] == pytest.approx(sum(want.values()), abs=1e-14)
 
 
 def test_sample_dr_deterministic_and_in_range():
-    a = sample_dr(DRConfig(), 5)
-    b = sample_dr(DRConfig(), 5)
+    a = sample_dr(5)
+    b = sample_dr(5)
     assert a == b
-    assert a != sample_dr(DRConfig(), 6)
+    assert a != sample_dr(6)
     for _ in range(20):
-        d = sample_dr(DRConfig(), _)
+        d = sample_dr(_)
         assert 0.05 <= d.mass <= 0.15
         assert 0.07 <= d.friction <= 0.13
         assert 0.0 <= d.restitution <= 0.7
 
 
-def test_sample_dr_degenerate_rows():
-    cfg = DRConfig(observation=(0.3, 0.0), mass=(1.0, 1.0))
-    d = sample_dr(cfg, 0)
-    assert d.observation == 0.3
-    assert d.mass == 1.0
-
-
 def test_sample_dr_statistics():
-    cfg = DRConfig()
-    draws = [sample_dr(cfg, seed) for seed in range(100_000)]
+    draws = [sample_dr(seed) for seed in range(100_000)]
     obs_std = np.std([d.observation for d in draws])
     assert obs_std == pytest.approx(0.002, rel=0.05)
     grav_std = np.std([d.gravity for d in draws])
     assert grav_std == pytest.approx(0.4, rel=0.05)
 
 
-def test_dr_config_validation():
-    with pytest.raises(DataError):
-        DRConfig(mass=(0.2, 0.1))
-    with pytest.raises(DataError):
-        DRConfig(observation=(0.0, -1.0))
-
-
-@pytest.mark.parametrize("row", [{"mass": (float("nan"), 0.1)}, {"friction": (0.1, float("inf"))},
-                                 {"observation": (0.0, float("nan"))},
-                                 {"gravity": (float("-inf"), 0.4)}])
-def test_dr_config_rejects_non_finite(row):
-    with pytest.raises(DataError, match="finite"):
-        DRConfig(**row)
-
-
 def test_plant_step_validation():
     for n in (7, 9):
         with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
             plant_step(PlantState(), [0.0] * n, PlantParams(), DRPerturbation())
+    for bad in (math.nan, math.inf, -math.inf):
+        targets = [0.1] * 8
+        targets[5] = bad
+        with pytest.raises(DataError, match=f"joint 5 target is not finite: {bad}"):
+            plant_step(PlantState(), targets, PlantParams(), DRPerturbation())
+    # int targets are held as floats and step like the equal float targets
+    ints = plant_step(PlantState(), [0, 1, 0, -1, 2, 0, 0, 1], PlantParams(), DRPerturbation())
+    floats = plant_step(PlantState(), [0.0, 1.0, 0.0, -1.0, 2.0, 0.0, 0.0, 1.0],
+                        PlantParams(), DRPerturbation())
+    assert all(type(x) is float for x in ints.q_targets)
+    assert ints == floats
 
 
 def test_plant_step_deterministic_and_pure():
@@ -185,11 +191,7 @@ def _plant_cases(draw):
         targets[0::2] = np.abs(targets[0::2]) + 0.5  # every leg airborne
     s = _state(**f)
     positive = st.floats(1e-3, 1.0)
-    params = PlantParams(
-        tau_joint=draw(positive), tau_vel=draw(positive), tau_att=draw(positive),
-        qd_sat=draw(st.one_of(_signed_zero, st.floats(0.0, 2.0))),
-        k_vel=draw(_small), k_lat=draw(_small), k_yaw=draw(_small), k_att=draw(_small),
-        q_limit=draw(st.one_of(_signed_zero, st.floats(0.0, 2.0))))
+    params = PlantParams(tau_joint=draw(positive), tau_vel=draw(positive), k_vel=draw(_small))
     dr = DRPerturbation(dof_lower=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))),
                         dof_upper=draw(st.one_of(_signed_zero, st.floats(-0.05, 0.05))))
     cmd = (draw(_small), draw(_small))
@@ -201,25 +203,26 @@ def _plant_cases(draw):
 def test_plant_and_reward_match_numpy_reference(case):
     s, targets, params, dr, cmd = case
     got = plant_step(s, targets.tolist(), params, dr)
-    _assert_same_state(got, plant_step_numpy(s, targets, DT, params, dr))
-    total, terms = reward_step(got, cmd)
+    _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
+    r = _reward(got, cmd)
     ref_total, ref_terms = reward_step_numpy(got, cmd, DT)
-    assert terms.keys() == ref_terms.keys()
-    for key, value in terms.items():
-        assert _bits(value) == _bits(ref_terms[key]), key
-    assert _bits(total) == _bits(ref_total)
+    assert r.keys() == {"reward_total", *ref_terms}
+    for key, value in ref_terms.items():
+        assert _bits(r[key]) == _bits(value), key
+    assert _bits(r["reward_total"]) == _bits(ref_total)
 
 
 def test_plant_episode_matches_numpy_reference():
     # 1200 chained steps of the scripted trot under one DR draw
-    dr = sample_dr(DRConfig(), 9)
+    dr = sample_dr(9)
     params = _apply_dr_to_params(PlantParams(), dr)
+    ref_params = _oracle_params(params)
     ctrl = ScriptedGaitController(0.08)
     s = ref = PlantState()
     for step in range(1200):
         targets = ctrl.act(None, step * DT) + dr.action
         s = plant_step(s, targets.tolist(), params, dr)
-        want = plant_step_numpy(ref, targets, DT, params, dr)
+        want = plant_step_numpy(ref, targets, DT, ref_params, dr)
         _assert_same_state(s, want)
         ref = _state(**want)
         assert _bits(reward_step(s, (0.08, 0.0))[0]) == \
@@ -228,6 +231,7 @@ def test_plant_episode_matches_numpy_reference():
 
 def test_plant_and_reward_much_faster_than_numpy_reference():
     params, dr = PlantParams(), DRPerturbation()
+    ref_params = _oracle_params(params)
     targets = np.random.default_rng(2).uniform(-1.5, 1.5, size=(2000, 8))
     held = targets.tolist()  # each form takes the targets as run_episode holds them
 
@@ -247,7 +251,7 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
         new_times.append(timed(lambda: steps(held, lambda s, t: plant_step(s, t, params, dr),
                                              lambda s: reward_step(s, (0.1, 0.0)))))
         ref_times.append(timed(lambda: steps(
-            targets, lambda s, t: PlantState(**plant_step_numpy(s, t, DT, params, dr)),
+            targets, lambda s, t: PlantState(**plant_step_numpy(s, t, DT, ref_params, dr)),
             lambda s: reward_step_numpy(s, (0.1, 0.0), DT))))
     new, ref = min(new_times), min(ref_times)
     assert ref >= 2 * new, f"2000 steps: {new:.4f} s, numpy reference {ref:.4f} s"
@@ -262,6 +266,23 @@ def test_air_timers_track_contact():
     down = plant_step(up, [-0.5] * 8, params, DRPerturbation())
     assert down.contact[0]
     assert down.just_landed[0]
+
+
+def test_build_observation_slots():
+    # a distinct value in every slot; the previous action's eighth entry is left out
+    s = _state(v=(0.11, -0.12, 0.13), w=(0.21, -0.22, 0.23), att=(0.2, -0.3),
+               q=0.31 + 0.01 * np.arange(8))
+    prev_action = (-0.41 - 0.01 * np.arange(8)).tolist()
+    roll, pitch = s.att
+    gravity = (-math.sin(pitch), math.sin(roll), -math.cos(pitch) * math.cos(roll) - 0.05)
+    want = np.array([*s.v, *s.w, *gravity, *s.q, *prev_action[:7]]).astype(np.float32)
+    assert len(set(want.tolist())) == 24
+    obs = _build_observation(s, prev_action, DRPerturbation(gravity=0.05))
+    assert obs.shape == (24,) and obs.dtype == np.float32
+    np.testing.assert_array_equal(obs.view(np.uint32), want.view(np.uint32))
+    noisy = _build_observation(s, prev_action, DRPerturbation(gravity=0.05, observation=0.003))
+    np.testing.assert_array_equal(noisy.view(np.uint32),
+                                  (want + np.float32(0.003)).view(np.uint32))
 
 
 def test_episode_zoh_degenerate_matches_per_step():
@@ -314,16 +335,6 @@ def test_episode_rejects_non_finite_action(bad):
     assert res.steps == 1200 and res.inference_count == 300
 
 
-def test_reward_ratio_against_self_is_one():
-    ctrl = ScriptedGaitController(0.08)
-    base = run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0))
-    again = run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0),
-                        baseline_reward=base.total_reward)
-    assert again.reward_ratio == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0), baseline_reward=0.0)
-
-
 def test_sim_config_rejects_negative_seed():
     with pytest.raises(DataError, match="seed"):
         SimConfig(seed=-1)
@@ -332,7 +343,7 @@ def test_sim_config_rejects_negative_seed():
 
 @pytest.mark.parametrize("make", [
     lambda: PlantParams(tau_joint=0.0),
-    lambda: PlantParams(tau_att=-0.1),
+    lambda: PlantParams(tau_vel=-0.1),
     lambda: _apply_dr_to_params(PlantParams(), DRPerturbation(mass=0.0)),
 ])
 def test_plant_time_constants_must_be_positive(make):
@@ -350,7 +361,7 @@ def test_sim_config_validation():
 @pytest.mark.parametrize("make", [
     lambda: SimConfig(f_update_hz=float("inf")),
     lambda: SimConfig(f_update_hz=float("nan")),
-    lambda: PlantParams(q_limit=float("-inf")),
+    lambda: PlantParams(tau_joint=float("-inf")),
     lambda: PlantParams(tau_vel=float("inf")),
     lambda: PlantParams(k_vel=float("nan")),
     lambda: DRPerturbation(dof_lower=float("nan")),
@@ -404,9 +415,7 @@ def test_randomized_episode_deterministic_per_seed():
 
 def test_csv_output(tmp_path):
     ctrl = ScriptedGaitController(0.08)
-    base = run_episode(ctrl, SimConfig(seed=0), None, (0.08, 0.0))
-    res = run_episode(ctrl, SimConfig(f_update_hz=30.0, seed=0), None, (0.08, 0.0),
-                      baseline_reward=base.total_reward)
+    res = run_episode(ctrl, SimConfig(f_update_hz=30.0, seed=0), None, (0.08, 0.0))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(res, path)
     lines = path.read_text().splitlines()

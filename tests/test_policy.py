@@ -12,7 +12,6 @@ from microgait import (
     ActivationSpec,
     DataError,
     Fp32Policy,
-    ObservationSchema,
     PolicySpec,
     activate,
     activation_count,
@@ -268,30 +267,3 @@ def test_load_rejects_non_finite_alpha(tmp_path):
     path.write_bytes(data)
     with pytest.raises(DataError, match="finite"):
         load_policy(path)
-
-
-def test_observation_schema_slot_order():
-    schema = ObservationSchema()
-    assert schema.dim == 24
-    rng = np.random.default_rng(0)
-    # arrays, tuples and lists; prev_action is longer than its 7 slots
-    parts = {"lin_vel": rng.normal(size=3), "ang_vel": tuple(rng.normal(size=3).tolist()),
-             "gravity": rng.normal(size=3).tolist(), "joint_pos": rng.normal(size=8),
-             "prev_action": rng.normal(size=8).tolist()}
-    obs = schema.pack(**parts)
-    assert obs.shape == (24,) and obs.dtype == np.float32
-    off = 0
-    for name, size in schema.fields:
-        want = np.asarray(parts[name][:size], dtype=np.float64).astype(np.float32)
-        np.testing.assert_array_equal(obs[off:off + size].view(np.uint32), want.view(np.uint32))
-        off += size
-    assert off == schema.dim
-
-
-def test_observation_schema_errors():
-    schema = ObservationSchema()
-    with pytest.raises(DataError, match="missing"):
-        schema.pack(lin_vel=np.zeros(3))
-    parts = {name: (0.0,) * size for name, size in schema.fields}
-    with pytest.raises(DataError, match="'joint_pos' has 7 values"):
-        schema.pack(**{**parts, "joint_pos": (0.0,) * 7})
