@@ -27,7 +27,6 @@ from .quant import (
     derive_requant,
     load_quantized,
     quantize_policy,
-    requantize,
     save_quantized,
     sqnr_db,
 )
@@ -53,7 +52,7 @@ from .gait import (
     select_gait,
     select_gait_for_power,
 )
-from .kinematics import EndEffector, IkSolution, LegGeometry, fk_oracle, ik
+from .kinematics import EndEffector, IkSolution, LegGeometry, ik
 from .harness import (
     DRConfig,
     DRPerturbation,

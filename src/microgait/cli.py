@@ -106,9 +106,11 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise DataError(f"{what} needs {n} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise DataError(f"bad number in {what}: {text!r}") from None
+    check_finite(what, values)
+    return values
 
 
 @cli.command("cost")

@@ -7,15 +7,15 @@ which maps a power budget to a maximum feasible control-update frequency.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DataError, DomainError
 from .inputs import check_finite, read_key_values
-from .policy import PolicySpec, mac_count, activation_count, neuron_count
-from .quant import QuantScheme
+from .policy import PolicySpec
+from .quant import QuantScheme, expected_counters
 
 COEFF_NAMES = ("c_mac", "c_q", "c_phi", "c_load", "c0")
 
@@ -61,15 +61,16 @@ class RateMeasurement:
             raise DataError("need f_clk > f_update > 0")
 
 
+def _design_row(spec: PolicySpec, scheme: QuantScheme) -> list[float]:
+    """The counts per update that the coefficients weight, in COEFF_NAMES order."""
+    ops = expected_counters(spec, scheme)
+    return [float(ops.macs), float(ops.requants), float(ops.activations),
+            float(ops.param_loads), 1.0]
+
+
 def cycles_decomposed(c: CycleCoeffs, spec: PolicySpec, scheme: QuantScheme) -> float:
     """Modeled cycles per update for a spec under a quantization scheme."""
-    cycles = (c.c_mac * mac_count(spec)
-              + c.c_q * neuron_count(spec)
-              + c.c_phi * activation_count(spec)
-              + c.c0)
-    if scheme is QuantScheme.PER_FEATURE:
-        cycles += c.c_load * neuron_count(spec)
-    return cycles
+    return sum(k * n for k, n in zip(astuple(c), _design_row(spec, scheme)))
 
 
 def measured_cycles(m: RateMeasurement) -> float:
@@ -99,12 +100,6 @@ def required_clock(cycles: float, f_target_hz: float) -> float:
     if f_target_hz < 0:
         raise DomainError(f"target rate must be >= 0, got {f_target_hz}")
     return cycles * f_target_hz
-
-
-def _design_row(spec: PolicySpec, scheme: QuantScheme) -> list[float]:
-    n = neuron_count(spec)
-    return [float(mac_count(spec)), float(n), float(activation_count(spec)),
-            float(n if scheme is QuantScheme.PER_FEATURE else 0), 1.0]
 
 
 def fit_coeffs(observations: list[tuple[PolicySpec, QuantScheme, float]]

@@ -19,13 +19,11 @@ from .inputs import check_finite
 
 
 class GaitRegime(enum.Enum):
+    """Slowest first: select_gait scans in this order, so a tie goes to the slower, stabler gait."""
+
     TROT = "trot"
     INTERMEDIATE = "intermediate"
     GALLOP = "gallop"
-
-
-# Slower gait wins ties: statically stabler choice at a given reward.
-_GAIT_ORDER = (GaitRegime.TROT, GaitRegime.INTERMEDIATE, GaitRegime.GALLOP)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class GaitTable:
 def select_gait(table: GaitTable, f_update_hz: float) -> tuple[GaitRegime, float]:
     """Regime maximizing reward ratio at the given update frequency."""
     best, best_r = None, -1.0
-    for g in _GAIT_ORDER:
+    for g in GaitRegime:
         r = reward_at(table.curves[g], f_update_hz)
         if r > best_r:
             best, best_r = g, r

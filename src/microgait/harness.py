@@ -161,8 +161,9 @@ class PlantParams:
 
 
 def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
-    # mass slows the body response; friction scales drive; stiffness speeds the
-    # servo and damping slows it; restitution has no hook in this surrogate
+    # mass slows the body response and damping speeds it (both scale tau_vel);
+    # friction scales drive; stiffness speeds the joint servo; restitution has
+    # no hook in this surrogate
     return replace(
         p,
         tau_vel=p.tau_vel * dr.mass / max(dr.damping, 1e-6),
@@ -285,8 +286,6 @@ class CodecRuntime:
         else:
             self._to_wire = self._from_wire = lambda x: x
             act_fn = inner.act
-        self.inner = inner
-        self.precision = precision
         self.session = Session(precision)
         self.device = LoopbackDevice(act_fn, precision)
 

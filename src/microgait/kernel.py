@@ -18,11 +18,9 @@ import numpy as np
 
 from .errors import DataError
 from .policy import BLOCK_ROWS
-from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedPolicy, dequantize_action,
-                    expected_counters)
-
-__all__ = ["OpCounters", "infer_int8", "quantize_obs", "fused_infer_dequant",
-           "expected_counters"]
+# expected_counters is unused here: perfbench reads it as kernel.expected_counters
+from .quant import (INT8_MAX, INT8_MIN, KernelLayer, OpCounters, QuantizedPolicy,
+                    dequantize_action, expected_counters)
 
 
 def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -86,18 +84,24 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
             neg >>= qp.act_shift
             acc += neg
 
-        # requantize in place: clip((mult * acc + offset) >> shift), the sum
-        # below 2^62 + 2^39. The clamp is two ufuncs, as np.clip on an int64
-        # array with Python-int bounds looks up np.iinfo on every call, three
-        # times the clamp's cost
-        acc *= layer.mult
-        acc += layer.offset
-        acc >>= layer.shift
-        np.maximum(acc, INT8_MIN, out=acc)
-        np.minimum(acc, INT8_MAX, out=acc)
+        acc = requantize(acc, layer)
         x = acc if li == last else acc.astype(np.float64)
 
     return x.astype(np.int8)
+
+
+def requantize(acc: np.ndarray, layer: KernelLayer) -> np.ndarray:
+    """clip((mult * acc + offset) >> shift) in place on int64 accumulators, |acc| < 2^31.
+
+    The sum stays below 2^62 + 2^39. The clamp is two ufuncs, as np.clip on an
+    int64 array with Python-int bounds looks up np.iinfo on every call.
+    """
+    acc *= layer.mult
+    acc += layer.offset
+    acc >>= layer.shift
+    np.maximum(acc, INT8_MIN, out=acc)
+    np.minimum(acc, INT8_MAX, out=acc)
+    return acc
 
 
 def fused_infer_dequant(qp: QuantizedPolicy, obs: np.ndarray) -> np.ndarray:

@@ -2,15 +2,12 @@
 
 Each leg has two orthogonal prismatic motors driving a two-linkage leg; the
 controller emits target angles (theta_x, theta_y) per leg which are mapped to
-motor positions on the host in closed form. A forward-kinematics inversion of
-the angle equations, fk_oracle, is the round-trip test oracle for ik.
+motor positions on the host in closed form.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DataError, DomainError
 from .inputs import check_finite, read_key_values
@@ -53,6 +50,7 @@ def _checked_asin(arg: float, which: str) -> float:
 
 def ik(g: LegGeometry, e: EndEffector) -> IkSolution:
     """Solve the leg's angle and motor-position equations (principal arcsine branch)."""
+    check_finite("end effector", (e.x_end, e.y_end))
     theta_y = _checked_asin((e.x_end - g.x_motor_ref) / g.l_y, "swing (theta_y)")
     theta_x = _checked_asin(
         (e.y_end + (0.5 * g.l_y * math.cos(theta_y) - g.y_motor_ref)) / g.l_x,
@@ -60,28 +58,6 @@ def ik(g: LegGeometry, e: EndEffector) -> IkSolution:
     x_motor = e.x_end - 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x)
     y_motor = e.y_end + g.l_y * math.cos(theta_y)
     return IkSolution(theta_x, theta_y, x_motor, y_motor)
-
-
-def fk_oracle(g: LegGeometry, theta_x: float, theta_y: float) -> EndEffector:
-    """Algebraic inversion of the two angle equations; round-trip check for ik."""
-    x_end = g.x_motor_ref + g.l_y * math.sin(theta_y)
-    y_end = g.y_motor_ref + g.l_x * math.sin(theta_x) - 0.5 * g.l_y * math.cos(theta_y)
-    return EndEffector(x_end, y_end)
-
-
-def action_to_motor_targets(action: np.ndarray, geoms: list[LegGeometry]
-                            ) -> list[tuple[float, float]]:
-    """Map an 8-value action (theta_x, theta_y per leg) to (x_motor, y_motor) per leg.
-
-    The closed form of ik's motor equations at the commanded angles, on any branch.
-    """
-    a = np.asarray(action, dtype=np.float64).ravel()
-    if len(geoms) * 2 != a.size:
-        raise DataError(f"action has {a.size} values for {len(geoms)} legs")
-    check_finite("action", a)
-    return [(g.x_motor_ref + 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x),
-             g.y_motor_ref + g.l_x * math.sin(theta_x) + 0.5 * g.l_y * math.cos(theta_y))
-            for g, theta_x, theta_y in zip(geoms, a[0::2].tolist(), a[1::2].tolist())]
 
 
 GEOMETRY_KEYS = ("l_x", "l_y", "x_motor_ref", "y_motor_ref")

@@ -1,9 +1,11 @@
-"""Int8 quantization of FP32 policies and fixed-point requantization.
+"""Int8 quantization of FP32 policies and derivation of fixed-point requant parameters.
 
 Weights are quantized symmetrically (range +-127, no zero-point) either with
 one scale per tensor or one scale per output row. Activations are asymmetric
 int8 with zero-points; the input zero-point correction is folded into the
 int32 bias so the inner MAC loop stays a plain int8 x int8 dot product.
+kernel.requantize applies the derived parameters. expected_counters is the one
+per-scheme table of an inference's operations, read by the kernel and cost.
 """
 from __future__ import annotations
 
@@ -67,13 +69,6 @@ class RequantParams:
     def round_term(self) -> int:
         # round-half-up before the arithmetic shift
         return 1 << (self.shift - 1) if self.shift >= 1 else 0
-
-
-def requantize(acc: int, rp: RequantParams) -> int:
-    """Rescale an int32 accumulator to int8, saturating."""
-    prod = int(rp.mult) * int(acc)  # fits 64-bit: mult < 2^31, |acc| < 2^31
-    shifted = (prod + rp.round_term) >> rp.shift
-    return max(INT8_MIN, min(INT8_MAX, shifted + rp.zero_point))
 
 
 def encode_ratio(ratio: float) -> tuple[int, int]:
@@ -321,10 +316,6 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
         scheme=scheme, layers=layers,
         obs_scale=obs_scale, obs_zp=obs_zp,
         act_mult=act_mult, act_shift=act_shift)
-
-
-def dequantize_weights(layer: QuantizedLayer) -> np.ndarray:
-    return layer.weights.astype(np.float64) * layer.weight_scales[:, None]
 
 
 def dequantize_action(q: np.ndarray, scale: float, zero_point: int) -> np.ndarray:

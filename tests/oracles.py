@@ -6,11 +6,22 @@ polynomial long division, and a scalar re-evaluation of the reward terms.
 The plant and reward steps are also kept in their former numpy array form,
 frozen, as the bit-exact reference for the package's scalar form, and the
 FP32 leaky-relu and ELU in their former forms.
+
+Three references check what the package computes another way: the
+dequantized weights of a quantized layer, forward kinematics (the algebraic
+inversion of ik's angle equations) and the closed-form motor targets of an
+action. They use the package's `EndEffector`, `DataError` and
+`check_finite`. `requant_layer` builds the kernel's layer for one requant
+entry, the subject of the requantize tests.
 """
 import math
 from types import SimpleNamespace
 
 import numpy as np
+
+from microgait import DataError, EndEffector
+from microgait.inputs import check_finite
+from microgait.quant import KernelLayer
 
 INT8_MIN, INT8_MAX = -128, 127
 
@@ -51,6 +62,17 @@ def requantize_unbounded(acc, mult, shift, zp):
     r = (1 << (shift - 1)) if shift >= 1 else 0
     v = ((mult * acc + r) >> shift) + zp
     return max(INT8_MIN, min(INT8_MAX, v))
+
+
+def requant_layer(rp):
+    """The kernel's layer for one requant entry, its vectors built by
+    `KernelLayer.of` as inference builds them (the weights are unused)."""
+    return KernelLayer.of(SimpleNamespace(weights=np.zeros((1, 1), dtype=np.int8),
+                                          bias=np.zeros(1, dtype=np.int32), requant=(rp,)))
+
+
+def dequantize_weights(layer):
+    return layer.weights.astype(np.float64) * layer.weight_scales[:, None]
 
 
 def int8_forward_bigint(qp, obs_q):
@@ -163,3 +185,24 @@ def reward_step_numpy(s, cmd, dt, sigma=0.5):
     terms = {"reward_lin": lin, "reward_ang": ang, "pen_lin": pen_lin,
              "pen_ang": pen_ang, "reward_air": air}
     return lin + ang + pen_lin + pen_ang + air, terms
+
+
+def fk_oracle(g, theta_x, theta_y):
+    """Algebraic inversion of the two angle equations; round-trip check for ik."""
+    x_end = g.x_motor_ref + g.l_y * math.sin(theta_y)
+    y_end = g.y_motor_ref + g.l_x * math.sin(theta_x) - 0.5 * g.l_y * math.cos(theta_y)
+    return EndEffector(x_end, y_end)
+
+
+def action_to_motor_targets(action, geoms):
+    """Map an 8-value action (theta_x, theta_y per leg) to (x_motor, y_motor) per leg.
+
+    The closed form of ik's motor equations at the commanded angles, on any branch.
+    """
+    a = np.asarray(action, dtype=np.float64).ravel()
+    if len(geoms) * 2 != a.size:
+        raise DataError(f"action has {a.size} values for {len(geoms)} legs")
+    check_finite("action", a)
+    return [(g.x_motor_ref + 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x),
+             g.y_motor_ref + g.l_x * math.sin(theta_x) + 0.5 * g.l_y * math.cos(theta_y))
+            for g, theta_x, theta_y in zip(geoms, a[0::2].tolist(), a[1::2].tolist())]

@@ -1,5 +1,6 @@
 """Every public top-level function and class in the package and the
-benchmark has a caller there, or a stated reason to stay.
+benchmark has a caller there, or a stated reason to stay; every name a
+package module imports is used in that module, or has a stated reason.
 
 A name is reached when a Name or Attribute node anywhere in
 src/microgait/*.py or perfbench/*.py refers to it outside its own
@@ -21,10 +22,6 @@ TOPS = [(path, node) for path, tree in TREES.items() for node in tree.body
 KEPT = {
     "measured_cycles": "acceptance criterion 2 derives the device cycles per update with it",
     "cycles_decomposed": "the analytical cycle model, to be reached by cost --model",
-    "fk_oracle": "forward kinematics that the ik tests check against",
-    "requantize": "the scalar requantize that the int8 kernel tests check against",
-    "action_to_motor_targets": "the closed-form motor targets that the ik tests compare against",
-    "dequantize_weights": "the dequantized weights that the quantizer tests check against",
     "activate": "the scalar activation that the float64 activation tests pin",
     "iter_frames": "the receive-side frame scanner that a lossy-link session would use",
 }
@@ -57,3 +54,32 @@ def test_kept_names_exist_and_have_no_caller():
     assert not gone, f"KEPT names that no longer exist: {gone}"
     reached = sorted(set(KEPT) - set(unreached))
     assert not reached, f"KEPT names that now have a caller (drop them from KEPT): {reached}"
+
+
+# imported names a module keeps without using them, as "module.name", each with its reason
+KEPT_IMPORTS = {
+    "kernel.expected_counters": "perfbench reads it as kernel.expected_counters",
+}
+
+
+def _unused_imports() -> set[str]:
+    """Names bound by an import in a package module other than `__init__.py`
+    that no Name or Attribute node of that module refers to, as module.name."""
+    unused = set()
+    for path, tree in TREES.items():
+        if path.parent.name != "microgait" or path.name == "__init__.py":
+            continue
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        unused |= {f"{path.stem}.{name}" for name in imported - set(_refs(tree))}
+    return unused
+
+
+def test_every_import_is_used():
+    unused = _unused_imports()
+    missing = sorted(unused - set(KEPT_IMPORTS))
+    assert not missing, f"imports the module never uses (use or delete them): {missing}"
+    stale = sorted(set(KEPT_IMPORTS) - unused)
+    assert not stale, f"KEPT_IMPORTS names that are used or gone (drop them): {stale}"

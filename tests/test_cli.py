@@ -122,6 +122,8 @@ def test_cost_bad_measured_is_domain_error(capsys):
     ["run-loop", "--scripted", "--command", "0.1", "--omega", "nan"],
     ["run-loop", "--scripted", "--command", "0.1", "--omega", "inf"],
     ["run-loop", "--scripted", "--command", "0.1", "--omega", "-inf"],
+    ["cost", "--measured", "nan,1"],
+    ["cost", "--measured", "5e6,inf"],
 ])
 def test_non_finite_number_is_data_error(capsys, args):
     code = main(args)
@@ -240,6 +242,18 @@ def test_ik_command(capsys, tmp_path):
     assert code == 0
     assert float(pairs["theta_y_rad"]) == 0.0
     assert float(pairs["y_motor_m"]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_ik_non_finite_target_is_data_error(capsys, tmp_path, x):
+    geom = tmp_path / "leg.txt"
+    geom.write_text("l_x=1.0\nl_y=1.0\n")
+    code = main(["ik", "--geometry", str(geom), "--x", x, "--y", "0"])
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("data error:") and "finite" in out.err
+    assert len(out.err.splitlines()) == 1
 
 
 def test_ik_out_of_workspace_is_domain_error(capsys, tmp_path):

@@ -24,9 +24,8 @@ from microgait import (
     quantize_policy,
     random_policy,
 )
-from microgait.kernel import expected_counters
 from microgait.policy import BLOCK_ROWS
-from microgait.quant import QuantizedLayer, encode_ratio
+from microgait.quant import QuantizedLayer, encode_ratio, expected_counters
 from oracles import int8_forward_bigint
 
 # Near the largest fan-in the int32 headroom check admits (66311 with zero

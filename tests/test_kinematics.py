@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from microgait import DataError, DomainError, EndEffector, LegGeometry, fk_oracle, ik
-from microgait.kinematics import action_to_motor_targets, load_geometry
+from microgait import DataError, DomainError, EndEffector, LegGeometry, ik
+from microgait.kinematics import load_geometry
+from oracles import action_to_motor_targets, fk_oracle
 
 UNIT = LegGeometry(l_x=1.0, l_y=1.0)
 
@@ -39,6 +40,11 @@ def test_workspace_errors_name_the_equation():
         ik(UNIT, EndEffector(1.5, 0.0))
     with pytest.raises(DomainError, match="lift"):
         ik(UNIT, EndEffector(0.0, 2.0))
+
+
+def test_non_finite_end_effector_is_data_error():
+    with pytest.raises(DataError, match="finite"):
+        ik(UNIT, EndEffector(math.nan, 0.0))
 
 
 def test_boundary_is_inclusive():

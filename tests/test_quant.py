@@ -18,17 +18,12 @@ from microgait import (
     load_quantized,
     quantize_policy,
     random_policy,
-    requantize,
     save_quantized,
     sqnr_db,
 )
-from microgait.quant import (
-    dequantize_weights,
-    encode_ratio,
-    fp32_payload_bytes,
-    int8_payload_bytes,
-)
-from oracles import requantize_unbounded
+from microgait.kernel import requantize
+from microgait.quant import encode_ratio, fp32_payload_bytes, int8_payload_bytes
+from oracles import dequantize_weights, requant_layer, requantize_unbounded
 
 
 def _calib(seed, n=64, dim=24):
@@ -40,11 +35,16 @@ def _quantized(seed, scheme, dims=(24, 128, 64, 8), spread=0.0):
     return p, quantize_policy(p, scheme, _calib(1000 + seed, dim=dims[0]))
 
 
+def _requantize(acc, rp):
+    """The kernel's requantize step on one accumulator."""
+    return int(requantize(np.array([acc], dtype=np.int64), requant_layer(rp))[0])
+
+
 def test_requantize_hand_cases():
-    assert requantize(0, RequantParams(12345, 7, 0)) == 0
-    assert requantize(2 ** 30, RequantParams(1, 0, 0)) == 127        # saturates
-    assert requantize(5, RequantParams(3, 1, -2)) == 6               # ((15+1)>>1)-2
-    assert requantize(-(2 ** 30), RequantParams(1, 0, 0)) == -128
+    assert _requantize(0, RequantParams(12345, 7, 0)) == 0
+    assert _requantize(2 ** 30, RequantParams(1, 0, 0)) == 127        # saturates
+    assert _requantize(5, RequantParams(3, 1, -2)) == 6               # ((15+1)>>1)-2
+    assert _requantize(-(2 ** 30), RequantParams(1, 0, 0)) == -128
 
 
 def test_requant_params_validation():
@@ -64,7 +64,7 @@ def test_requant_params_validation():
        st.integers(-128, 127))
 def test_requantize_matches_unbounded_oracle(acc, mult, shift, zp):
     rp = RequantParams(mult, shift, zp)
-    assert requantize(acc, rp) == requantize_unbounded(acc, mult, shift, zp)
+    assert _requantize(acc, rp) == requantize_unbounded(acc, mult, shift, zp)
 
 
 @given(st.integers(-(2 ** 31) + 1, 2 ** 31 - 2),
@@ -72,7 +72,8 @@ def test_requantize_matches_unbounded_oracle(acc, mult, shift, zp):
        st.integers(0, 31))
 def test_requantize_monotone_in_accumulator(acc, mult, shift):
     rp = RequantParams(mult, shift, 0)
-    assert requantize(acc + 1, rp) >= requantize(acc, rp)
+    lo, hi = requantize(np.array([acc, acc + 1], dtype=np.int64), requant_layer(rp))
+    assert hi >= lo
 
 
 def test_encode_ratio_canonical_dyadics():
