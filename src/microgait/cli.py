@@ -7,6 +7,7 @@ switches to aligned human output) and use the exit-code contract:
 from __future__ import annotations
 
 import sys
+import warnings
 from pathlib import Path
 
 import click
@@ -33,7 +34,9 @@ def _fmt(x: float) -> str:
 
 def _load_calib(path: str) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no data: reported below
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read calibration CSV {path}: {exc}") from None
     if data.size == 0:
@@ -306,13 +309,14 @@ def main(argv=None) -> int:
         # which every command rejects as a DataError, so numpy need not warn
         with np.errstate(over="ignore", invalid="ignore"):
             cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 2
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
+        return 2
+    except OSError as exc:  # an output path that cannot be written, as click reports a bad path
+        click.echo(f"error: {exc}", err=True)
         return 2
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)

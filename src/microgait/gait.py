@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .cost import PowerParams, feasible_update_rate
 from .errors import DataError, DomainError
-from .inputs import check_finite
+from .inputs import check_finite, read_text
 
 
 class GaitRegime(enum.Enum):
@@ -93,8 +93,7 @@ def load_gait_table(path=None) -> GaitTable:
         ref = importlib.resources.files("microgait.data").joinpath("gait_curves.csv")
         text = ref.read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        text = read_text(path)
     rows = list(csv.DictReader(text.splitlines()))
     if not rows or set(rows[0]) != {"gait", "f_update_hz", "reward_ratio"}:
         raise DataError("expected CSV header gait,f_update_hz,reward_ratio")

@@ -309,16 +309,12 @@ class SimConfig:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
-ATTITUDE_LIMIT_RAD = math.pi / 4
-
-
 @dataclass
 class EpisodeResult:
     rows: list[tuple]
     total_reward: float
     steps: int
     inference_count: int
-    terminated_early: bool
 
 
 def _build_observation(s: PlantState, prev_action: list[float],
@@ -351,7 +347,6 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     rows: list[tuple] = []
     total = 0.0
     inference_count = 0
-    terminated = False
 
     for step in range(n_steps):
         t = step * DT
@@ -370,12 +365,8 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
         reward = reward_step(state, cmd)
         total += reward[0]
         rows.append((t + DT, state.v[0], state.v[1], state.w[2], *reward))
-        roll, pitch = state.att
-        if abs(roll) > ATTITUDE_LIMIT_RAD or abs(pitch) > ATTITUDE_LIMIT_RAD:
-            terminated = True
-            break
 
-    return EpisodeResult(rows, total, len(rows), inference_count, terminated)
+    return EpisodeResult(rows, total, len(rows), inference_count)
 
 
 def write_trajectory_csv(result: EpisodeResult, path) -> None:

@@ -14,24 +14,32 @@ def check_finite(what: str, values) -> None:
         raise DataError(f"{what} must be finite, got {values!r}")
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 text file, with universal newlines; other bytes raise DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_key_values(path, keys: tuple[str, ...], required: tuple[str, ...]) -> dict[str, float]:
     """Read `key = number` lines, `#` starting a comment; a repeated key keeps its last value."""
     values: dict[str, float] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if not sep or key not in keys:
-                raise DataError(f"{path}:{lineno}: expected key = number with a key in "
-                                f"{', '.join(keys)}; got {line!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: bad number {raw!r}") from None
-            check_finite(f"{path}:{lineno}: {key}", values[key])
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not sep or key not in keys:
+            raise DataError(f"{path}:{lineno}: expected key = number with a key in "
+                            f"{', '.join(keys)}; got {line!r}")
+        try:
+            values[key] = float(raw)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad number {raw!r}") from None
+        check_finite(f"{path}:{lineno}: {key}", values[key])
     missing = [k for k in required if k not in values]
     if missing:
         raise DataError(f"{path}: missing required keys: {', '.join(missing)}")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DataError
 from .policy import BLOCK_ROWS
 # expected_counters is unused here: perfbench reads it as kernel.expected_counters
-from .quant import (INT8_MAX, INT8_MIN, KernelLayer, OpCounters, QuantizedPolicy,
+from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy,
                     dequantize_action, expected_counters)
 
 
@@ -73,9 +73,9 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     # int8 x int8 products is an integer below 2^31 in magnitude (the
     # QuantizedPolicy headroom check), far inside float64's exact 2^53
     x = x.astype(np.float64)
-    for li, layer in enumerate(qp.kernel_layers):
+    for li, layer in enumerate(qp.layers):
         acc = x @ layer.weights_t
-        acc += layer.bias
+        acc += layer.bias_f64
         acc = acc.astype(np.int64)
 
         if li != last:
@@ -90,7 +90,7 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     return x.astype(np.int8)
 
 
-def requantize(acc: np.ndarray, layer: KernelLayer) -> np.ndarray:
+def requantize(acc: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
     """clip((mult * acc + offset) >> shift) in place on int64 accumulators, |acc| < 2^31.
 
     The sum stays below 2^62 + 2^39. The clamp is two ufuncs, as np.clip on an

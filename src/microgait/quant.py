@@ -111,6 +111,14 @@ class QuantizedLayer:
 
     ``bias`` is stored at scale input_scale*weight_scale with the input
     zero-point correction (-input_zp * row_sum) already folded in.
+
+    The kernel's tables are built once here. The int8 weights and int32 bias
+    are held again as float64, which represents them exactly, so the kernel
+    can accumulate through BLAS. The requant vectors have length 1 under
+    per-tensor (broadcast over the layer) and n_out under per-feature.
+    ``offset`` = round_term + (zero_point << shift) folds both addends of the
+    requantize into one before the shift, which is exact because an
+    arithmetic shift of a multiple of 2^shift is.
     """
 
     weights: np.ndarray            # int8, (n_out, n_in)
@@ -121,50 +129,25 @@ class QuantizedLayer:
     output_scale: float
     output_zp: int
     requant: tuple[RequantParams, ...]   # len 1 (per-tensor) or n_out
+    weights_t: np.ndarray = field(init=False, repr=False, compare=False)  # float64, (n_in, n_out)
+    bias_f64: np.ndarray = field(init=False, repr=False, compare=False)   # float64, (n_out,)
+    mult: np.ndarray = field(init=False, repr=False, compare=False)       # int64
+    shift: np.ndarray = field(init=False, repr=False, compare=False)      # int64
+    offset: np.ndarray = field(init=False, repr=False, compare=False)     # int64
 
     def __post_init__(self):
-        object.__setattr__(self, "requant", tuple(self.requant))
+        put = object.__setattr__  # the dataclass is frozen, so the tables below stay in step
+        put(self, "requant", tuple(self.requant))
         scales = np.concatenate(([self.input_scale, self.output_scale], self.weight_scales))
         if not (np.isfinite(scales).all() and (scales > 0).all()):
             raise DataError(f"layer scales must be finite and > 0, got input {self.input_scale}, "
                             f"output {self.output_scale}, weights {self.weight_scales}")
-
-    @property
-    def n_out(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_in(self) -> int:
-        return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class KernelLayer:
-    """One layer laid out for the batched integer kernel.
-
-    The int8 weights and int32 bias are held as float64, which represents
-    them exactly, so the kernel can accumulate through BLAS. The requant
-    vectors have length 1 under per-tensor (broadcast over the layer) and
-    n_out under per-feature. ``offset`` = round_term + (zero_point << shift)
-    folds both addends of the requantize into one before the shift, which is
-    exact because an arithmetic shift of a multiple of 2^shift is.
-    """
-
-    weights_t: np.ndarray   # float64, (n_in, n_out)
-    bias: np.ndarray        # float64, (n_out,)
-    mult: np.ndarray        # int64
-    shift: np.ndarray       # int64
-    offset: np.ndarray      # int64
-
-    @classmethod
-    def of(cls, layer: QuantizedLayer) -> KernelLayer:
-        rq = layer.requant
-        return cls(weights_t=layer.weights.T.astype(np.float64),
-                   bias=layer.bias.astype(np.float64),
-                   mult=np.array([rp.mult for rp in rq], dtype=np.int64),
-                   shift=np.array([rp.shift for rp in rq], dtype=np.int64),
-                   offset=np.array([rp.round_term + (rp.zero_point << rp.shift) for rp in rq],
-                                   dtype=np.int64))
+        put(self, "weights_t", self.weights.T.astype(np.float64))
+        put(self, "bias_f64", self.bias.astype(np.float64))
+        put(self, "mult", np.array([rp.mult for rp in self.requant], dtype=np.int64))
+        put(self, "shift", np.array([rp.shift for rp in self.requant], dtype=np.int64))
+        put(self, "offset", np.array([rp.round_term + (rp.zero_point << rp.shift)
+                                      for rp in self.requant], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -194,9 +177,7 @@ class QuantizedPolicy:
     obs_zp: int
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
-    # built once here from `layers`, `spec` and `scheme`; the dataclass is
-    # frozen so they stay in step
-    kernel_layers: tuple[KernelLayer, ...] = field(init=False, repr=False, compare=False)
+    # built once here from `spec` and `scheme`; the dataclass is frozen so it stays in step
     row_counters: OpCounters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -230,13 +211,14 @@ class QuantizedPolicy:
                 raise DomainError(
                     f"layer {i} fan-in {dims[i]} can overflow the int32 accumulator "
                     f"(worst case {worst})")
-        object.__setattr__(self, "kernel_layers",
-                           tuple(KernelLayer.of(layer) for layer in self.layers))
         object.__setattr__(self, "row_counters", expected_counters(self.spec, self.scheme))
 
 
-def _affine_params(lo: float, hi: float) -> tuple[float, int]:
-    """Asymmetric int8 scale/zero-point covering [lo, hi] (extended to include 0)."""
+def _affine_params(x: np.ndarray, what: str) -> tuple[float, int]:
+    """Asymmetric int8 scale/zero-point covering the range of x (extended to include 0)."""
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DataError(f"{what} range [{lo}, {hi}] is not finite")
     lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi == lo:
         return 1.0, 0
@@ -272,32 +254,28 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
     if calib.shape[1] != p.spec.input_dim:
         raise DataError(f"calibration width {calib.shape[1]} != {p.spec.input_dim}")
 
-    # FP32 propagation: min/max of the observation and each layer's output.
-    # Hidden-layer ranges are taken post-activation: the kernel applies the
-    # integer leaky-relu on the accumulator before requantizing, so the int8
+    obs_scale, obs_zp = _affine_params(calib, "observation")
+    act_mult, act_shift = encode_ratio(act.alpha)
+
+    # The FP32 pass of layer i gives its output range, then layer i is quantized
+    # onto it. Hidden-layer ranges are taken post-activation: the kernel applies
+    # the integer leaky-relu on the accumulator before requantizing, so the int8
     # grid only has to cover the (much narrower) activated range.
-    ranges = [(float(calib.min()), float(calib.max()))]
+    layers = []
     x = calib
     last = p.spec.num_layers - 1
+    in_scale, in_zp = obs_scale, obs_zp
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
         x = x @ w.T
         x += b
         if i != last:
             x = _activate_array(act, x)
-        ranges.append((float(x.min()), float(x.max())))
-
-    obs_scale, obs_zp = _affine_params(*ranges[0])
-    act_mult, act_shift = encode_ratio(act.alpha)
-
-    layers = []
-    in_scale, in_zp = obs_scale, obs_zp
-    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        out_scale, out_zp = _affine_params(x, f"layer {i} output")
         # length 1 (per-tensor) or n_out (per-feature); both broadcast over the rows
         w_scales = _weight_scales(w, scheme)
         # divide in float64 so round-to-nearest lands within scale/2 per weight
         w_q = np.clip(np.rint(w.astype(np.float64) / w_scales[:, None]),
                       -WEIGHT_MAX, WEIGHT_MAX).astype(np.int8)
-        out_scale, out_zp = _affine_params(*ranges[i + 1])
         bias_q = np.rint(b.astype(np.float64) / (in_scale * w_scales)).astype(np.int64)
         fold = in_zp * w_q.astype(np.int64).sum(axis=1)
         if np.abs(bias_q - fold).max(initial=0) >= 2 ** 31:

@@ -11,8 +11,8 @@ Three references check what the package computes another way: the
 dequantized weights of a quantized layer, forward kinematics (the algebraic
 inversion of ik's angle equations) and the closed-form motor targets of an
 action. They use the package's `EndEffector`, `DataError` and
-`check_finite`. `requant_layer` builds the kernel's layer for one requant
-entry, the subject of the requantize tests.
+`check_finite`. `requant_layer` builds a one-output `QuantizedLayer` for
+one requant entry, the subject of the requantize tests.
 """
 import math
 from types import SimpleNamespace
@@ -21,7 +21,7 @@ import numpy as np
 
 from microgait import DataError, EndEffector
 from microgait.inputs import check_finite
-from microgait.quant import KernelLayer
+from microgait.quant import QuantizedLayer
 
 INT8_MIN, INT8_MAX = -128, 127
 
@@ -65,10 +65,12 @@ def requantize_unbounded(acc, mult, shift, zp):
 
 
 def requant_layer(rp):
-    """The kernel's layer for one requant entry, its vectors built by
-    `KernelLayer.of` as inference builds them (the weights are unused)."""
-    return KernelLayer.of(SimpleNamespace(weights=np.zeros((1, 1), dtype=np.int8),
-                                          bias=np.zeros(1, dtype=np.int32), requant=(rp,)))
+    """A one-output layer for one requant entry, its kernel vectors built by
+    `QuantizedLayer` as inference builds them (weights and scales are unused)."""
+    return QuantizedLayer(weights=np.zeros((1, 1), dtype=np.int8),
+                          bias=np.zeros(1, dtype=np.int32), input_scale=1.0, input_zp=0,
+                          weight_scales=np.ones(1), output_scale=1.0, output_zp=0,
+                          requant=(rp,))
 
 
 def dequantize_weights(layer):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from microgait import PolicySpec, QuantScheme, harness, leaky_relu, quantize_policy, random_policy
+from microgait import (PolicySpec, PowerParams, QuantScheme, feasible_update_rate, harness,
+                       leaky_relu, max_clock, quantize_policy, random_policy)
 from microgait.cli import main
 from microgait.policy import save_policy
 from microgait.quant import save_quantized
@@ -80,6 +81,75 @@ def test_quantize_non_finite_calib_is_data_error(capsys, tmp_path, model_file, b
     assert not (tmp_path / "q.bin").exists()
 
 
+def _file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def _overflowing_model(path) -> str:
+    p = random_policy(PolicySpec(), 0)
+    p.weights[0][:] = 3e38  # finite in float32; the first layer's outputs are not
+    save_policy(p, path)
+    return str(path)
+
+
+NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
+
+
+@pytest.mark.parametrize("make_args, message", [
+    pytest.param(lambda tmp, model: ["cost", "--measured", "5e6"],
+                 "--measured needs 2 comma-separated values", id="measured-count"),
+    pytest.param(lambda tmp, model: ["cost", "--measured", "5e6,fast"],
+                 "bad number in --measured", id="measured-number"),
+    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--command", "0.1",
+                                     "--episodes", "0"],
+                 "--episodes must be >= 1", id="episodes-0"),
+    pytest.param(lambda tmp, model: ["codec"], "provide --selftest or --decode", id="codec-no-flag"),
+    pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", b"zz01")],
+                 "bad hex in", id="codec-bad-hex"),
+    pytest.param(lambda tmp, model: ["quantize", "--model", model, "--scheme", "per-tensor",
+                                     "--calib", _file(tmp / "c.csv", b""), "--out", str(tmp / "q")],
+                 "is empty", id="empty-calib"),
+    pytest.param(lambda tmp, model: ["quantize", "--model", _overflowing_model(tmp / "big.bin"),
+                                     "--scheme", "per-tensor", "--calib",
+                                     _file(tmp / "c.csv", b"0.5," * 23 + b"-0.5\n"),
+                                     "--out", str(tmp / "q")],
+                 "layer 0 output range [inf, inf] is not finite", id="quantize-overflow"),
+    pytest.param(lambda tmp, model: ["cost", "--budget", _file(tmp / "b.txt", NOT_UTF8)],
+                 "is not UTF-8 text", id="budget-not-utf8"),
+    pytest.param(lambda tmp, model: ["ik", "--x", "0", "--y", "0",
+                                     "--geometry", _file(tmp / "g.txt", NOT_UTF8)],
+                 "is not UTF-8 text", id="geometry-not-utf8"),
+    pytest.param(lambda tmp, model: ["select-gait", "--f-update", "30",
+                                     "--curves", _file(tmp / "c.csv", NOT_UTF8)],
+                 "is not UTF-8 text", id="curves-not-utf8"),
+])
+@pytest.mark.filterwarnings("error")  # a warning would print more than the one error line
+def test_rejected_input_is_one_data_error_line(capsys, tmp_path, model_file, make_args, message):
+    code = main(make_args(tmp_path, str(model_file)))
+    out = capsys.readouterr()
+    assert code == 3
+    assert out.out == ""
+    assert out.err.startswith("data error: ") and out.err.count("\n") == 1
+    assert message in out.err
+
+
+@pytest.mark.parametrize("command", ["quantize", "run-loop"])
+def test_unwritable_output_path_is_one_error_line(capsys, tmp_path, model_file, calib_file,
+                                                  command):
+    missing = tmp_path / "missing"
+    args = {"quantize": ["quantize", "--model", str(model_file), "--scheme", "per-tensor",
+                         "--calib", str(calib_file), "--out", str(missing / "q.bin")],
+            "run-loop": ["run-loop", "--scripted", "--command", "0.1",
+                         "--csv-out", str(missing / "t.csv")]}[command]
+    code = main(args)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert str(missing) in out.err
+
+
 def test_cost_measured(capsys):
     code, pairs, _ = run_cli(capsys, "cost", "--measured", "5e6,47.62",
                              "--target-hz", "60")
@@ -96,6 +166,15 @@ def test_cost_power_budget(capsys, tmp_path):
     assert code == 0
     assert float(pairs["f_clk_max_hz"]) == pytest.approx(1e7)
     assert float(pairs["f_update_max_at_budget_hz"]) == pytest.approx(1e7 / 104998)
+
+
+def test_cost_cycles_with_power(capsys):
+    code, pairs, _ = run_cli(capsys, "cost", "--cycles", "104998",
+                             "--power", "1.8,0.0001,0.0018")
+    assert code == 0
+    pp = PowerParams(1.8, 0.0001, 0.0018)
+    assert pairs["f_clk_max_hz"] == f"{max_clock(pp):.10g}"
+    assert pairs["f_update_max_at_budget_hz"] == f"{feasible_update_rate(pp, 104998):.10g}"
 
 
 def test_cost_requires_cycles(capsys):
@@ -213,7 +292,7 @@ def test_reward_ratio_against_self_is_one(capsys, monkeypatch):
     # at the 120 Hz step rate the episode repeats its baseline exactly
     code, pairs, _ = run_cli(capsys, "run-loop", "--scripted", "--command", "0.08")
     assert code == 0 and pairs["reward_ratio"] == "1"
-    zero = harness.EpisodeResult([], 0.0, 0, 0, False)
+    zero = harness.EpisodeResult([], 0.0, 0, 0)
     monkeypatch.setattr(harness, "run_episode", lambda *args: zero)
     code = main(["run-loop", "--scripted", "--command", "0.08"])
     assert code == 4

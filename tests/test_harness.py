@@ -268,6 +268,24 @@ def test_air_timers_track_contact():
     assert down.just_landed[0]
 
 
+@pytest.mark.parametrize("legs", [(1, -1, 1, -1), (1, 1, -1, -1)], ids=["roll", "pitch"])
+def test_attitude_stays_small_under_full_range_lift(legs):
+    """Roll and pitch stay near 0.0378 x the lift-target range: below 0.1 rad
+    for lift targets switched between the joint limits at any period, with
+    the stiffest randomized joint servo and 5-sigma dof offsets."""
+    dr = DRPerturbation(dof_lower=-0.05, dof_upper=0.05)
+    for params in (PlantParams(), PlantParams(tau_joint=0.02 / 1.5)):
+        for half_period in (1, 4, 16, 60, 240):
+            s, peak = PlantState(), 0.0
+            for step in range(1200):
+                level = Q_LIMIT if (step // half_period) % 2 == 0 else -Q_LIMIT
+                targets = [0.0] * 8
+                targets[0::2] = [sign * level for sign in legs]
+                s = plant_step(s, targets, params, dr)
+                peak = max(peak, abs(s.att[0]), abs(s.att[1]))
+            assert peak < 0.1, (params, half_period, peak)
+
+
 def test_build_observation_slots():
     # a distinct value in every slot; the previous action's eighth entry is left out
     s = _state(v=(0.11, -0.12, 0.13), w=(0.21, -0.22, 0.23), att=(0.2, -0.3),

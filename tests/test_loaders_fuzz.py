@@ -1,8 +1,11 @@
-"""Fuzzing of the two binary policy loaders.
+"""Fuzzing of the file loaders: the two binary policy loaders and the three
+text loaders (budget, leg geometry, gait curves).
 
 A truncated, corrupted or padded file either loads or raises DataError or
 DomainError; a quantized policy that loads gives finite actions.
 """
+import importlib.resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +18,7 @@ from microgait import (
     elu,
     fused_infer_dequant,
     leaky_relu,
+    load_gait_table,
     load_policy,
     load_quantized,
     quantize_policy,
@@ -22,8 +26,19 @@ from microgait import (
     save_policy,
     save_quantized,
 )
+from microgait.cost import load_budget
+from microgait.kinematics import load_geometry
 
 DIMS = (6, 5, 3)
+# one valid file per text loader, UTF-8 with a comment and a non-ASCII character
+TEXT_FILES = {
+    "budget": (load_budget, "# budget, \u00b5C class\ncycles_per_update = 104998\n"
+               "f_clk_hz = 5e6\nv_volts = 1.8\ni_per_mhz_amps = 0.0001\np_max_watts = 0.0018\n"),
+    "geometry": (load_geometry, "# leg \u00b5-geometry, m\nl_x = 0.02\nl_y = 0.015\n"
+                 "x_motor_ref = 0.001\ny_motor_ref = -0.002\n"),
+    "gait_curves": (load_gait_table, importlib.resources.files("microgait.data")
+                    .joinpath("gait_curves.csv").read_text(encoding="utf-8")),
+}
 
 
 @st.composite
@@ -79,3 +94,19 @@ def test_load_quantized_fuzz(tmp_path_factory, quantized_bytes, data):
     except (DataError, DomainError):
         return
     assert np.isfinite(fused_infer_dequant(qp, np.zeros(qp.spec.input_dim))).all()
+
+
+@pytest.mark.parametrize("name", list(TEXT_FILES))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_text_loader_fuzz(tmp_path_factory, name, data):
+    load, text = TEXT_FILES[name]
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{name}.txt"
+    good = text.encode("utf-8")
+    path.write_bytes(good)
+    load(path)  # the unmutated file loads
+    path.write_bytes(data.draw(mutations(good)))
+    try:
+        load(path)
+    except (DataError, DomainError):
+        pass

@@ -124,6 +124,23 @@ def test_quantize_rejects_bad_calib():
         quantize_policy(p, QuantScheme.PER_TENSOR, np.zeros((4, 23)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_calib_row(bad):
+    p = random_policy(PolicySpec((24, 8), leaky_relu()), 0)
+    calib = _calib(0)
+    calib[2] = bad
+    with pytest.raises(DataError, match="observation range .* is not finite"):
+        quantize_policy(p, QuantScheme.PER_FEATURE, calib)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # numpy's, before the DataError
+def test_quantize_rejects_layer_output_that_overflows_float32():
+    p = random_policy(PolicySpec((24, 16, 8), leaky_relu()), 0)
+    p.weights[0][:] = 3e38  # finite in float32; a dot product with it is not
+    with pytest.raises(DataError, match="layer 0 output range .* is not finite"):
+        quantize_policy(p, QuantScheme.PER_TENSOR, _calib(0))
+
+
 def test_constant_weight_tensor_per_tensor():
     spec = PolicySpec((4, 3), leaky_relu())
     from microgait import Fp32Policy
@@ -330,7 +347,7 @@ def test_load_rejects_int32_min_bias(tmp_path):
 
 
 def test_quantized_policy_is_frozen():
-    # kernel_layers are built from layers at construction; assignment would leave them stale
+    # each layer's kernel tables are built at construction; assignment would leave them stale
     _, qf = _quantized(2, QuantScheme.PER_FEATURE)
     _, qt = _quantized(3, QuantScheme.PER_FEATURE)
     assert isinstance(qf.layers, tuple) and isinstance(qf.layers[0].requant, tuple)
@@ -344,15 +361,16 @@ def test_quantized_policy_is_frozen():
 @pytest.mark.parametrize("scheme", list(QuantScheme))
 def test_kernel_tables_built_at_construction(scheme):
     _, qp = _quantized(6, scheme)
-    for layer, table in zip(qp.layers, qp.kernel_layers):
-        assert table.weights_t.shape == (layer.n_in, layer.n_out)
-        np.testing.assert_array_equal(table.weights_t, layer.weights.T)
-        np.testing.assert_array_equal(table.bias, layer.bias)
-        assert table.mult.shape == ((layer.n_out,) if scheme is QuantScheme.PER_FEATURE
-                                    else (1,))
-        assert table.mult.tolist() == [rp.mult for rp in layer.requant]
-        assert table.shift.tolist() == [rp.shift for rp in layer.requant]
-        assert table.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
+    for layer in qp.layers:
+        n_out, n_in = layer.weights.shape
+        assert layer.weights_t.shape == (n_in, n_out) and layer.weights_t.dtype == np.float64
+        np.testing.assert_array_equal(layer.weights_t, layer.weights.T)
+        assert layer.bias_f64.dtype == np.float64
+        np.testing.assert_array_equal(layer.bias_f64, layer.bias)
+        assert layer.mult.shape == ((n_out,) if scheme is QuantScheme.PER_FEATURE else (1,))
+        assert layer.mult.tolist() == [rp.mult for rp in layer.requant]
+        assert layer.shift.tolist() == [rp.shift for rp in layer.requant]
+        assert layer.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
                                          for rp in layer.requant]
 
 
