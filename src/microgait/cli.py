@@ -211,6 +211,8 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
         raise DataError("--episodes must be >= 1")
 
     if scripted:
+        if model is not None or quantized:
+            raise DataError("--scripted runs no model; drop --model and --quantized")
         inner = harness.ScriptedGaitController(v_cmd)
     elif model is None:
         raise DataError("provide --model or --scripted")

@@ -19,8 +19,11 @@ import numpy as np
 from .errors import DataError
 from .policy import BLOCK_ROWS
 # expected_counters is unused here: perfbench reads it as kernel.expected_counters
-from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy,
+from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy, const_0d,
                     dequantize_action, expected_counters)
+
+_ACC_MIN, _ACC_MAX = const_0d(INT8_MIN, np.int64), const_0d(INT8_MAX, np.int64)
+_OBS_MIN, _OBS_MAX = const_0d(INT8_MIN, np.float64), const_0d(INT8_MAX, np.float64)
 
 
 def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -30,13 +33,13 @@ def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
     q = np.array(obs, dtype=np.float64)
     if not np.isfinite(q).all():
         raise DataError("observation has a non-finite value")
-    q /= scale
+    q /= np.array(scale, dtype=np.float64)
     np.rint(q, out=q)
-    q += zero_point
+    q += np.array(zero_point, dtype=np.float64)
     # two in-place ufuncs: on one observation np.clip's Python wrapper costs
     # more than the clamp itself
-    np.maximum(q, INT8_MIN, out=q)
-    np.minimum(q, INT8_MAX, out=q)
+    np.maximum(q, _OBS_MIN, out=q)
+    np.minimum(q, _OBS_MAX, out=q)
     return q.astype(np.int8)
 
 
@@ -64,11 +67,11 @@ def infer_int8(qp: QuantizedPolicy, obs_q: np.ndarray) -> tuple[np.ndarray, OpCo
 
 def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     last = qp.spec.num_layers - 1
-    # integer leaky-relu max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift),
-    # without a masked ufunc, as acc + ((min(acc, 0) * act_delta) >> act_shift):
-    # the added multiple min(acc, 0) * 2^act_shift shifts out exactly. The
-    # product fits int64: |acc| < 2^31 by the headroom check, |act_delta| <= 2^31
-    act_delta = qp.act_mult - (1 << qp.act_shift)
+    # integer leaky-relu max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift)
+    # as max(acc, (acc * act_mult) >> act_shift): for 0 <= act_mult <= 2^act_shift
+    # the shifted product is at most acc where acc >= 0, at least acc where acc < 0.
+    # It fits int64: |acc| < 2^31 by the headroom check, act_mult <= 2^31
+    act_mult, act_shift = qp.act_mult_0d, qp.act_shift_0d
     # int32 accumulate, done in float64 through BLAS: every partial sum of
     # int8 x int8 products is an integer below 2^31 in magnitude (the
     # QuantizedPolicy headroom check), far inside float64's exact 2^53
@@ -79,10 +82,9 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
         acc = acc.astype(np.int64)
 
         if li != last:
-            neg = np.minimum(acc, 0)
-            neg *= act_delta
-            neg >>= qp.act_shift
-            acc += neg
+            neg = acc * act_mult
+            neg >>= act_shift
+            np.maximum(acc, neg, out=acc)
 
         acc = requantize(acc, layer)
         x = acc if li == last else acc.astype(np.float64)
@@ -99,8 +101,8 @@ def requantize(acc: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
     acc *= layer.mult
     acc += layer.offset
     acc >>= layer.shift
-    np.maximum(acc, INT8_MIN, out=acc)
-    np.minimum(acc, INT8_MAX, out=acc)
+    np.maximum(acc, _ACC_MIN, out=acc)
+    np.minimum(acc, _ACC_MAX, out=acc)
     return acc
 
 

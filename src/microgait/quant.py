@@ -44,6 +44,13 @@ MAX_SHIFT = 31
 REFERENCE_IMAGE_KB = {"fp32_mlp": 204.54, "int8_mlp": 51.136, "linear_baseline": 1.184}
 
 
+def const_0d(value, dtype) -> np.ndarray:
+    """A read-only 0-d array, numpy's cheapest ufunc operand, shared by every inference."""
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 class QuantScheme(enum.Enum):
     PER_TENSOR = 0
     PER_FEATURE = 1
@@ -114,8 +121,9 @@ class QuantizedLayer:
 
     The kernel's tables are built once here. The int8 weights and int32 bias
     are held again as float64, which represents them exactly, so the kernel
-    can accumulate through BLAS. The requant vectors have length 1 under
-    per-tensor (broadcast over the layer) and n_out under per-feature.
+    can accumulate through BLAS. The requant vectors have n_out entries under
+    both schemes, a one-entry (per-tensor) ``requant`` repeated, as numpy
+    dispatches a ufunc faster with a full-width operand than a length-1 one.
     ``offset`` = round_term + (zero_point << shift) folds both addends of the
     requantize into one before the shift, which is exact because an
     arithmetic shift of a multiple of 2^shift is.
@@ -131,9 +139,9 @@ class QuantizedLayer:
     requant: tuple[RequantParams, ...]   # len 1 (per-tensor) or n_out
     weights_t: np.ndarray = field(init=False, repr=False, compare=False)  # float64, (n_in, n_out)
     bias_f64: np.ndarray = field(init=False, repr=False, compare=False)   # float64, (n_out,)
-    mult: np.ndarray = field(init=False, repr=False, compare=False)       # int64
-    shift: np.ndarray = field(init=False, repr=False, compare=False)      # int64
-    offset: np.ndarray = field(init=False, repr=False, compare=False)     # int64
+    mult: np.ndarray = field(init=False, repr=False, compare=False)       # int64, (n_out,)
+    shift: np.ndarray = field(init=False, repr=False, compare=False)      # int64, (n_out,)
+    offset: np.ndarray = field(init=False, repr=False, compare=False)     # int64, (n_out,)
 
     def __post_init__(self):
         put = object.__setattr__  # the dataclass is frozen, so the tables below stay in step
@@ -144,10 +152,12 @@ class QuantizedLayer:
                             f"output {self.output_scale}, weights {self.weight_scales}")
         put(self, "weights_t", self.weights.T.astype(np.float64))
         put(self, "bias_f64", self.bias.astype(np.float64))
-        put(self, "mult", np.array([rp.mult for rp in self.requant], dtype=np.int64))
-        put(self, "shift", np.array([rp.shift for rp in self.requant], dtype=np.int64))
+        # a table of any other wrong length is QuantizedPolicy's to reject
+        rq = self.requant * len(self.weights) if len(self.requant) == 1 else self.requant
+        put(self, "mult", np.array([rp.mult for rp in rq], dtype=np.int64))
+        put(self, "shift", np.array([rp.shift for rp in rq], dtype=np.int64))
         put(self, "offset", np.array([rp.round_term + (rp.zero_point << rp.shift)
-                                      for rp in self.requant], dtype=np.int64))
+                                      for rp in rq], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -177,8 +187,10 @@ class QuantizedPolicy:
     obs_zp: int
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
-    # built once here from `spec` and `scheme`; the dataclass is frozen so it stays in step
+    # built once here; the dataclass is frozen so they stay in step
     row_counters: OpCounters = field(init=False, repr=False, compare=False)
+    act_mult_0d: np.ndarray = field(init=False, repr=False, compare=False)   # int64, read-only
+    act_shift_0d: np.ndarray = field(init=False, repr=False, compare=False)  # int64, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -212,6 +224,8 @@ class QuantizedPolicy:
                     f"layer {i} fan-in {dims[i]} can overflow the int32 accumulator "
                     f"(worst case {worst})")
         object.__setattr__(self, "row_counters", expected_counters(self.spec, self.scheme))
+        object.__setattr__(self, "act_mult_0d", const_0d(self.act_mult, np.int64))
+        object.__setattr__(self, "act_shift_0d", const_0d(self.act_shift, np.int64))
 
 
 def _affine_params(x: np.ndarray, what: str) -> tuple[float, int]:

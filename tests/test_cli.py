@@ -104,6 +104,15 @@ NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
     pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--command", "0.1",
                                      "--episodes", "0"],
                  "--episodes must be >= 1", id="episodes-0"),
+    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--model", model,
+                                     "--command", "0.08", "--f-update", "30"],
+                 "--scripted runs no model", id="scripted-with-model"),
+    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--quantized", "--model", model,
+                                     "--command", "0.08", "--f-update", "30"],
+                 "--scripted runs no model", id="scripted-quantized-model"),
+    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--quantized",
+                                     "--command", "0.08", "--f-update", "30"],
+                 "--scripted runs no model", id="scripted-quantized"),
     pytest.param(lambda tmp, model: ["codec"], "provide --selftest or --decode", id="codec-no-flag"),
     pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", b"zz01")],
                  "bad hex in", id="codec-bad-hex"),

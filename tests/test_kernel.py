@@ -8,7 +8,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microgait import (
     DataError,
@@ -26,7 +26,7 @@ from microgait import (
 )
 from microgait.policy import BLOCK_ROWS
 from microgait.quant import QuantizedLayer, encode_ratio, expected_counters
-from oracles import int8_forward_bigint
+from oracles import int8_forward_bigint, requantize_unbounded
 
 # Near the largest fan-in the int32 headroom check admits (66311 with zero
 # bias): partial sums of int8 x int8 products reach ~2^30 here, far past the
@@ -285,6 +285,53 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     batched, _ = infer_int8(qp, obs)
     np.testing.assert_array_equal(batched, want)
     np.testing.assert_array_equal(np.stack([infer_int8(qp, row)[0] for row in obs]), want)
+
+
+# The largest |acc| a layer of fan-in 1 reaches: the headroom check admits
+# |bias| <= 2^31 - 1 - 127 * 255, and the one product adds up to 127 * 128.
+ACC_REACH = 2 ** 31 - 1 - 127 * 127
+
+
+@st.composite
+def _slopes(draw):
+    shift = draw(st.integers(0, 31))
+    return draw(st.integers(0, 1 << shift)), shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(acc=st.integers(-ACC_REACH, ACC_REACH), slope=_slopes())
+@example(acc=ACC_REACH, slope=(0, 0)).via("endpoint")
+@example(acc=ACC_REACH, slope=(1, 0)).via("endpoint")
+@example(acc=ACC_REACH, slope=(0, 31)).via("endpoint")
+@example(acc=ACC_REACH, slope=(1 << 31, 31)).via("endpoint")
+@example(acc=-ACC_REACH, slope=(0, 0)).via("endpoint")
+@example(acc=-ACC_REACH, slope=(1, 0)).via("endpoint")
+@example(acc=-ACC_REACH, slope=(0, 31)).via("endpoint")
+@example(acc=-ACC_REACH, slope=(1 << 31, 31)).via("endpoint")
+def test_integer_leaky_relu_matches_unbounded_form(acc, slope):
+    """One hidden accumulator `acc` through the kernel's leaky-relu, seen
+    through 32 requant windows: hidden output j is the activated value
+    rounded and shifted right by j, and the output layer passes it through."""
+    act_mult, act_shift = slope
+    w = -127 if acc >= 0 else 127  # times the observation -128
+    hidden = QuantizedLayer(
+        weights=np.full((32, 1), w, dtype=np.int8),
+        bias=np.full(32, acc + 128 * w, dtype=np.int32),
+        input_scale=1.0, input_zp=0, weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
+        requant=[RequantParams(1, j, 0) for j in range(32)])
+    out = QuantizedLayer(
+        weights=np.eye(32, dtype=np.int8), bias=np.zeros(32, dtype=np.int32),
+        input_scale=1.0, input_zp=0, weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
+        requant=[RequantParams(1, 0, 0)] * 32)
+    qp = QuantizedPolicy(PolicySpec((1, 32, 32), leaky_relu()), QuantScheme.PER_FEATURE,
+                         [hidden, out], 1.0, 0, act_mult, act_shift)
+    obs = np.array([-128], dtype=np.int8)
+
+    activated = max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift)
+    want = [requantize_unbounded(activated, 1, j, 0) for j in range(32)]
+    got, _ = infer_int8(qp, obs)
+    assert got.tolist() == want
+    assert int8_forward_bigint(qp, obs).tolist() == want
 
 
 def test_deterministic():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -367,11 +368,43 @@ def test_kernel_tables_built_at_construction(scheme):
         np.testing.assert_array_equal(layer.weights_t, layer.weights.T)
         assert layer.bias_f64.dtype == np.float64
         np.testing.assert_array_equal(layer.bias_f64, layer.bias)
-        assert layer.mult.shape == ((n_out,) if scheme is QuantScheme.PER_FEATURE else (1,))
-        assert layer.mult.tolist() == [rp.mult for rp in layer.requant]
-        assert layer.shift.tolist() == [rp.shift for rp in layer.requant]
+        # one table entry per output under both schemes; the per-tensor
+        # requant table itself keeps its one entry, which the file stores
+        per_tensor = scheme is QuantScheme.PER_TENSOR
+        assert len(layer.requant) == (1 if per_tensor else n_out)
+        rq = layer.requant * n_out if per_tensor else layer.requant
+        for table in (layer.mult, layer.shift, layer.offset):
+            assert table.shape == (n_out,) and table.dtype == np.int64
+        assert layer.mult.tolist() == [rp.mult for rp in rq]
+        assert layer.shift.tolist() == [rp.shift for rp in rq]
         assert layer.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
-                                         for rp in layer.requant]
+                                         for rp in rq]
+
+
+def test_shared_0d_operands_are_read_only():
+    from microgait import kernel
+    _, qp = _quantized(6, QuantScheme.PER_FEATURE)
+    for operand, dtype in ((qp.act_mult_0d, np.int64), (qp.act_shift_0d, np.int64),
+                           (kernel._ACC_MIN, np.int64), (kernel._ACC_MAX, np.int64),
+                           (kernel._OBS_MIN, np.float64), (kernel._OBS_MAX, np.float64)):
+        assert operand.shape == () and operand.dtype == dtype
+        with pytest.raises(ValueError, match="read-only"):
+            operand[...] = 0
+    assert (int(qp.act_mult_0d), int(qp.act_shift_0d)) == (qp.act_mult, qp.act_shift)
+
+
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_load_rejects_empty_requant_table(tmp_path, scheme):
+    # a layer whose requant table has no entry and whose scale table has no
+    # weight scale, so only the table-length check can reject it
+    _, qp = _quantized(2, scheme)
+    empty = dataclasses.replace(qp.layers[0], weight_scales=np.ones(0), requant=())
+    assert empty.mult.shape == (0,)
+    fields = {f.name: getattr(qp, f.name) for f in dataclasses.fields(qp) if f.init}
+    save_quantized(types.SimpleNamespace(**{**fields, "layers": (empty, *qp.layers[1:])}),
+                   tmp_path / "empty.bin")
+    with pytest.raises(DataError, match="layer 0 requant table has 0 entries"):
+        load_quantized(tmp_path / "empty.bin")
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
