@@ -280,7 +280,7 @@ class CodecRuntime:
             out = qp.layers[-1]
             # quantize_obs, infer_int8 and dequantize_action are read as
             # module globals on every call, so they can be rebound for tracing
-            self._to_wire = lambda obs: quantize_obs(obs, qp.obs_scale, qp.obs_zp)
+            self._to_wire = lambda obs: quantize_obs(obs, qp.obs_scale_0d, qp.obs_zp_0d)
             self._from_wire = lambda a: dequantize_action(a, out.output_scale, out.output_zp)
             act_fn = lambda obs_q, t: infer_int8(qp, obs_q)[0]
         else:

@@ -33,9 +33,9 @@ def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
     q = np.array(obs, dtype=np.float64)
     if not np.isfinite(q).all():
         raise DataError("observation has a non-finite value")
-    q /= np.array(scale, dtype=np.float64)
+    q /= np.asarray(scale, dtype=np.float64)  # QuantizedPolicy's 0-d float64 operands pass as is
     np.rint(q, out=q)
-    q += np.array(zero_point, dtype=np.float64)
+    q += np.asarray(zero_point, dtype=np.float64)
     # two in-place ufuncs: on one observation np.clip's Python wrapper costs
     # more than the clamp itself
     np.maximum(q, _OBS_MIN, out=q)
@@ -108,7 +108,7 @@ def requantize(acc: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
 
 def fused_infer_dequant(qp: QuantizedPolicy, obs: np.ndarray) -> np.ndarray:
     """Quantize observations, (n_in,) or (B, n_in), run int8 inference, dequantize the actions."""
-    obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
+    obs_q = quantize_obs(obs, qp.obs_scale_0d, qp.obs_zp_0d)
     action_q, _ = infer_int8(qp, obs_q)
     out = qp.layers[-1]
     return dequantize_action(action_q, out.output_scale, out.output_zp)

@@ -191,6 +191,8 @@ class QuantizedPolicy:
     row_counters: OpCounters = field(init=False, repr=False, compare=False)
     act_mult_0d: np.ndarray = field(init=False, repr=False, compare=False)   # int64, read-only
     act_shift_0d: np.ndarray = field(init=False, repr=False, compare=False)  # int64, read-only
+    obs_scale_0d: np.ndarray = field(init=False, repr=False, compare=False)  # float64, read-only
+    obs_zp_0d: np.ndarray = field(init=False, repr=False, compare=False)     # float64, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -226,6 +228,8 @@ class QuantizedPolicy:
         object.__setattr__(self, "row_counters", expected_counters(self.spec, self.scheme))
         object.__setattr__(self, "act_mult_0d", const_0d(self.act_mult, np.int64))
         object.__setattr__(self, "act_shift_0d", const_0d(self.act_shift, np.int64))
+        object.__setattr__(self, "obs_scale_0d", const_0d(self.obs_scale, np.float64))
+        object.__setattr__(self, "obs_zp_0d", const_0d(self.obs_zp, np.float64))
 
 
 def _affine_params(x: np.ndarray, what: str) -> tuple[float, int]:

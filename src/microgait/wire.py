@@ -10,13 +10,12 @@ sync byte and a receiver may resync by scanning for 0x7E.
 """
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import DataError, ProtocolError
 
 SYNC = 0x7E
 OBS_DIM = 24
@@ -27,14 +26,14 @@ MSG_ACT_FP32 = 0x02
 MSG_OBS_INT8 = 0x11
 MSG_ACT_INT8 = 0x12
 
-# (direction, precision) -> message type, and each type's payload (dtype, count)
+# (direction, precision) -> message type, and each type's (direction, precision, dtype, count)
 _MSG_TYPES = {("obs", "fp32"): MSG_OBS_FP32, ("act", "fp32"): MSG_ACT_FP32,
               ("obs", "int8"): MSG_OBS_INT8, ("act", "int8"): MSG_ACT_INT8}
-_TYPE_KEYS = {msg_type: key for key, msg_type in _MSG_TYPES.items()}
-_PAYLOADS = {MSG_OBS_FP32: ("<f4", OBS_DIM), MSG_ACT_FP32: ("<f4", ACT_DIM),
-             MSG_OBS_INT8: ("<i1", OBS_DIM), MSG_ACT_INT8: ("<i1", ACT_DIM)}
-_PAYLOAD_BYTES = {t: np.dtype(dtype).itemsize * count for t, (dtype, count) in _PAYLOADS.items()}
-MAX_PAYLOAD = max(_PAYLOAD_BYTES.values())  # 96: a fp32 observation
+_TYPES = {t: (d, p, np.dtype("<f4" if p == "fp32" else "<i1"), OBS_DIM if d == "obs" else ACT_DIM)
+          for (d, p), t in _MSG_TYPES.items()}
+MAX_PAYLOAD = max(dtype.itemsize * count for _, _, dtype, count in _TYPES.values())  # 96: fp32 obs
+_HEADER = struct.Struct("<BBBH")  # sync, msg_type, seq, payload length
+_BYTES = tuple(bytes([b]) for b in range(256))  # one-byte objects for the CRC trailer
 
 
 class SyncError(ProtocolError):
@@ -57,26 +56,39 @@ class SequenceError(ProtocolError):
     pass
 
 
-def _crc8_table() -> bytes:
-    """CRC-8 of each single byte, for the byte-at-a-time lookup (Sarwate 1988)."""
-    table = bytearray(256)
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else (crc << 1) & 0xFF
-        table[byte] = crc
-    return bytes(table)
+# CRC bit j is the parity of the message bits under mask j, as the CRC is linear
+# over GF(2). The masks span 127 bytes: x has order 127 mod P = (x + 1)(x^7 + x^6
+# + x^5 + x^4 + x^3 + x^2 + 1), so 127 zero bytes return every CRC state to itself.
+_SPAN_BITS = 8 * 127
 
 
-_CRC8_TABLE = _crc8_table()
+def _crc8_masks() -> tuple[int, ...]:
+    crcs, crc = bytearray(), 0x07  # the CRC of the one-bit message x^i is x^(i + 8) mod P
+    for _ in range(_SPAN_BITS):
+        crcs.append(crc)
+        crc = ((crc << 1) ^ 0x07) & 0xFF if crc & 0x80 else crc << 1
+    crcs.reverse()  # the top message bit first, as int(digits, 2) reads it
+    return tuple(int(crcs.translate(bytes(b"01"[c >> j & 1] for c in range(256))), 2)
+                 for j in range(8))
+
+
+_CRC8_MASKS = _crc8_masks()
 
 
 def crc8(data: bytes) -> int:
-    """CRC-8, polynomial 0x07, init 0x00, MSB first."""
-    crc = 0x00
-    for byte in data:
-        crc = _CRC8_TABLE[crc ^ byte]
-    return crc
+    """CRC-8, polynomial 0x07, init 0x00, MSB first, of any bytes-like data.
+
+    Leading zero bytes drop out of int.from_bytes without changing the CRC, as init
+    is 0; a message over 127 bytes XOR-folds its 127-byte chunks, aligned at its end.
+    """
+    d = int.from_bytes(data, "big")
+    while hi := d >> _SPAN_BITS:
+        d ^= hi << _SPAN_BITS ^ hi
+    m0, m1, m2, m3, m4, m5, m6, m7 = _CRC8_MASKS
+    return ((d & m0).bit_count() & 1 | ((d & m1).bit_count() & 1) << 1
+            | ((d & m2).bit_count() & 1) << 2 | ((d & m3).bit_count() & 1) << 3
+            | ((d & m4).bit_count() & 1) << 4 | ((d & m5).bit_count() & 1) << 5
+            | ((d & m6).bit_count() & 1) << 6 | ((d & m7).bit_count() & 1) << 7)
 
 
 @dataclass(frozen=True)
@@ -87,28 +99,34 @@ class Frame:
 
 
 def encode_frame(msg_type: int, seq: int, payload: bytes) -> bytes:
-    if msg_type not in _PAYLOADS:
+    if msg_type not in _TYPES:
         raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
     if not (0 <= seq <= 0xFF):
         raise ProtocolError(f"seq {seq} outside u8 range")
-    body = struct.pack("<BBH", msg_type, seq, len(payload)) + payload
-    return bytes([SYNC]) + body + bytes([crc8(body)])
+    frame = _HEADER.pack(SYNC, msg_type, seq, len(payload)) + payload
+    return frame + _BYTES[crc8(frame[1:])]
+
+
+def _check_frame(buf: bytes) -> tuple[int, int, int]:
+    """(msg_type, seq, length) of one frame, checked for size, sync, length, CRC, type in turn."""
+    if len(buf) < 6:
+        raise LengthError(f"frame too short ({len(buf)} bytes)")
+    sync, msg_type, seq, length = _HEADER.unpack_from(buf)
+    if sync != SYNC:
+        raise SyncError(f"bad sync byte 0x{sync:02X}")
+    if len(buf) != 6 + length:
+        raise LengthError(f"frame is {len(buf)} bytes, header says {6 + length}")
+    crc = crc8(buf[1:-1])
+    if crc != buf[-1]:
+        raise CrcError(f"crc mismatch: computed 0x{crc:02X}, got 0x{buf[-1]:02X}")
+    if msg_type not in _TYPES:
+        raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
+    return msg_type, seq, length
 
 
 def decode_frame(buf: bytes) -> Frame:
     """Decode one exact frame; raises a distinct error per failure mode."""
-    if len(buf) < 6:
-        raise LengthError(f"frame too short ({len(buf)} bytes)")
-    if buf[0] != SYNC:
-        raise SyncError(f"bad sync byte 0x{buf[0]:02X}")
-    msg_type, seq, length = struct.unpack_from("<BBH", buf, 1)
-    if len(buf) != 6 + length:
-        raise LengthError(f"frame is {len(buf)} bytes, header says {6 + length}")
-    body = buf[1:5 + length]
-    if crc8(body) != buf[-1]:
-        raise CrcError(f"crc mismatch: computed 0x{crc8(body):02X}, got 0x{buf[-1]:02X}")
-    if msg_type not in _PAYLOADS:
-        raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
+    msg_type, seq, length = _check_frame(buf)
     return Frame(msg_type, seq, bytes(buf[5:5 + length]))
 
 
@@ -137,23 +155,32 @@ def _encode(direction: str, values, precision: str, seq: int) -> bytes:
     msg_type = _MSG_TYPES.get((direction, precision))
     if msg_type is None:
         raise ProtocolError(f"unknown precision {precision!r}")
-    payload = np.asarray(values, dtype=_PAYLOADS[msg_type][0]).tobytes()
-    if len(payload) != _PAYLOAD_BYTES[msg_type]:
-        raise LengthError(f"payload is {len(payload)} bytes, type 0x{msg_type:02X} "
-                          f"needs {_PAYLOAD_BYTES[msg_type]}")
+    _, _, dtype, count = _TYPES[msg_type]
+    # an array in the payload dtype needs no check; an int8 frame carries the values
+    # that survive the cast, a fp32 frame all but the finite values that overflow float32
+    if getattr(values, "dtype", None) is not dtype:
+        x = np.asarray(values, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(x if precision == "int8" else values, dtype=dtype)
+        fits = values == x if precision == "int8" else np.isfinite(values) | ~np.isfinite(x)
+        if x.size == count and not fits.all():  # a wrong length is a LengthError below
+            i = int(np.argmin(fits.ravel()))
+            raise DataError(f"a {precision} frame cannot carry {float(x.flat[i])} at index {i}")
+    payload = values.tobytes()
+    if len(payload) != (need := count * dtype.itemsize):
+        raise LengthError(f"payload is {len(payload)} bytes, type 0x{msg_type:02X} needs {need}")
     return encode_frame(msg_type, seq, payload)
 
 
 def _decode(direction: str, buf: bytes) -> tuple[np.ndarray, str, int]:
-    frame = decode_frame(buf)
-    frame_direction, precision = _TYPE_KEYS[frame.msg_type]
+    msg_type, seq, length = _check_frame(buf)
+    frame_direction, precision, dtype, count = _TYPES[msg_type]
     if frame_direction != direction:
-        raise UnknownTypeError(f"unexpected message type 0x{frame.msg_type:02X}")
-    if len(frame.payload) != _PAYLOAD_BYTES[frame.msg_type]:
-        raise LengthError(f"payload is {len(frame.payload)} bytes, type "
-                          f"0x{frame.msg_type:02X} needs {_PAYLOAD_BYTES[frame.msg_type]}")
-    values = np.frombuffer(frame.payload, dtype=_PAYLOADS[frame.msg_type][0]).copy()
-    return values, precision, frame.seq
+        raise UnknownTypeError(f"unexpected message type 0x{msg_type:02X}")
+    if length != (need := count * dtype.itemsize):
+        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
+    # the payload, count values from offset 5: numpy parses positional arguments faster
+    return np.frombuffer(buf, dtype, count, 5).copy(), precision, seq
 
 
 def encode_observation(obs, precision: str = "fp32", seq: int = 0) -> bytes:
@@ -172,11 +199,6 @@ def decode_action(buf: bytes) -> tuple[np.ndarray, str, int]:
     return _decode("act", buf)
 
 
-class _State(enum.Enum):
-    AWAIT_OBS = 0
-    AWAIT_ACT = 1
-
-
 class Session:
     """Host-side half of the strict request/response loop.
 
@@ -186,18 +208,18 @@ class Session:
 
     def __init__(self, precision: str = "fp32"):
         self.precision = precision
-        self._state = _State.AWAIT_OBS
+        self._awaiting_action = False
         self._seq = 0
 
     def send_observation(self, obs) -> bytes:
-        if self._state is not _State.AWAIT_OBS:
+        if self._awaiting_action:
             raise SequenceError("observation sent before the previous action reply")
         frame = encode_observation(obs, self.precision, self._seq)
-        self._state = _State.AWAIT_ACT
+        self._awaiting_action = True
         return frame
 
     def receive_action(self, buf: bytes) -> np.ndarray:
-        if self._state is not _State.AWAIT_ACT:
+        if not self._awaiting_action:
             raise SequenceError("action received without a pending observation")
         values, precision, seq = decode_action(buf)
         if precision != self.precision:
@@ -205,7 +227,7 @@ class Session:
                 f"action precision {precision!r} != session precision {self.precision!r}")
         if seq != self._seq:
             raise SequenceError(f"action seq {seq} != expected {self._seq}")
-        self._state = _State.AWAIT_OBS
+        self._awaiting_action = False
         self._seq = (self._seq + 1) & 0xFF
         return values
 

@@ -83,6 +83,18 @@ def test_quantize_obs_leaves_float64_input_unchanged():
     np.testing.assert_array_equal(obs, before)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from(list(QuantScheme)))
+def test_quantize_obs_same_bits_with_0d_operands(seed, scheme):
+    # the policy's 0-d operands and the Python numbers they hold quantize alike
+    qp = _quantized(seed % 3, scheme, dims=(24, 8))
+    obs = np.random.default_rng(seed).normal(scale=4.0, size=(3, 24))
+    for x in (obs, obs[0], obs[0].astype(np.float32)):
+        want = quantize_obs(x, qp.obs_scale, qp.obs_zp)
+        got = quantize_obs(x, qp.obs_scale_0d, qp.obs_zp_0d)
+        assert got.dtype == np.int8 and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_quantize_obs_rejects_non_finite(bad):
     with pytest.raises(DataError):

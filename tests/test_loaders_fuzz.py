@@ -1,8 +1,10 @@
 """Fuzzing of the file loaders: the two binary policy loaders and the three
-text loaders (budget, leg geometry, gait curves).
+text loaders (budget, leg geometry, gait curves); and of the wire codec's
+decoders.
 
 A truncated, corrupted or padded file either loads or raises DataError or
-DomainError; a quantized policy that loads gives finite actions.
+DomainError; a quantized policy that loads gives finite actions. A buffer of
+arbitrary, corrupted or forged bytes either decodes or raises ProtocolError.
 """
 import importlib.resources
 
@@ -26,7 +28,9 @@ from microgait import (
     save_policy,
     save_quantized,
 )
+from microgait import wire
 from microgait.cost import load_budget
+from microgait.errors import ProtocolError
 from microgait.kinematics import load_geometry
 
 DIMS = (6, 5, 3)
@@ -110,3 +114,40 @@ def test_text_loader_fuzz(tmp_path_factory, name, data):
         load(path)
     except (DataError, DomainError):
         pass
+
+
+# one valid frame of each message type
+FRAMES = (wire.encode_observation(np.linspace(-2, 2, 24, dtype=np.float32), "fp32", 1),
+          wire.encode_action(np.linspace(-1, 1, 8, dtype=np.float32), "fp32", 2),
+          wire.encode_observation(np.arange(-12, 12, dtype=np.int8), "int8", 3),
+          wire.encode_action(np.arange(-4, 4, dtype=np.int8), "int8", 255))
+
+
+@st.composite
+def wire_buffers(draw) -> bytes:
+    """Arbitrary bytes, a valid frame mutated one to three times, or a forged
+    frame with a valid CRC over an arbitrary type, seq and payload."""
+    kind = draw(st.sampled_from(("random", "mutated", "forged")))
+    if kind == "random":
+        return draw(st.binary(max_size=2 * max(map(len, FRAMES))))
+    if kind == "mutated":
+        buf = draw(st.sampled_from(FRAMES))
+        for _ in range(draw(st.integers(1, 3))):
+            buf = draw(mutations(buf)) if buf else buf
+        return buf
+    body = (bytes([draw(st.integers(0, 255)), draw(st.integers(0, 255))])
+            + len(payload := draw(st.binary(max_size=100))).to_bytes(2, "little") + payload)
+    return bytes([wire.SYNC]) + body + bytes([wire.crc8(body)])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(buf=wire_buffers())
+def test_codec_decoders_fuzz(buf):
+    for decode in (wire.decode_frame, wire.decode_observation, wire.decode_action):
+        try:
+            decode(buf)
+        except ProtocolError:
+            pass
+    # the scanner skips what it cannot decode and never raises
+    for frame in wire.iter_frames(buf + FRAMES[0]):
+        assert isinstance(frame, wire.Frame)

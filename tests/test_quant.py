@@ -385,12 +385,14 @@ def test_shared_0d_operands_are_read_only():
     from microgait import kernel
     _, qp = _quantized(6, QuantScheme.PER_FEATURE)
     for operand, dtype in ((qp.act_mult_0d, np.int64), (qp.act_shift_0d, np.int64),
+                           (qp.obs_scale_0d, np.float64), (qp.obs_zp_0d, np.float64),
                            (kernel._ACC_MIN, np.int64), (kernel._ACC_MAX, np.int64),
                            (kernel._OBS_MIN, np.float64), (kernel._OBS_MAX, np.float64)):
         assert operand.shape == () and operand.dtype == dtype
         with pytest.raises(ValueError, match="read-only"):
             operand[...] = 0
     assert (int(qp.act_mult_0d), int(qp.act_shift_0d)) == (qp.act_mult, qp.act_shift)
+    assert (float(qp.obs_scale_0d), float(qp.obs_zp_0d)) == (qp.obs_scale, qp.obs_zp)
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))

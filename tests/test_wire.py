@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from microgait import ProtocolError
+from microgait import DataError, ProtocolError
 from microgait import wire
 from microgait.wire import (
     CrcError,
@@ -28,9 +30,36 @@ GOLDEN_ZERO_OBS = bytes.fromhex(
     "7e110018000000000000000000000000000000000000000000000000009a")
 
 
-@given(st.binary(max_size=64))
+@settings(max_examples=300)
+@given(st.integers(0, 3 * 127 + 8).flatmap(lambda n: st.binary(min_size=n, max_size=n)))
 def test_crc_matches_long_division_oracle(data):
+    # lengths drawn uniformly, so that folds of one, two and three 127-byte chunks all occur
     assert crc8(data) == crc8_longdiv(data)
+
+
+@pytest.mark.parametrize("n", [0, 1, 126, 127, 128, 254, 255, 4096])
+def test_crc_matches_oracle_across_the_127_byte_fold(n):
+    rng = np.random.default_rng(n)
+    for data in [b"\xff" * n] + [rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+                                  for _ in range(5)]:
+        want = crc8_longdiv(data)
+        assert crc8(data) == want
+        assert crc8(bytearray(data)) == want
+        assert crc8(memoryview(b"\x7e" + data + b"\x00")[1:-1]) == want
+        # init 0: leading zero bytes leave the CRC unchanged
+        for zeros in (1, 127, 128):
+            assert crc8(bytes(zeros) + data) == crc8_longdiv(bytes(zeros) + data) == want
+
+
+def test_127_zero_bytes_return_every_crc_state_to_itself():
+    # the fold in crc8 rests on this: x^(8 * 127) = 1 mod x^8 + x^2 + x + 1.
+    # The CRCs of the 256 one-byte messages are all 256 states
+    assert len({crc8_longdiv(bytes([b])) for b in range(256)}) == 256
+    for b in range(256):
+        assert crc8_longdiv(bytes([b]) + bytes(127)) == crc8_longdiv(bytes([b]))
+    # and no shorter run of zero bytes does it
+    assert all(any(crc8_longdiv(bytes([b]) + bytes(k)) != crc8_longdiv(bytes([b]))
+                   for b in range(256)) for k in range(1, 127))
 
 
 def test_crc_known_values():
@@ -78,6 +107,159 @@ def test_distinct_decode_errors():
     body = bytes([0x55, 0, 1, 0]) + b"\x00"
     with pytest.raises(UnknownTypeError):
         decode_frame(bytes([0x7E]) + body + bytes([crc8(body)]))
+
+
+ONE_FRAME_PER_TYPE = [
+    encode_observation(np.linspace(-3, 3, 24, dtype=np.float32), "fp32", 17),
+    encode_action(np.linspace(-1, 1, 8, dtype=np.float32), "fp32", 17),
+    encode_observation(np.arange(-12, 12, dtype=np.int8), "int8", 200),
+    encode_action(np.arange(-128, 128, 32, dtype=np.int8), "int8", 200),
+]
+
+
+@pytest.mark.parametrize("frame", ONE_FRAME_PER_TYPE, ids=["obs-fp32", "act-fp32", "obs-int8",
+                                                            "act-int8"])
+def test_every_single_bit_flip_is_detected(frame):
+    # CRC-8 with polynomial 0x07 detects every single-bit error in the body and
+    # its trailer; a flip in the sync byte or the length field fails earlier
+    decode = decode_observation if frame[1] in (wire.MSG_OBS_FP32, wire.MSG_OBS_INT8) \
+        else decode_action
+    decode(frame)
+    for bit in range(8 * len(frame)):
+        bad = bytearray(frame)
+        bad[bit // 8] ^= 1 << (bit % 8)
+        for fn in (decode_frame, decode):
+            with pytest.raises(ProtocolError):
+                fn(bytes(bad))
+
+
+def test_decode_checks_run_in_order():
+    good = encode_action(np.zeros(8, dtype=np.int8), "int8", 1)
+    # too short, and a bad sync byte: the length check comes first
+    with pytest.raises(LengthError, match="too short"):
+        decode_frame(b"\x00" * 5)
+    # bad sync byte and a length field that disagrees with the buffer
+    bad = bytearray(good)
+    bad[0], bad[3] = 0x00, 0xFF
+    with pytest.raises(SyncError):
+        decode_frame(bytes(bad))
+    # length field and CRC both wrong: the length check comes first
+    bad = bytearray(good)
+    bad[3] ^= 0x01
+    bad[-1] ^= 0xFF
+    with pytest.raises(LengthError, match="header says"):
+        decode_frame(bytes(bad))
+    # unknown type and a CRC that does not match: the CRC check comes first
+    body = bytes([0x55, 0, 1, 0, 0])
+    with pytest.raises(CrcError, match=f"computed 0x{crc8(body):02X}"):
+        decode_frame(bytes([0x7E]) + body + bytes([crc8(body) ^ 1]))
+    # a known type carrying the wrong payload length for it
+    body = bytes([wire.MSG_ACT_INT8, 0, 3, 0, 1, 2, 3])
+    with pytest.raises(LengthError, match="needs 8"):
+        decode_action(bytes([0x7E]) + body + bytes([crc8(body)]))
+    # an observation handed to the action decoder
+    with pytest.raises(UnknownTypeError, match="unexpected"):
+        decode_action(encode_observation(np.zeros(24, dtype=np.int8), "int8", 1))
+
+
+def test_decode_accepts_bytearray_and_memoryview():
+    for frame in ONE_FRAME_PER_TYPE:
+        want = decode_frame(frame)
+        for buf in (bytearray(frame), memoryview(frame)):
+            assert decode_frame(buf) == want
+    values, precision, seq = decode_observation(memoryview(ONE_FRAME_PER_TYPE[0]))
+    assert values.flags.writeable and (precision, seq) == ("fp32", 17)
+
+
+def test_session_round_trip_computes_four_crcs(monkeypatch):
+    # encode and decode each read crc8 as a module global, once per frame, so
+    # a rebound crc8 (as a tracer rebinds it) sees every CRC of the round trip
+    calls = []
+    real = wire.crc8
+
+    def counting(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(wire, "crc8", counting)
+    for precision, dtype in (("fp32", np.float32), ("int8", np.int8)):
+        calls.clear()
+        session = Session(precision)
+        device = LoopbackDevice(lambda obs, t: obs[:8], precision)
+        action = session.receive_action(
+            device.handle(session.send_observation(np.ones(24, dtype=dtype)), 0.0))
+        assert np.array_equal(action, np.ones(8, dtype=dtype))
+        body = 4 + (4 if precision == "fp32" else 1) * np.array([24, 24, 8, 8])
+        assert calls == body.tolist()
+
+
+@pytest.mark.parametrize("encode,dim", [(encode_observation, 24), (encode_action, 8)])
+@pytest.mark.parametrize("value,index", [(300.0, 0), (-129.0, 0), (1.5, 0), (np.nan, 0),
+                                         (np.inf, 0), (-np.inf, 0), (128, 3), (0.5, 5)])
+def test_int8_encoders_reject_values_the_frame_cannot_carry(encode, dim, value, index):
+    values = np.zeros(dim)
+    values[index] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"at index {index}$"):
+            encode(values, "int8")
+        with pytest.raises(DataError, match=f"at index {index}$"):
+            encode(values.tolist(), "int8")
+        # a wrong length is still a LengthError first
+        with pytest.raises(LengthError):
+            encode(np.append(values, value), "int8")
+
+
+@pytest.mark.parametrize("encode,dim", [(encode_observation, 24), (encode_action, 8)])
+def test_fp32_encoders_reject_only_finite_float32_overflow(encode, dim):
+    big = float(np.finfo(np.float32).max)
+    for value in (1e40, -1e40, 2 * big):
+        values = np.zeros(dim)
+        values[dim - 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"at index {dim - 1}$"):
+                encode(values, "fp32")
+    # non-finite values and the largest finite float32 go through as they are
+    values = np.zeros(dim)
+    values[:4] = (np.nan, np.inf, -np.inf, big)
+    out, _, _ = (decode_observation if dim == 24 else decode_action)(encode(values, "fp32"))
+    assert out.tobytes() == values.astype(np.float32).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.integers(-300, 300),
+                min_size=8, max_size=8),
+       st.sampled_from(["fp32", "int8"]))
+def test_encoded_action_decodes_to_its_values_or_is_rejected(values, precision):
+    x = np.array(values, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            frame = encode_action(values, precision)
+        except DataError:
+            if precision == "int8":
+                assert not np.all((x == np.rint(x)) & (np.abs(x + 0.5) <= 127.5))
+            else:
+                assert np.any(np.isfinite(x) & (np.abs(x) > np.finfo(np.float32).max))
+            return
+        out, _, _ = decode_action(frame)
+    if precision == "int8":
+        assert np.array_equal(out, x)
+    else:
+        with np.errstate(over="ignore"):
+            assert out.tobytes() == x.astype(np.float32).tobytes()
+
+
+def test_wire_dtype_arrays_encode_as_before():
+    # the check is skipped for arrays already in the payload dtype, and a
+    # converted array gives the same bytes as the payload-dtype array
+    rng = np.random.default_rng(7)
+    obs = rng.normal(size=24).astype(np.float32)
+    assert encode_observation(obs, "fp32") == encode_observation(obs.astype(np.float64), "fp32")
+    q = rng.integers(-128, 128, size=8).astype(np.int8)
+    for other in (q.astype(np.int64), q.astype(np.float32), q.tolist()):
+        assert encode_action(q, "int8", 9) == encode_action(other, "int8", 9)
 
 
 def test_encode_validation():
