@@ -32,7 +32,7 @@ EPISODE_S = 10.0  # episode length, s
 F32_MAX = float(np.finfo(np.float32).max)  # an action feeds a float32 observation slot
 
 
-# Per-step reward weights; reward_step also scales each term by DT.
+# Per-step reward weights; reward_step scales each term by DT through the W * DT below.
 LIN_TRACK_WEIGHT = 1.0
 ANG_TRACK_WEIGHT = 0.5
 LIN_PENALTY_WEIGHT = 0.5
@@ -40,10 +40,12 @@ ANG_PENALTY_WEIGHT = 0.05
 AIR_TIME_WEIGHT = 1.0
 TRACKING_SIGMA = 0.5     # tracking kernel width: Phi(e) = exp(-e^2 / sigma^2)
 AIR_TIME_OFFSET_S = 0.5  # a touchdown earns (t_air - offset), negative for short steps
-
-
-def tracking_kernel(err: float) -> float:
-    return math.exp(-(err * err) / (TRACKING_SIGMA * TRACKING_SIGMA))
+_LIN_TRACK_DT = LIN_TRACK_WEIGHT * DT
+_ANG_TRACK_DT = ANG_TRACK_WEIGHT * DT
+_LIN_PENALTY_DT = -LIN_PENALTY_WEIGHT * DT
+_ANG_PENALTY_DT = -ANG_PENALTY_WEIGHT * DT
+_AIR_TIME_DT = AIR_TIME_WEIGHT * DT
+_SIGMA_SQ = TRACKING_SIGMA * TRACKING_SIGMA
 
 
 @dataclass
@@ -72,14 +74,13 @@ TRAJECTORY_COLUMNS = ("t", "vx", "vy", "wz", "reward_total", "reward_lin",
 def reward_step(s: PlantState, cmd: tuple[float, float]) -> tuple[float, ...]:
     """Per-step reward: tracking terms, motion penalties, touchdown air-time
     bonus, and their total, in the order of TRAJECTORY_COLUMNS[4:]."""
-    v_cmd, w_cmd = cmd
-    lin = LIN_TRACK_WEIGHT * DT * tracking_kernel(v_cmd - s.v[0])
-    ang = ANG_TRACK_WEIGHT * DT * tracking_kernel(w_cmd - s.w[2])
-    pen_lin = -LIN_PENALTY_WEIGHT * DT * s.v[1] ** 2
-    pen_ang = -ANG_PENALTY_WEIGHT * DT * (s.w[0] ** 2 + s.w[1] ** 2)
-    a0, a1, a2, a3 = [(t - AIR_TIME_OFFSET_S) * landed
-                      for t, landed in zip(s.t_air, s.just_landed)]
-    air = AIR_TIME_WEIGHT * DT * (0.0 + a0 + a1 + a2 + a3)  # summed as in plant_step
+    lin = _LIN_TRACK_DT * math.exp(-((e := cmd[0] - s.v[0]) * e) / _SIGMA_SQ)
+    ang = _ANG_TRACK_DT * math.exp(-((e := cmd[1] - s.w[2]) * e) / _SIGMA_SQ)
+    pen_lin = _LIN_PENALTY_DT * s.v[1] ** 2
+    pen_ang = _ANG_PENALTY_DT * (s.w[0] ** 2 + s.w[1] ** 2)
+    (t0, t1, t2, t3), (j0, j1, j2, j3) = s.t_air, s.just_landed
+    air = _AIR_TIME_DT * (0.0 + (t0 - AIR_TIME_OFFSET_S) * j0 + (t1 - AIR_TIME_OFFSET_S) * j1
+                          + (t2 - AIR_TIME_OFFSET_S) * j2 + (t3 - AIR_TIME_OFFSET_S) * j3)
     return lin + ang + pen_lin + pen_ang + air, lin, ang, pen_lin, pen_ang, air
 
 
@@ -171,59 +172,55 @@ def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
         tau_joint=p.tau_joint / max(dr.stiffness, 1e-6))
 
 
-def _clip(x: float, lo: float, hi: float) -> float:
-    """np.clip on one float: a bound replaces x only when x is strictly past it."""
-    x = lo if lo > x else x
-    return hi if hi < x else x
-
-
 def plant_step(s: PlantState, targets: list[float], params: PlantParams,
                dr: DRPerturbation) -> PlantState:
     """Advance the surrogate by one step of DT toward the held joint targets,
     NUM_JOINTS finite numbers (held as floats in q_targets).
 
-    Scalar code on Python floats: on 8-element arrays numpy's per-call
-    dispatch costs more than the math, so the state is tuples and no numpy
-    runs here. Each operation keeps its order and operands from the numpy
-    form in tests/oracles.py, so the bits match; a sum folds left from +0.0
-    as numpy's add.reduce does, not with sum(), which compensates from
-    Python 3.12 on.
+    Straight-line code on Python floats: numpy's per-call dispatch, and even
+    a comprehension frame per 4-leg tuple, costs more than the math. Each
+    operation keeps its order and operands from the numpy form in
+    tests/oracles.py, so the bits match: a clamp takes a bound only when the
+    value is strictly past it, as np.clip does, and a sum folds left from
+    +0.0 as numpy's add.reduce does (sum() compensates from Python 3.12 on).
     """
     if len(targets) != NUM_JOINTS:
         raise DataError(f"expected {NUM_JOINTS} joint targets, got {len(targets)}")
     if not all(map(math.isfinite, targets)):
         j = next(j for j, x in enumerate(targets) if not math.isfinite(x))
         raise DataError(f"joint {j} target is not finite: {targets[j]}")
-    lo = -Q_LIMIT + dr.dof_lower
-    hi = Q_LIMIT + dr.dof_upper
-    targets = tuple([_clip(float(x), lo, hi) for x in targets])
+    lo, hi = -Q_LIMIT + dr.dof_lower, Q_LIMIT + dr.dof_upper
+    targets = tuple([hi if hi < (y := lo if lo > x else x) else y for x in map(float, targets)])
 
     qd = tuple([(x - q0) / params.tau_joint for x, q0 in zip(targets, s.q)])
     q = tuple([q0 + DT * v for q0, v in zip(s.q, qd)])
-    l0, l1, l2, l3 = qd[0::2]  # lift-joint velocity per leg
-    contact = tuple([x < 0.0 for x in q[0::2]])
+    l0, w0, l1, w1, l2, w2, l3, w3 = qd  # lift- and swing-joint velocity per leg
+    c0, c1, c2, c3 = contact = (q[0] < 0.0, q[2] < 0.0, q[4] < 0.0, q[6] < 0.0)
 
-    # rectified, saturated swing-velocity drive during stance
-    d0, d1, d2, d3 = [_clip(-x, -QD_SAT, QD_SAT) * c for x, c in zip(qd[1::2], contact)]
+    # rectified, saturated swing-velocity drive in stance: np.clip(-w, -QD_SAT, QD_SAT) * c
+    d0 = (-QD_SAT if w0 > QD_SAT else QD_SAT if w0 < -QD_SAT else -w0) * c0
+    d1 = (-QD_SAT if w1 > QD_SAT else QD_SAT if w1 < -QD_SAT else -w1) * c1
+    d2 = (-QD_SAT if w2 > QD_SAT else QD_SAT if w2 < -QD_SAT else -w2) * c2
+    d3 = (-QD_SAT if w3 > QD_SAT else QD_SAT if w3 < -QD_SAT else -w3) * c3
     thrust = params.k_vel * ((0.0 + d0 + d1 + d2 + d3) / NUM_LEGS)
     side_asym = (0.0 + d0 + d2) - (0.0 + d1 + d3)  # left legs minus right legs
 
     vx, vy, _ = s.v
     v = (vx + DT * (thrust - vx) / params.tau_vel,
-         vy + DT * (K_LAT * side_asym - vy) / params.tau_vel,
-         0.0)
+         vy + DT * (K_LAT * side_asym - vy) / params.tau_vel, 0.0)
 
     roll_drive = (0.0 + l0 + l2) / 2 - (0.0 + l1 + l3) / 2   # left - right
     pitch_drive = (0.0 + l0 + l1) / 2 - (0.0 + l2 + l3) / 2  # front - rear
-    wx, wy, wz = s.w
+    (wx, wy, wz), (roll, pitch) = s.w, s.att
     w = (wx + DT * (K_ATT * roll_drive - wx) / TAU_ATT,
          wy + DT * (K_ATT * pitch_drive - wy) / TAU_ATT,
          wz + DT * (K_YAW * K_LAT * side_asym - wz) / params.tau_vel)
 
-    t_air = tuple([(0.0 if down else t) if c else t + DT
-                   for t, c, down in zip(s.t_air, contact, s.contact)])
-    landed = tuple([c and not down for c, down in zip(contact, s.contact)])
-    att = tuple([a + DT * (wi - a / TAU_ATT) for a, wi in zip(s.att, w)])
+    (t0, t1, t2, t3), (p0, p1, p2, p3) = s.t_air, s.contact  # p: contact one step back
+    t_air = ((0.0 if p0 else t0) if c0 else t0 + DT, (0.0 if p1 else t1) if c1 else t1 + DT,
+             (0.0 if p2 else t2) if c2 else t2 + DT, (0.0 if p3 else t3) if c3 else t3 + DT)
+    landed = (c0 and not p0, c1 and not p1, c2 and not p2, c3 and not p3)
+    att = (roll + DT * (w[0] - roll / TAU_ATT), pitch + DT * (w[1] - pitch / TAU_ATT))
     return PlantState(v, w, att, q, qd, targets, t_air, contact, landed)
 
 

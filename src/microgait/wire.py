@@ -125,8 +125,11 @@ def _check_frame(buf: bytes) -> tuple[int, int, int]:
 
 
 def decode_frame(buf: bytes) -> Frame:
-    """Decode one exact frame; raises a distinct error per failure mode."""
+    """Decode one exact frame of its type's payload size; raises a distinct error per failure."""
     msg_type, seq, length = _check_frame(buf)
+    _, _, dtype, count = _TYPES[msg_type]
+    if length != (need := count * dtype.itemsize):
+        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
     return Frame(msg_type, seq, bytes(buf[5:5 + length]))
 
 

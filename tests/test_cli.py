@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from microgait import (PolicySpec, PowerParams, QuantScheme, feasible_update_rate, harness,
-                       leaky_relu, max_clock, quantize_policy, random_policy)
+                       leaky_relu, max_clock, quantize_policy, random_policy, wire)
 from microgait.cli import main
 from microgait.policy import save_policy
 from microgait.quant import save_quantized
@@ -94,6 +94,8 @@ def _overflowing_model(path) -> str:
 
 
 NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
+# a CRC-valid int8 action frame with 3 payload bytes, as hex text; the type carries 8
+ACT_INT8_3_BYTES = wire.encode_frame(wire.MSG_ACT_INT8, 0, b"\x01\x02\x03").hex().encode()
 
 
 @pytest.mark.parametrize("make_args, message", [
@@ -116,6 +118,8 @@ NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
     pytest.param(lambda tmp, model: ["codec"], "provide --selftest or --decode", id="codec-no-flag"),
     pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", b"zz01")],
                  "bad hex in", id="codec-bad-hex"),
+    pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", ACT_INT8_3_BYTES)],
+                 "payload is 3 bytes, type 0x12 needs 8", id="codec-wrong-payload-size"),
     pytest.param(lambda tmp, model: ["quantize", "--model", model, "--scheme", "per-tensor",
                                      "--calib", _file(tmp / "c.csv", b""), "--out", str(tmp / "q")],
                  "is empty", id="empty-calib"),

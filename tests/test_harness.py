@@ -24,6 +24,7 @@ from microgait import (
     run_episode,
     sample_dr,
 )
+from microgait import harness
 from microgait.harness import (
     DT,
     K_ATT,
@@ -210,6 +211,88 @@ def test_plant_and_reward_match_numpy_reference(case):
     for key, value in ref_terms.items():
         assert _bits(r[key]) == _bits(value), key
     assert _bits(r["reward_total"]) == _bits(ref_total)
+
+
+_LO, _HI = -Q_LIMIT + 0.03, Q_LIMIT - 0.04  # the clamp bounds under _OFFSET_DR
+_OFFSET_DR = DRPerturbation(dof_lower=0.03, dof_upper=-0.04)
+_HALF_TAU = PlantParams(tau_joint=0.5)  # qd = 2 (target - q), exact for the targets below
+
+# Edge cases of the straight-line plant step: (state fields, targets, params, perturbation,
+# the fields each case is built to produce). Lift joints are q[0::2], swing joints q[1::2].
+PLANT_CASES = [
+    pytest.param({}, [-Q_LIMIT, Q_LIMIT, -0.0, 0.0, 0.0, -0.0, Q_LIMIT, -Q_LIMIT],
+                 PlantParams(), DRPerturbation(),
+                 {"q_targets": (-Q_LIMIT, Q_LIMIT, -0.0, 0.0, 0.0, -0.0, Q_LIMIT, -Q_LIMIT)},
+                 id="targets-at-bounds-and-signed-zeros"),
+    pytest.param({}, [_LO, _HI, _LO - 1e-12, _HI + 1e-12, -0.0, 0.0, _HI, _LO],
+                 PlantParams(), _OFFSET_DR,
+                 {"q_targets": (_LO, _HI, _LO, _HI, -0.0, 0.0, _HI, _LO)},
+                 id="targets-at-and-past-perturbed-bounds"),
+    pytest.param({"q": [0.5, -0.25] * 4}, [0, 1, -1, 2, -2, 0, 1, -1],
+                 PlantParams(), DRPerturbation(),
+                 {"q_targets": (0.0, 1.0, -1.0, Q_LIMIT, -Q_LIMIT, 0.0, 1.0, -1.0)},
+                 id="int-targets"),
+    # swing qd of 0.75, -0.75, 1.0 and -1.0: -qd exactly at, then past, -QD_SAT and +QD_SAT
+    pytest.param({}, [-0.5, 0.375, -0.5, -0.375, -0.5, 0.5, -0.5, -0.5],
+                 _HALF_TAU, DRPerturbation(),
+                 {"qd": (-1.0, QD_SAT, -1.0, -QD_SAT, -1.0, 1.0, -1.0, -1.0),
+                  "contact": (True,) * 4},
+                 id="swing-at-and-past-qd-sat"),
+    pytest.param({"q": [-0.5, 0.1] * 4, "contact": [True] * 4, "t_air": [0.3] * 4},
+                 [-0.5, 0.2, -0.6, 0.0, -0.4, -0.2, -0.5, 0.1], PlantParams(), DRPerturbation(),
+                 {"contact": (True,) * 4, "just_landed": (False,) * 4, "t_air": (0.0,) * 4},
+                 id="all-in-contact"),
+    pytest.param({"q": [0.5, 0.1] * 4, "t_air": [0.2, 0.0, 0.7, 1.5]},
+                 [0.5, 0.2, 0.6, -0.1, 0.4, 0.3, 0.5, 0.0], PlantParams(), DRPerturbation(),
+                 {"contact": (False,) * 4, "just_landed": (False,) * 4},
+                 id="all-airborne"),
+    # between the two mixed cases every leg lands once and stays down or up once
+    pytest.param({"contact": (True, False, False, True), "t_air": [0.2, 0.7, 0.1, 0.9]},
+                 [-0.5, 0.2, -0.5, -0.2, 0.5, 0.1, 0.5, -0.1], _HALF_TAU, DRPerturbation(),
+                 {"contact": (True, True, False, False),
+                  "just_landed": (False, True, False, False)},
+                 id="mixed-just-landed"),
+    pytest.param({"contact": (False, True, False, False), "t_air": [0.9, 0.6, 0.3, 0.5]},
+                 [-0.5, 0.2, -0.5, -0.2, -0.5, 0.1, -0.5, -0.1], _HALF_TAU, DRPerturbation(),
+                 {"contact": (True,) * 4, "just_landed": (True, False, True, True),
+                  "t_air": (0.9, 0.0, 0.3, 0.5)},
+                 id="mixed-just-landed-other-legs"),
+]
+
+
+@pytest.mark.parametrize("fields, targets, params, dr, expect", PLANT_CASES)
+def test_plant_edge_cases_match_numpy_reference(fields, targets, params, dr, expect):
+    s = _state(**fields)
+    got = plant_step(s, targets, params, dr)
+    _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
+    for name, want in expect.items():
+        assert [_bits(x) for x in getattr(got, name)] == [_bits(x) for x in want], name
+    ref_total, ref_terms = reward_step_numpy(got, (0.08, 0.0), DT)
+    r = _reward(got, (0.08, 0.0))
+    assert [_bits(r[key]) for key in ref_terms] == [_bits(v) for v in ref_terms.values()]
+    assert _bits(r["reward_total"]) == _bits(ref_total)
+
+
+def test_air_term_of_four_negative_zeros_is_positive_zero():
+    # no leg just landed and every t_air below the offset: each product is -0.0
+    s = _state(t_air=[0.1, 0.2, 0.0, 0.4], just_landed=[False] * 4)
+    assert [math.copysign(1.0, (t - 0.5) * False) for t in s.t_air] == [-1.0] * 4
+    air = _reward(s, (0.08, 0.0))["reward_air"]
+    assert _bits(air) == _bits(0.0) == _bits(reward_step_numpy(s, (0.08, 0.0), DT)[1]["reward_air"])
+
+
+def test_run_episode_calls_plant_and_reward_as_module_globals(monkeypatch):
+    # perfbench's tracer times the two steps by rebinding these module globals
+    calls = {"plant_step": 0, "reward_step": 0}
+    for name in calls:
+        def counted(*args, _step=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _step(*args)
+        monkeypatch.setattr(harness, name, counted)
+    result = run_episode(ScriptedGaitController(0.08), SimConfig(f_update_hz=30.0), None,
+                         (0.08, 0.0))
+    assert result.steps == 1200
+    assert calls == {"plant_step": 1200, "reward_step": 1200}
 
 
 def test_plant_episode_matches_numpy_reference():

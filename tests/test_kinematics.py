@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from microgait import DataError, DomainError, EndEffector, LegGeometry, ik
 from microgait.kinematics import load_geometry
@@ -53,20 +53,49 @@ def test_boundary_is_inclusive():
         ik(UNIT, EndEffector(1.0 + 1e-12, 0.0))
 
 
+U = 2.0 ** -53  # float64 unit roundoff
+# Rounding budget of one chain of float operations, in U times the chain's largest
+# magnitude. A correctly rounded operation errs by at most U times its result, and
+# libm's sin, cos and asin by at most 1 ulp (2U). Summed over fk_oracle then ik, the
+# swing chain to asin's argument (times l_y) counts at most 6 U (|xr| + l_y), the lift
+# chain (times l_x) 7 U (|yr| + l_x + l_y), and the closed-form and ik motor targets
+# together 11 U (|ref| + l_x + l_y). K, fixed before the test ran, stays above the
+# largest count, with room for the higher-order terms a first-order bound drops.
+K = 16
+
+
+def _round_trip_error_bounds(g, theta_x, theta_y):
+    """First-order bounds on ik's errors after fk_oracle at (theta_x, theta_y):
+    (theta_x, theta_y, x_motor, y_motor). asin multiplies its argument's error by
+    1 / |cos theta|, and theta_y's error reaches the lift argument through
+    0.5 l_y sin(theta_y) / l_x and the motor targets through the motor equations."""
+    err_y = K * U * (abs(g.x_motor_ref) + g.l_y) / g.l_y / abs(math.cos(theta_y)) + K * U
+    lift_arg = (K * U * (abs(g.y_motor_ref) + g.l_x + g.l_y)
+                + 0.5 * g.l_y * abs(math.sin(theta_y)) * err_y) / g.l_x
+    err_x = lift_arg / abs(math.cos(theta_x)) + K * U
+    err_xm = (0.5 * g.l_y * abs(math.cos(theta_y)) * err_y + g.l_x * abs(math.sin(theta_x)) * err_x
+              + K * U * (abs(g.x_motor_ref) + g.l_x + g.l_y))
+    err_ym = g.l_y * abs(math.sin(theta_y)) * err_y + K * U * (abs(g.y_motor_ref) + g.l_x + g.l_y)
+    return err_x, err_y, err_xm, err_ym
+
+
 # stay 1e-3 off the +-pi/2 branch ends: asin conditioning diverges there
 @given(st.floats(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3),
        st.floats(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3),
        st.floats(0.05, 2.0), st.floats(0.05, 2.0),
        st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+# at the range's edge, where theta_x came back 1.4455e-9 off
+@example(math.pi / 2 - 1e-3, math.pi / 2 - 1e-3, 0.0625, 1.75, 0.0, 0.0)
 def test_round_trip_property(theta_x, theta_y, l_x, l_y, xr, yr):
     g = LegGeometry(l_x=l_x, l_y=l_y, x_motor_ref=xr, y_motor_ref=yr)
     sol = ik(g, fk_oracle(g, theta_x, theta_y))
-    assert abs(sol.theta_x - theta_x) <= 1e-9
-    assert abs(sol.theta_y - theta_y) <= 1e-9
+    err_x, err_y, err_xm, err_ym = _round_trip_error_bounds(g, theta_x, theta_y)
+    assert abs(sol.theta_x - theta_x) <= err_x
+    assert abs(sol.theta_y - theta_y) <= err_y
     # the closed-form motor targets agree with ik on the principal branch
     [(x_m, y_m)] = action_to_motor_targets(np.array([theta_x, theta_y]), [g])
-    assert abs(x_m - sol.x_motor) <= 1e-9
-    assert abs(y_m - sol.y_motor) <= 1e-9
+    assert abs(x_m - sol.x_motor) <= err_xm
+    assert abs(y_m - sol.y_motor) <= err_ym
 
 
 def test_action_to_motor_targets():

@@ -310,6 +310,21 @@ def test_iter_frames_skips_false_sync_longer_than_any_payload():
     assert len(f1) + len(f2) > wire.MAX_PAYLOAD == 96
 
 
+@pytest.mark.parametrize("good", ONE_FRAME_PER_TYPE, ids=["obs-fp32", "act-fp32", "obs-int8",
+                                                           "act-int8"])
+def test_decode_frame_rejects_a_payload_size_its_type_never_has(good):
+    msg_type, size = good[1], len(good) - 6
+    assert decode_frame(good).payload == good[5:-1]
+    for n in (0, 3, size - 1, size + 1):
+        bad = encode_frame(msg_type, 4, bytes(range(n)))  # a valid CRC over the wrong size
+        with pytest.raises(LengthError, match=f"payload is {n} bytes, type 0x{msg_type:02X} "
+                                              f"needs {size}"):
+            decode_frame(bad)
+        # the scanner skips it and keeps the frames around it
+        stream = ONE_FRAME_PER_TYPE[1] + bad + ONE_FRAME_PER_TYPE[3]
+        assert [f.seq for f in iter_frames(stream)] == [17, 200]
+
+
 def test_session_happy_path_and_wraparound():
     session = Session("int8")
     device = LoopbackDevice(lambda obs, t: obs[:8] + np.int8(t), "int8")
