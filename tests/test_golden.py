@@ -8,8 +8,9 @@ before the unvaried settings became constants and the two policy loaders
 shared one binary reader; the leaky-relu FP32 run-loop pin was recorded
 before the FP32 leaky-relu became branch-free; the 45 Hz int8 run-loop pin
 was recorded before the plant state moved from numpy arrays to tuples of
-floats. Change them only with a deliberate change of output, recorded in
-CHANGES.md.
+floats; the `cost --measured`, `cost --power` and `select-gait --power` pins
+were recorded before the two commands shared one budget resolver. Change them
+only with a deliberate change of output, recorded in CHANGES.md.
 """
 import hashlib
 
@@ -44,6 +45,32 @@ def test_golden_cost_budget(capsys, tmp_path):
         "f_clk_max_hz=10000000",
         "f_update_max_at_budget_hz=95.23990933",
         "f_clk_req_hz=6299880",
+    ]
+
+
+def test_golden_cost_measured(capsys, tmp_path):
+    assert _stdout(capsys, tmp_path, "cost", "--measured", "5e6,47.62", "--target-hz", "60") == [
+        "cycles_per_update=104997.9",
+        "f_update_max_hz=47.62",
+        "f_clk_req_hz=6299874.003",
+    ]
+
+
+def test_golden_cost_power(capsys, tmp_path):
+    assert _stdout(capsys, tmp_path, "cost", "--cycles", "104998",
+                   "--power", "1.8,0.0001,0.0018") == [
+        "cycles_per_update=104998",
+        "f_clk_max_hz=10000000",
+        "f_update_max_at_budget_hz=95.23990933",
+    ]
+
+
+def test_golden_select_gait_power(capsys, tmp_path):
+    assert _stdout(capsys, tmp_path, "select-gait", "--power", "1.8,0.0001,0.0018",
+                   "--cycles", "104998") == [
+        "gait=gallop",
+        "f_update_hz=95.23990933",
+        "reward_ratio=0.99",
     ]
 
 
