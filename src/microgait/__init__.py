@@ -50,7 +50,6 @@ from .gait import (
     load_gait_table,
     reward_at,
     select_gait,
-    select_gait_for_power,
 )
 from .kinematics import EndEffector, IkSolution, LegGeometry, ik
 from .harness import (

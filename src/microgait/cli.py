@@ -116,6 +116,27 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     return values
 
 
+def _budget(cycles, power, measured=None, budget=None):
+    """(cycles per update, clock or None, PowerParams or None) from the flags over
+    the budget file: a flag overrides the file, and --measured gives cycles and clock."""
+    file_cycles, f_clk, pp = cost.load_budget(budget) if budget else (None, None, None)
+    if measured is not None:
+        f_clk, f_update = _parse_floats(measured, 2, "--measured")
+        if not (f_clk > f_update > 0):
+            raise DomainError(f"need f_clk > f_update > 0, got {measured!r}")
+        cycles = f_clk / f_update
+    elif cycles is None:
+        cycles = file_cycles
+    if cycles is None:
+        raise DataError("provide --cycles, --measured, or a budget with cycles_per_update")
+    check_finite("cycles_per_update", cycles)
+    if cycles <= 0:
+        raise DomainError(f"cycles per update must be > 0, got {cycles}")
+    if power is not None:
+        pp = cost.PowerParams(*_parse_floats(power, 3, "--power"))
+    return cycles, f_clk, pp
+
+
 @cli.command("cost")
 @click.option("--cycles", type=float, default=None, help="cycles per update")
 @click.option("--measured", default=None, metavar="FCLK,FUPDATE",
@@ -127,34 +148,10 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 @click.option("--pretty", is_flag=True)
 def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
     """Map cycles/update, clock, power budget, and update frequency."""
-    pairs: list[tuple[str, object]] = []
-    budget_values = cost.load_budget(budget) if budget else {}
-    f_clk = budget_values.get("f_clk_hz")
-
-    if measured is not None:
-        f_clk, f_update = _parse_floats(measured, 2, "--measured")
-        if not (f_clk > f_update > 0):
-            raise DomainError(f"need f_clk > f_update > 0, got {measured!r}")
-        cycles = f_clk / f_update
-    elif cycles is None:
-        cycles = budget_values.get("cycles_per_update")
-    if cycles is None:
-        raise DataError("provide --cycles, --measured, or a budget with cycles_per_update")
-    check_finite("cycles_per_update", cycles)
-    if cycles <= 0:
-        raise DomainError(f"cycles per update must be > 0, got {cycles}")
-    pairs.append(("cycles_per_update", _fmt(cycles)))
+    cycles, f_clk, pp = _budget(cycles, power, measured, budget)
+    pairs: list[tuple[str, object]] = [("cycles_per_update", _fmt(cycles))]
     if f_clk is not None:
         pairs.append(("f_update_max_hz", _fmt(cost.max_update_rate(f_clk, cycles))))
-
-    pp = None
-    if power is not None:
-        v, i_mhz, p_max = _parse_floats(power, 3, "--power")
-        pp = cost.PowerParams(v, i_mhz, p_max)
-    elif {"v_volts", "i_per_mhz_amps", "p_max_watts"} <= budget_values.keys():
-        pp = cost.PowerParams(budget_values["v_volts"],
-                              budget_values["i_per_mhz_amps"],
-                              budget_values["p_max_watts"])
     if pp is not None:
         pairs.append(("f_clk_max_hz", _fmt(cost.max_clock(pp))))
         pairs.append(("f_update_max_at_budget_hz",
@@ -174,14 +171,12 @@ def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
 def cmd_select_gait(curves, f_update, power, cycles, pretty):
     """Pick the gait regime maximizing reward ratio at a rate or power budget."""
     table = gait.load_gait_table(curves)
-    if f_update is not None:
-        regime, reward = gait.select_gait(table, f_update)
-    elif power is not None and cycles is not None:
-        v, i_mhz, p_max = _parse_floats(power, 3, "--power")
-        pp = cost.PowerParams(v, i_mhz, p_max)
-        regime, f_update, reward = gait.select_gait_for_power(table, pp, cycles)
-    else:
-        raise DataError("provide --f-update, or --power together with --cycles")
+    if f_update is None:
+        if power is None or cycles is None:
+            raise DataError("provide --f-update, or --power together with --cycles")
+        cycles, _, pp = _budget(cycles, power)
+        f_update = cost.feasible_update_rate(pp, cycles)
+    regime, reward = gait.select_gait(table, f_update)
     _emit([("gait", regime.value),
            ("f_update_hz", _fmt(f_update)),
            ("reward_ratio", _fmt(reward))], pretty)

@@ -126,9 +126,14 @@ def fit_coeffs(observations: list[tuple[PolicySpec, QuantScheme, float]]
     return CycleCoeffs(*coeffs), float(residual)
 
 
-BUDGET_KEYS = ("f_clk_hz", "v_volts", "i_per_mhz_amps", "p_max_watts", "cycles_per_update")
+POWER_KEYS = ("v_volts", "i_per_mhz_amps", "p_max_watts")  # PowerParams' fields, in order
+BUDGET_KEYS = ("f_clk_hz", *POWER_KEYS, "cycles_per_update")
 
 
-def load_budget(path) -> dict[str, float]:
-    """Read a key = number budget file; every key is optional."""
-    return read_key_values(path, BUDGET_KEYS, ())
+def load_budget(path) -> tuple[float | None, float | None, PowerParams | None]:
+    """Read a key = number budget file as (cycles_per_update, f_clk_hz, power);
+    every key is optional, and an absent part is None."""
+    values = read_key_values(path, BUDGET_KEYS, ())
+    power = [values[k] for k in POWER_KEYS if k in values]
+    return (values.get("cycles_per_update"), values.get("f_clk_hz"),
+            PowerParams(*power) if len(power) == len(POWER_KEYS) else None)

@@ -13,7 +13,6 @@ import importlib.resources
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .cost import PowerParams, feasible_update_rate
 from .errors import DataError, DomainError
 from .inputs import check_finite, read_text
 
@@ -77,14 +76,6 @@ def select_gait(table: GaitTable, f_update_hz: float) -> tuple[GaitRegime, float
         if r > best_r:
             best, best_r = g, r
     return best, best_r
-
-
-def select_gait_for_power(table: GaitTable, p: PowerParams, cycles: float
-                          ) -> tuple[GaitRegime, float, float]:
-    """Best gait under a power budget; returns (regime, f_update_max, reward)."""
-    f_u = feasible_update_rate(p, cycles)
-    g, r = select_gait(table, f_u)
-    return g, f_u, r
 
 
 def load_gait_table(path=None) -> GaitTable:

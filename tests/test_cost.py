@@ -98,8 +98,10 @@ def test_fit_rejects_rank_deficiency():
 def test_load_budget(tmp_path):
     path = tmp_path / "budget.txt"
     path.write_text("# comment\nf_clk_hz = 5e6\np_max_watts=0.0018\n\n")
-    values = load_budget(path)
-    assert values == {"f_clk_hz": 5e6, "p_max_watts": 0.0018}
+    assert load_budget(path) == (None, 5e6, None)
+    path.write_text("cycles_per_update = 104998\nv_volts = 1.8\ni_per_mhz_amps = 0.0001\n"
+                    "p_max_watts = 0.0018\n")
+    assert load_budget(path) == (104998.0, None, PowerParams(1.8, 0.0001, 0.0018))
 
 
 def test_load_budget_errors(tmp_path):

@@ -6,10 +6,10 @@ from microgait import (
     DomainError,
     GaitRegime,
     PowerParams,
+    feasible_update_rate,
     load_gait_table,
     reward_at,
     select_gait,
-    select_gait_for_power,
 )
 from microgait.gait import GaitTable, RewardCurve
 
@@ -77,7 +77,8 @@ def test_tie_breaks_toward_slower_gait():
 def test_select_gait_for_power(table):
     # budget that caps the clock at 10 MHz; ~95 Hz for ~105k cycles/update
     p = PowerParams(1.8, 0.0001, 0.0018)
-    regime, f_u, reward = select_gait_for_power(table, p, 104998.0)
+    f_u = feasible_update_rate(p, 104998.0)
+    regime, reward = select_gait(table, f_u)
     assert f_u == pytest.approx(1e7 / 104998)
     assert regime is GaitRegime.GALLOP
     assert reward == select_gait(table, f_u)[1]
