@@ -119,6 +119,8 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 def _budget(cycles, power, measured=None, budget=None):
     """(cycles per update, clock or None, PowerParams or None) from the flags over
     the budget file: a flag overrides the file, and --measured gives cycles and clock."""
+    if measured is not None and cycles is not None:
+        raise DataError("--measured gives the cycles per update; drop --cycles")
     file_cycles, f_clk, pp = cost.load_budget(budget) if budget else (None, None, None)
     if measured is not None:
         f_clk, f_update = _parse_floats(measured, 2, "--measured")
@@ -176,6 +178,8 @@ def cmd_select_gait(curves, f_update, power, cycles, pretty):
             raise DataError("provide --f-update, or --power together with --cycles")
         cycles, _, pp = _budget(cycles, power)
         f_update = cost.feasible_update_rate(pp, cycles)
+    elif power is not None or cycles is not None:
+        raise DataError("--f-update is the rate; drop --power and --cycles")
     regime, reward = gait.select_gait(table, f_update)
     _emit([("gait", regime.value),
            ("f_update_hz", _fmt(f_update)),
@@ -269,6 +273,8 @@ def cmd_ik(geometry, x_end, y_end, pretty):
 def cmd_codec(selftest, hexfile, pretty):
     """Wire-codec round-trip/corruption self-test or one-shot frame decode."""
     if selftest:
+        if hexfile is not None:
+            raise DataError("--selftest decodes no file; drop --decode")
         rng = np.random.default_rng(0)
         rounds = 2000
         for _ in range(rounds):

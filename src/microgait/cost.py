@@ -82,6 +82,8 @@ def max_update_rate(f_clk_hz: float, cycles: float) -> float:
     check_finite("clock and cycles/update", (f_clk_hz, cycles))
     if cycles <= 0:
         raise DomainError(f"cycles/update must be > 0, got {cycles}")
+    if f_clk_hz <= 0:
+        raise DomainError(f"clock must be > 0, got {f_clk_hz}")
     return f_clk_hz / cycles
 
 
@@ -132,8 +134,10 @@ BUDGET_KEYS = ("f_clk_hz", *POWER_KEYS, "cycles_per_update")
 
 def load_budget(path) -> tuple[float | None, float | None, PowerParams | None]:
     """Read a key = number budget file as (cycles_per_update, f_clk_hz, power);
-    every key is optional, and an absent part is None."""
+    every key is optional, and an absent part is None. The power keys come together."""
     values = read_key_values(path, BUDGET_KEYS, ())
-    power = [values[k] for k in POWER_KEYS if k in values]
+    missing = [k for k in POWER_KEYS if k not in values]
+    if 0 < len(missing) < len(POWER_KEYS):
+        raise DataError(f"{path}: power budget missing keys: {', '.join(missing)}")
     return (values.get("cycles_per_update"), values.get("f_clk_hz"),
-            PowerParams(*power) if len(power) == len(POWER_KEYS) else None)
+            None if missing else PowerParams(*(values[k] for k in POWER_KEYS)))

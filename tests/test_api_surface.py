@@ -77,6 +77,33 @@ def _unused_imports() -> set[str]:
     return unused
 
 
+# leaf modules import no package module but these, so scipy stays out of them
+LEAVES = ("gait", "inputs", "kinematics")
+LEAF_IMPORTS = {"errors", "inputs"}
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules that a module imports, by name within the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["microgait" if node.level else None, node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found |= {d.split(".")[1] if "." in d else d
+                  for d in dotted if d.split(".")[0] == "microgait"}
+    return found
+
+
+def test_leaf_modules_import_only_errors_and_inputs():
+    trees = {path.stem: tree for path, tree in TREES.items() if path.parent.name == "microgait"}
+    extra = {leaf: sorted(_package_imports(trees[leaf]) - LEAF_IMPORTS) for leaf in LEAVES}
+    assert not any(extra.values()), f"leaf modules importing other package modules: {extra}"
+
+
 def test_every_import_is_used():
     unused = _unused_imports()
     missing = sorted(unused - set(KEPT_IMPORTS))

@@ -96,6 +96,8 @@ def _overflowing_model(path) -> str:
 NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
 # a CRC-valid int8 action frame with 3 payload bytes, as hex text; the type carries 8
 ACT_INT8_3_BYTES = wire.encode_frame(wire.MSG_ACT_INT8, 0, b"\x01\x02\x03").hex().encode()
+# a power budget without i_per_mhz_amps: the three power keys come together
+PARTIAL_POWER = b"cycles_per_update = 1e5\nv_volts = 1.8\np_max_watts = 0.0018\n"
 
 
 @pytest.mark.parametrize("make_args, message", [
@@ -130,6 +132,25 @@ ACT_INT8_3_BYTES = wire.encode_frame(wire.MSG_ACT_INT8, 0, b"\x01\x02\x03").hex(
                  "layer 0 output range [inf, inf] is not finite", id="quantize-overflow"),
     pytest.param(lambda tmp, model: ["cost", "--budget", _file(tmp / "b.txt", NOT_UTF8)],
                  "is not UTF-8 text", id="budget-not-utf8"),
+    pytest.param(lambda tmp, model: ["cost", "--budget", _file(tmp / "b.txt", PARTIAL_POWER)],
+                 "power budget missing keys: i_per_mhz_amps", id="budget-partial-power"),
+    pytest.param(lambda tmp, model: ["cost", "--cycles", "5", "--measured", "5e6,50"],
+                 "--measured gives the cycles per update; drop --cycles",
+                 id="cost-cycles-with-measured"),
+    pytest.param(lambda tmp, model: ["select-gait", "--f-update", "50", "--cycles", "nan"],
+                 "--f-update is the rate; drop --power and --cycles",
+                 id="select-gait-rate-with-cycles"),
+    pytest.param(lambda tmp, model: ["select-gait", "--f-update", "50",
+                                     "--power", "1.8,0.0001,0.0018"],
+                 "--f-update is the rate; drop --power and --cycles",
+                 id="select-gait-rate-with-power"),
+    pytest.param(lambda tmp, model: ["select-gait", "--f-update", "50", "--cycles", "104998",
+                                     "--power", "1.8,0.0001,0.0018"],
+                 "--f-update is the rate; drop --power and --cycles",
+                 id="select-gait-rate-with-budget"),
+    pytest.param(lambda tmp, model: ["codec", "--selftest", "--decode",
+                                     _file(tmp / "f.hex", b"zz01")],
+                 "--selftest decodes no file; drop --decode", id="codec-selftest-with-decode"),
     pytest.param(lambda tmp, model: ["ik", "--x", "0", "--y", "0",
                                      "--geometry", _file(tmp / "g.txt", NOT_UTF8)],
                  "is not UTF-8 text", id="geometry-not-utf8"),
@@ -247,9 +268,12 @@ def test_run_loop_non_finite_action_is_data_error(capsys, tmp_path):
     ["cost", "--cycles", "-5"],
     ["cost", "--cycles", "0"],
     ["select-gait", "--f-update", "-5"],
+    pytest.param(["cost", "--budget", b"f_clk_hz = -5e6\ncycles_per_update = 1e5\n"],
+                 id="budget-negative-clock"),
 ])
-def test_out_of_domain_number_is_domain_error(capsys, args):
-    code = main(args)
+def test_out_of_domain_number_is_domain_error(capsys, tmp_path, args):
+    # a bytes argument is the contents of a file, passed by its path
+    code = main([_file(tmp_path / "arg.txt", a) if isinstance(a, bytes) else a for a in args])
     out = capsys.readouterr()
     assert code == 4
     assert out.out == ""

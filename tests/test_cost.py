@@ -51,6 +51,9 @@ def test_clock_rate_round_trip(cycles, f_target):
 def test_rate_domain_errors():
     with pytest.raises(DomainError):
         max_update_rate(5e6, 0.0)
+    for f_clk in (0.0, -5e6):
+        with pytest.raises(DomainError, match="clock must be > 0"):
+            max_update_rate(f_clk, 1e5)
     with pytest.raises(DomainError):
         required_clock(-1.0, 60.0)
     with pytest.raises(DomainError):
@@ -97,7 +100,7 @@ def test_fit_rejects_rank_deficiency():
 
 def test_load_budget(tmp_path):
     path = tmp_path / "budget.txt"
-    path.write_text("# comment\nf_clk_hz = 5e6\np_max_watts=0.0018\n\n")
+    path.write_text("# comment\nf_clk_hz = 5e6\n\n")
     assert load_budget(path) == (None, 5e6, None)
     path.write_text("cycles_per_update = 104998\nv_volts = 1.8\ni_per_mhz_amps = 0.0001\n"
                     "p_max_watts = 0.0018\n")
@@ -117,6 +120,9 @@ def test_load_budget_errors(tmp_path):
         load_budget(bad)
     bad.write_text("f_clk_hz=5e6\ncycles_per_update=inf\n")
     with pytest.raises(DataError, match="bad.txt:2"):
+        load_budget(bad)
+    bad.write_text("v_volts=1.8\np_max_watts=0.0018\n")
+    with pytest.raises(DataError, match="power budget missing keys: i_per_mhz_amps$"):
         load_budget(bad)
 
 
