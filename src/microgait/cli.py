@@ -132,8 +132,7 @@ def _budget(cycles, power, measured=None, budget=None):
     if cycles is None:
         raise DataError("provide --cycles, --measured, or a budget with cycles_per_update")
     check_finite("cycles_per_update", cycles)
-    if cycles <= 0:
-        raise DomainError(f"cycles per update must be > 0, got {cycles}")
+    cost._check_cycles(cycles)
     if power is not None:
         pp = cost.PowerParams(*_parse_floats(power, 3, "--power"))
     return cycles, f_clk, pp

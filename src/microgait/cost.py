@@ -78,10 +78,15 @@ def measured_cycles(m: RateMeasurement) -> float:
     return m.f_clk_hz / m.f_update_hz
 
 
+def _check_cycles(cycles: float) -> None:
+    """The one domain check, and wording, for a finite cycles per update; the CLI calls it too."""
+    if cycles <= 0:
+        raise DomainError(f"cycles per update must be > 0, got {float(cycles)}")
+
+
 def max_update_rate(f_clk_hz: float, cycles: float) -> float:
     check_finite("clock and cycles/update", (f_clk_hz, cycles))
-    if cycles <= 0:
-        raise DomainError(f"cycles/update must be > 0, got {cycles}")
+    _check_cycles(cycles)
     if f_clk_hz <= 0:
         raise DomainError(f"clock must be > 0, got {f_clk_hz}")
     return f_clk_hz / cycles
@@ -97,8 +102,7 @@ def feasible_update_rate(p: PowerParams, cycles: float) -> float:
 
 def required_clock(cycles: float, f_target_hz: float) -> float:
     check_finite("cycles/update and target rate", (cycles, f_target_hz))
-    if cycles <= 0:
-        raise DomainError(f"cycles/update must be > 0, got {cycles}")
+    _check_cycles(cycles)
     if f_target_hz < 0:
         raise DomainError(f"target rate must be >= 0, got {f_target_hz}")
     return cycles * f_target_hz

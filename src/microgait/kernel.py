@@ -74,10 +74,11 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     act_mult, act_shift = qp.act_mult_0d, qp.act_shift_0d
     # int32 accumulate, done in float64 through BLAS: every partial sum of
     # int8 x int8 products is an integer below 2^31 in magnitude (the
-    # QuantizedPolicy headroom check), far inside float64's exact 2^53
+    # QuantizedPolicy headroom check), far inside float64's exact 2^53, so
+    # one dot (dgemv on a row, dgemm on a block) is exact in any order
     x = x.astype(np.float64)
     for li, layer in enumerate(qp.layers):
-        acc = x @ layer.weights_t
+        acc = x.dot(layer.weights_t)
         acc += layer.bias_f64
         acc = acc.astype(np.int64)
 

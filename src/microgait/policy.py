@@ -161,7 +161,8 @@ def infer_fp32(p: Fp32Policy, obs: np.ndarray) -> np.ndarray:
     A batch runs in blocks of BLOCK_ROWS rows, and each row of the result is
     bit-identical to a call on that row alone (see _forward_fp32).
     """
-    x = np.asarray(obs, dtype=np.float32)
+    # C order: a strided input would reach another summation path and other bits
+    x = np.asarray(obs, dtype=np.float32, order="C")
     n_in = p.spec.input_dim
     if x.ndim not in (1, 2) or x.shape[-1] != n_in:
         raise DataError(f"observation shape {x.shape} != ({n_in},) or (B, {n_in})")
@@ -176,12 +177,12 @@ def infer_fp32(p: Fp32Policy, obs: np.ndarray) -> np.ndarray:
 
 
 def _forward_fp32(p: Fp32Policy, x: np.ndarray) -> np.ndarray:
-    # x[..., None] makes each observation a column, so a stacked matmul runs
-    # one matrix-vector product (gemv) per row, the same call a single
-    # observation gets; a 2-D x @ w.T would go to gemm and sum in another order
+    # One observation is w.dot(x), one direct sgemv; in a block, x[..., None]
+    # makes each row a column, so the stacked matmul runs that sgemv per row and
+    # gives each row the same bits, where a 2-D product would go to sgemm
     last = p.spec.num_layers - 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = (w @ x[..., None])[..., 0]
+        x = w.dot(x) if x.ndim == 1 else (w @ x[..., None])[..., 0]
         x += b
         if i != last:
             x = _activate_array(p.spec.hidden_activation, x)

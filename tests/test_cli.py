@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from microgait import (PolicySpec, PowerParams, QuantScheme, feasible_update_rate, harness,
-                       leaky_relu, max_clock, quantize_policy, random_policy, wire)
+from microgait import (DomainError, PolicySpec, PowerParams, QuantScheme, cost,
+                       feasible_update_rate, harness, leaky_relu, max_clock, quantize_policy,
+                       random_policy, wire)
 from microgait.cli import main
 from microgait.policy import save_policy
 from microgait.quant import save_quantized
@@ -278,6 +279,17 @@ def test_out_of_domain_number_is_domain_error(capsys, tmp_path, args):
     assert code == 4
     assert out.out == ""
     assert out.err.startswith("domain error:")
+
+
+def test_non_positive_cycles_has_one_wording(capsys):
+    code = main(["cost", "--cycles", "-5"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    for call in (lambda: cost.max_update_rate(5e6, -5), lambda: cost.required_clock(-5, 60)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        assert out.err == f"domain error: {exc.value}\n"
 
 
 def test_select_gait_reference(capsys):

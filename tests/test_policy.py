@@ -1,12 +1,18 @@
+import glob
 import math
+import os
 import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import microgait
 from microgait import (
     ActivationKind,
     ActivationSpec,
@@ -154,11 +160,53 @@ def test_batch_bit_identical_to_single_rows(act, widths, batch, seed):
     got = infer_fp32(p, obs)
 
     assert got.dtype == np.float32 and got.shape == (batch, widths[-1])
-    singles = np.stack([infer_fp32(p, row) for row in obs])
-    np.testing.assert_array_equal(got.view(np.uint32), singles.view(np.uint32))
+    strided = obs[:, ::-1].copy()[:, ::-1]  # the same values in a negative-stride view
+    np.testing.assert_array_equal(infer_fp32(p, strided).view(np.uint32), got.view(np.uint32))
+    for rows in (obs, strided):
+        singles = np.stack([infer_fp32(p, row) for row in rows])
+        np.testing.assert_array_equal(got.view(np.uint32), singles.view(np.uint32))
     one = infer_fp32(p, obs[:1])
     assert one.shape == (1, widths[-1])
     np.testing.assert_array_equal(one[0].view(np.uint32), infer_fp32(p, obs[0]).view(np.uint32))
+
+
+# Single rows against the stacked block, in a process of its own: OpenBLAS
+# picks its kernel once, when numpy loads. 48 policies x 8 rows, widths 1-139.
+_KERNEL_CHECK = """
+import ctypes, sys, numpy as np
+from microgait import PolicySpec, infer_fp32, random_policy
+rng = np.random.default_rng(0)
+bad = 0
+for seed in range(48):
+    widths = tuple(int(w) for w in rng.integers(1, 140, size=rng.integers(2, 5)))
+    p = random_policy(PolicySpec(widths), seed)
+    obs = rng.normal(0.0, 2.0, size=(8, widths[0])).astype(np.float32)
+    singles = np.stack([infer_fp32(p, row) for row in obs])
+    bad += int((infer_fp32(p, obs).view(np.uint32) != singles.view(np.uint32)).any(axis=1).sum())
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype, corename.argtypes = ctypes.c_char_p, []
+print(corename().decode(), bad)
+"""
+
+
+# each kernel with the /proc/cpuinfo flag it needs
+@pytest.mark.parametrize("coretype, flag", [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Prescott", "pni")])
+def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(coretype, flag):
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and flag not in cpuinfo.read_text().split():
+        pytest.skip(f"this CPU cannot run the {coretype} kernel")
+    src = os.path.dirname(os.path.dirname(microgait.__file__))
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", _KERNEL_CHECK, libs[0]], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    corename, bad = run.stdout.split()
+    assert bad == "0", f"{bad} of 384 rows differ from the block under {corename}"
 
 
 def test_batch_much_faster_than_single_calls():
