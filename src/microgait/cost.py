@@ -84,16 +84,24 @@ def _check_cycles(cycles: float) -> None:
         raise DomainError(f"cycles per update must be > 0, got {float(cycles)}")
 
 
+def _finite_result(what: str, x: float) -> float:
+    """x, or a DomainError when finite inputs take the model's result out of the float range."""
+    if not np.isfinite(x):
+        raise DomainError(f"{what} is not finite for these inputs")
+    return x
+
+
 def max_update_rate(f_clk_hz: float, cycles: float) -> float:
     check_finite("clock and cycles/update", (f_clk_hz, cycles))
     _check_cycles(cycles)
     if f_clk_hz <= 0:
         raise DomainError(f"clock must be > 0, got {f_clk_hz}")
-    return f_clk_hz / cycles
+    return _finite_result("update rate", f_clk_hz / cycles)
 
 
 def max_clock(p: PowerParams) -> float:
-    return 1e6 * p.p_max_watts / (p.v_volts * p.i_per_mhz_amps)
+    vi = p.v_volts * p.i_per_mhz_amps  # 0 when the product underflows
+    return _finite_result("clock at the power budget", 1e6 * p.p_max_watts / vi if vi else np.inf)
 
 
 def feasible_update_rate(p: PowerParams, cycles: float) -> float:
@@ -105,7 +113,7 @@ def required_clock(cycles: float, f_target_hz: float) -> float:
     _check_cycles(cycles)
     if f_target_hz < 0:
         raise DomainError(f"target rate must be >= 0, got {f_target_hz}")
-    return cycles * f_target_hz
+    return _finite_result("required clock", cycles * f_target_hz)
 
 
 def fit_coeffs(observations: list[tuple[PolicySpec, QuantScheme, float]]

@@ -31,7 +31,6 @@ _MSG_TYPES = {("obs", "fp32"): MSG_OBS_FP32, ("act", "fp32"): MSG_ACT_FP32,
               ("obs", "int8"): MSG_OBS_INT8, ("act", "int8"): MSG_ACT_INT8}
 _TYPES = {t: (d, p, np.dtype("<f4" if p == "fp32" else "<i1"), OBS_DIM if d == "obs" else ACT_DIM)
           for (d, p), t in _MSG_TYPES.items()}
-MAX_PAYLOAD = max(dtype.itemsize * count for _, _, dtype, count in _TYPES.values())  # 96: fp32 obs
 _HEADER = struct.Struct("<BBBH")  # sync, msg_type, seq, payload length
 _BYTES = tuple(bytes([b]) for b in range(256))  # one-byte objects for the CRC trailer
 
@@ -79,11 +78,12 @@ def crc8(data: bytes) -> int:
     """CRC-8, polynomial 0x07, init 0x00, MSB first, of any bytes-like data.
 
     Leading zero bytes drop out of int.from_bytes without changing the CRC, as init
-    is 0; a message over 127 bytes XOR-folds its 127-byte chunks, aligned at its end.
+    is 0; a message over 127 bytes XOR-folds its 127-byte chunks, aligned at its end, in halves.
     """
     d = int.from_bytes(data, "big")
-    while hi := d >> _SPAN_BITS:
-        d ^= hi << _SPAN_BITS ^ hi
+    while d >> _SPAN_BITS:
+        k = _SPAN_BITS * max(1, d.bit_length() // (2 * _SPAN_BITS))  # a whole number of chunks
+        d = d >> k ^ d & ((1 << k) - 1)
     m0, m1, m2, m3, m4, m5, m6, m7 = _CRC8_MASKS
     return ((d & m0).bit_count() & 1 | ((d & m1).bit_count() & 1) << 1
             | ((d & m2).bit_count() & 1) << 2 | ((d & m3).bit_count() & 1) << 3
@@ -98,17 +98,25 @@ class Frame:
     payload: bytes
 
 
-def encode_frame(msg_type: int, seq: int, payload: bytes) -> bytes:
+def _check_payload(msg_type: int, length: int) -> None:
+    """The one frame rule, for encode and decode: a known type, carrying its payload size."""
     if msg_type not in _TYPES:
         raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
+    _, _, dtype, count = _TYPES[msg_type]
+    if length != (need := count * dtype.itemsize):
+        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
+
+
+def encode_frame(msg_type: int, seq: int, payload: bytes) -> bytes:
     if not (0 <= seq <= 0xFF):
         raise ProtocolError(f"seq {seq} outside u8 range")
+    _check_payload(msg_type, len(payload))
     frame = _HEADER.pack(SYNC, msg_type, seq, len(payload)) + payload
     return frame + _BYTES[crc8(frame[1:])]
 
 
-def _check_frame(buf: bytes) -> tuple[int, int, int]:
-    """(msg_type, seq, length) of one frame, checked for size, sync, length, CRC, type in turn."""
+def _check_frame(buf: bytes) -> tuple[int, int]:
+    """(msg_type, seq) of one frame, checked for size, sync, length, CRC, type and payload size."""
     if len(buf) < 6:
         raise LengthError(f"frame too short ({len(buf)} bytes)")
     sync, msg_type, seq, length = _HEADER.unpack_from(buf)
@@ -119,39 +127,26 @@ def _check_frame(buf: bytes) -> tuple[int, int, int]:
     crc = crc8(buf[1:-1])
     if crc != buf[-1]:
         raise CrcError(f"crc mismatch: computed 0x{crc:02X}, got 0x{buf[-1]:02X}")
-    if msg_type not in _TYPES:
-        raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
-    return msg_type, seq, length
+    _check_payload(msg_type, length)
+    return msg_type, seq
 
 
 def decode_frame(buf: bytes) -> Frame:
     """Decode one exact frame of its type's payload size; raises a distinct error per failure."""
-    msg_type, seq, length = _check_frame(buf)
-    _, _, dtype, count = _TYPES[msg_type]
-    if length != (need := count * dtype.itemsize):
-        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
-    return Frame(msg_type, seq, bytes(buf[5:5 + length]))
+    msg_type, seq = _check_frame(buf)
+    return Frame(msg_type, seq, bytes(buf[5:-1]))
 
 
 def iter_frames(stream: bytes):
     """Scan a byte stream, resyncing on 0x7E; yields decodable Frames."""
-    i = 0
-    while i + 6 <= len(stream):
-        if stream[i] != SYNC:
-            i += 1
-            continue
-        (length,) = struct.unpack_from("<H", stream, i + 3)
-        end = i + 6 + length
-        if length > MAX_PAYLOAD or end > len(stream):
-            # a fake sync in garbage (no known type carries more than
-            # MAX_PAYLOAD bytes) or a truncated tail; keep scanning
-            i += 1
-            continue
+    i = stream.find(SYNC)
+    while 0 <= i <= len(stream) - 6:
+        end = i + 6 + _HEADER.unpack_from(stream, i)[3]
         try:
             yield decode_frame(stream[i:end])
-            i = end
-        except ProtocolError:
-            i += 1
+        except ProtocolError:  # a fake sync or a truncated tail fails a check
+            end = i + 1
+        i = stream.find(SYNC, end)
 
 
 def _encode(direction: str, values, precision: str, seq: int) -> bytes:
@@ -166,22 +161,17 @@ def _encode(direction: str, values, precision: str, seq: int) -> bytes:
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(x if precision == "int8" else values, dtype=dtype)
         fits = values == x if precision == "int8" else np.isfinite(values) | ~np.isfinite(x)
-        if x.size == count and not fits.all():  # a wrong length is a LengthError below
+        if x.size == count and not fits.all():  # a wrong length is encode_frame's LengthError
             i = int(np.argmin(fits.ravel()))
             raise DataError(f"a {precision} frame cannot carry {float(x.flat[i])} at index {i}")
-    payload = values.tobytes()
-    if len(payload) != (need := count * dtype.itemsize):
-        raise LengthError(f"payload is {len(payload)} bytes, type 0x{msg_type:02X} needs {need}")
-    return encode_frame(msg_type, seq, payload)
+    return encode_frame(msg_type, seq, values.tobytes())
 
 
 def _decode(direction: str, buf: bytes) -> tuple[np.ndarray, str, int]:
-    msg_type, seq, length = _check_frame(buf)
+    msg_type, seq = _check_frame(buf)
     frame_direction, precision, dtype, count = _TYPES[msg_type]
     if frame_direction != direction:
         raise UnknownTypeError(f"unexpected message type 0x{msg_type:02X}")
-    if length != (need := count * dtype.itemsize):
-        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
     # the payload, count values from offset 5: numpy parses positional arguments faster
     return np.frombuffer(buf, dtype, count, 5).copy(), precision, seq
 
@@ -224,13 +214,14 @@ class Session:
     def receive_action(self, buf: bytes) -> np.ndarray:
         if not self._awaiting_action:
             raise SequenceError("action received without a pending observation")
+        # a reply ends the exchange, even one that fails a check; seq advances on success only
+        self._awaiting_action = False
         values, precision, seq = decode_action(buf)
         if precision != self.precision:
             raise UnknownTypeError(
                 f"action precision {precision!r} != session precision {self.precision!r}")
         if seq != self._seq:
             raise SequenceError(f"action seq {seq} != expected {self._seq}")
-        self._awaiting_action = False
         self._seq = (self._seq + 1) & 0xFF
         return values
 

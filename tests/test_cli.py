@@ -96,7 +96,9 @@ def _overflowing_model(path) -> str:
 
 NOT_UTF8 = "l_x = 1.0  # \u00b5m\n".encode("latin-1")
 # a CRC-valid int8 action frame with 3 payload bytes, as hex text; the type carries 8
-ACT_INT8_3_BYTES = wire.encode_frame(wire.MSG_ACT_INT8, 0, b"\x01\x02\x03").hex().encode()
+ACT_INT8_3_BODY = bytes([wire.MSG_ACT_INT8, 0, 3, 0, 1, 2, 3])
+ACT_INT8_3_BYTES = (bytes([wire.SYNC]) + ACT_INT8_3_BODY
+                    + bytes([wire.crc8(ACT_INT8_3_BODY)])).hex().encode()
 # a power budget without i_per_mhz_amps: the three power keys come together
 PARTIAL_POWER = b"cycles_per_update = 1e5\nv_volts = 1.8\np_max_watts = 0.0018\n"
 
@@ -271,6 +273,15 @@ def test_run_loop_non_finite_action_is_data_error(capsys, tmp_path):
     ["select-gait", "--f-update", "-5"],
     pytest.param(["cost", "--budget", b"f_clk_hz = -5e6\ncycles_per_update = 1e5\n"],
                  id="budget-negative-clock"),
+    # finite inputs whose result leaves the float range
+    pytest.param(["cost", "--cycles", "1e5", "--power", "1e-200,1e-200,1"],
+                 id="cost-power-underflow"),
+    pytest.param(["select-gait", "--cycles", "1e5", "--power", "1e-300,1e-300,1e300"],
+                 id="select-gait-power-underflow"),
+    pytest.param(["cost", "--cycles", "1e300", "--target-hz", "1e300"],
+                 id="cost-required-clock-overflow"),
+    pytest.param(["cost", "--cycles", "1e-300", "--power", "1,1,1e300"],
+                 id="cost-update-rate-overflow"),
 ])
 def test_out_of_domain_number_is_domain_error(capsys, tmp_path, args):
     # a bytes argument is the contents of a file, passed by its path

@@ -60,6 +60,15 @@ def test_rate_domain_errors():
         required_clock(1e5, -1.0)
     with pytest.raises(DataError):
         RateMeasurement(100.0, 200.0, QuantScheme.PER_TENSOR, SPEC)
+    # finite inputs whose result leaves the float range: v * i underflows to 0,
+    # or the quotient or product overflows
+    for p in (PowerParams(1e-200, 1e-200, 1.0), PowerParams(1e-300, 1e-300, 1e300)):
+        with pytest.raises(DomainError, match="clock at the power budget is not finite"):
+            max_clock(p)
+    with pytest.raises(DomainError, match="update rate is not finite"):
+        feasible_update_rate(PowerParams(1.0, 1.0, 1e300), 1e-300)
+    with pytest.raises(DomainError, match="required clock is not finite"):
+        required_clock(1e300, 1e300)
 
 
 def test_power_model():

@@ -4,13 +4,14 @@ decoders.
 
 A truncated, corrupted or padded file either loads or raises DataError or
 DomainError; a quantized policy that loads gives finite actions. A buffer of
-arbitrary, corrupted or forged bytes either decodes or raises ProtocolError.
+arbitrary, corrupted or forged bytes either decodes or raises ProtocolError,
+and a frame that the encoder writes decodes back to what it was given.
 """
 import importlib.resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microgait import (
     DataError,
@@ -151,3 +152,23 @@ def test_codec_decoders_fuzz(buf):
     # the scanner skips what it cannot decode and never raises
     for frame in wire.iter_frames(buf + FRAMES[0]):
         assert isinstance(frame, wire.Frame)
+
+
+# each message type's payload size, read from its frame above
+PAYLOAD_SIZES = {frame[1]: len(frame) - 6 for frame in FRAMES}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(msg_type=st.sampled_from(sorted(PAYLOAD_SIZES)) | st.integers(0, 255),
+       seq=st.integers(-1, 256),
+       payload=(st.sampled_from(sorted(PAYLOAD_SIZES.values())) | st.integers(0, 120)).flatmap(
+           lambda n: st.binary(min_size=n, max_size=n)))
+@example(msg_type=wire.MSG_ACT_INT8, seq=0, payload=b"abc")
+@example(msg_type=wire.MSG_ACT_INT8, seq=0, payload=bytes(65536))  # over the u16 length field
+def test_encode_frame_writes_only_frames_decode_frame_reads(msg_type, seq, payload):
+    try:
+        frame = wire.encode_frame(msg_type, seq, payload)
+    except ProtocolError:
+        assert not (0 <= seq <= 255 and PAYLOAD_SIZES.get(msg_type) == len(payload))
+        return
+    assert wire.decode_frame(frame) == wire.Frame(msg_type, seq, payload)

@@ -307,7 +307,7 @@ def test_iter_frames_skips_false_sync_longer_than_any_payload():
     body = bytes([wire.MSG_OBS_FP32, 0]) + (len(f1) + len(f2)).to_bytes(2, "little") + f1 + f2
     stream = bytes([wire.SYNC]) + body + bytes([crc8(body)])
     assert [f.seq for f in iter_frames(stream)] == [1, 2]
-    assert len(f1) + len(f2) > wire.MAX_PAYLOAD == 96
+    assert len(f1) + len(f2) > 96
 
 
 @pytest.mark.parametrize("good", ONE_FRAME_PER_TYPE, ids=["obs-fp32", "act-fp32", "obs-int8",
@@ -316,7 +316,8 @@ def test_decode_frame_rejects_a_payload_size_its_type_never_has(good):
     msg_type, size = good[1], len(good) - 6
     assert decode_frame(good).payload == good[5:-1]
     for n in (0, 3, size - 1, size + 1):
-        bad = encode_frame(msg_type, 4, bytes(range(n)))  # a valid CRC over the wrong size
+        body = bytes([msg_type, 4]) + n.to_bytes(2, "little") + bytes(range(n))
+        bad = bytes([wire.SYNC]) + body + bytes([crc8(body)])  # a valid CRC over the wrong size
         with pytest.raises(LengthError, match=f"payload is {n} bytes, type 0x{msg_type:02X} "
                                               f"needs {size}"):
             decode_frame(bad)
@@ -343,6 +344,32 @@ def test_session_rejects_out_of_order():
     reply = encode_action(np.zeros(8, dtype=np.float32), "fp32", 5)
     with pytest.raises(SequenceError):
         session.receive_action(reply)  # wrong seq
+
+
+ACT_FP32_3_BODY = bytes([wire.MSG_ACT_FP32, 0, 3, 0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("bad_reply,error", [
+    (lambda good: good[:-1] + bytes([good[-1] ^ 1]), CrcError),
+    (lambda good: bytes([wire.SYNC]) + ACT_FP32_3_BODY + bytes([crc8(ACT_FP32_3_BODY)]),
+     LengthError),
+    (lambda good: encode_action(np.zeros(8, dtype=np.int8), "int8", 0), UnknownTypeError),
+    (lambda good: encode_action(np.zeros(8, dtype=np.float32), "fp32", 5), SequenceError),
+], ids=["crc", "length", "type", "seq"])
+def test_session_recovers_after_a_bad_reply(bad_reply, error):
+    session = Session("fp32")
+    device = LoopbackDevice(lambda obs, t: obs[:8] * np.float32(t), "fp32")
+    obs = np.arange(24, dtype=np.float32)
+    frame = session.send_observation(obs)
+    with pytest.raises(error):
+        session.receive_action(bad_reply(device.handle(frame, 1.0)))
+    # the reply ended the exchange, and the next observation reuses its seq
+    with pytest.raises(SequenceError, match="without a pending observation"):
+        session.receive_action(device.handle(frame, 1.0))
+    again = session.send_observation(obs)
+    assert again == frame
+    assert np.array_equal(session.receive_action(device.handle(again, 2.0)), obs[:8] * 2)
+    assert session.send_observation(obs)[2] == 1  # a good reply advances the seq
 
 
 def test_session_rejects_action_without_observation():
