@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import DataError, DomainError
 from .inputs import check_finite, read_key_values
@@ -136,6 +135,7 @@ def fit_coeffs(observations: list[tuple[PolicySpec, QuantScheme, float]]
         bad = [COEFF_NAMES[j] for j in range(len(COEFF_NAMES))
                if np.abs(null[:, j]).max(initial=0) > 1e-9]
         raise DataError(f"design matrix is rank-deficient; unidentifiable: {', '.join(bad)}")
+    from scipy.optimize import nnls  # loaded here: no other path of the package needs scipy
     coeffs, residual = nnls(a, y)
     return CycleCoeffs(*coeffs), float(residual)
 

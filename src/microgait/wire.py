@@ -141,8 +141,10 @@ def iter_frames(stream: bytes):
     """Scan a byte stream, resyncing on 0x7E; yields decodable Frames."""
     i = stream.find(SYNC)
     while 0 <= i <= len(stream) - 6:
-        end = i + 6 + _HEADER.unpack_from(stream, i)[3]
+        _, msg_type, _, length = _HEADER.unpack_from(stream, i)
+        end = i + 6 + length
         try:
+            _check_payload(msg_type, length)  # a false sync fails here, before any CRC
             yield decode_frame(stream[i:end])
         except ProtocolError:  # a fake sync or a truncated tail fails a check
             end = i + 1

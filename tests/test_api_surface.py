@@ -77,7 +77,7 @@ def _unused_imports() -> set[str]:
     return unused
 
 
-# leaf modules import no package module but these, so scipy stays out of them
+# leaf modules import no package module but these, so they stay at the bottom of the import graph
 LEAVES = ("gait", "inputs", "kinematics")
 LEAF_IMPORTS = {"errors", "inputs"}
 

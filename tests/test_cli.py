@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import microgait
 from microgait import (DomainError, PolicySpec, PowerParams, QuantScheme, cost,
                        feasible_update_rate, harness, leaky_relu, max_clock, quantize_policy,
                        random_policy, wire)
@@ -433,3 +438,49 @@ def test_pretty_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "gait" in out and "=" not in out.splitlines()[0]
+
+
+_NO_SCIPY_CHECK = """
+import sys
+from pathlib import Path
+import numpy as np
+from microgait import CycleCoeffs, PolicySpec, QuantScheme, cost, random_policy
+from microgait.cli import main
+from microgait.policy import save_policy
+
+tmp = Path(sys.argv[1])
+save_policy(random_policy(PolicySpec((24, 128, 64, 8)), 0), tmp / "policy.bin")
+np.savetxt(tmp / "calib.csv", np.random.default_rng(0).normal(size=(32, 24)), delimiter=",")
+(tmp / "leg.txt").write_text("l_x=1.0\\nl_y=1.0\\n")
+codes = [main(args) for args in (
+    ["quantize", "--model", str(tmp / "policy.bin"), "--scheme", "per-feature",
+     "--calib", str(tmp / "calib.csv"), "--out", str(tmp / "q.bin")],
+    ["run-loop", "--model", str(tmp / "q.bin"), "--quantized", "--command", "0.05", "--codec"],
+    ["run-loop", "--scripted", "--command", "0.08", "--f-update", "30"],
+    ["cost", "--cycles", "100000", "--target-hz", "50"],
+    ["select-gait", "--f-update", "40"],
+    ["ik", "--geometry", str(tmp / "leg.txt"), "--x", "0", "--y", "0"],
+    ["codec", "--selftest"])]
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(codes, scipy())
+true = CycleCoeffs(7.5, 11.0, 14.0, 2.5, 800.0)
+obs = [(spec, scheme, cost.cycles_decomposed(true, spec, scheme))
+       for spec in map(PolicySpec, [(24, 128, 64, 8), (24, 64, 8), (24, 8), (12, 32, 16, 4)])
+       for scheme in QuantScheme]
+cost.fit_coeffs(obs)
+print("scipy.optimize" in scipy())
+"""
+
+
+def test_no_command_loads_scipy_until_a_fit(tmp_path):
+    # scipy is imported by cost.fit_coeffs alone, on its first call; a fresh
+    # process shows what importing the package and running each command load
+    src = os.path.dirname(os.path.dirname(microgait.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHECK, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    *_, commands, fitted = run.stdout.splitlines()
+    assert commands == "[0, 0, 0, 0, 0, 0, 0] []"
+    assert fitted == "True"

@@ -171,9 +171,9 @@ def test_decode_accepts_bytearray_and_memoryview():
     assert values.flags.writeable and (precision, seq) == ("fp32", 17)
 
 
-def test_session_round_trip_computes_four_crcs(monkeypatch):
-    # encode and decode each read crc8 as a module global, once per frame, so
-    # a rebound crc8 (as a tracer rebinds it) sees every CRC of the round trip
+@pytest.fixture
+def crc_lengths(monkeypatch):
+    """The length of each message `wire` computes a CRC over, from here on."""
     calls = []
     real = wire.crc8
 
@@ -182,15 +182,21 @@ def test_session_round_trip_computes_four_crcs(monkeypatch):
         return real(data)
 
     monkeypatch.setattr(wire, "crc8", counting)
+    return calls
+
+
+def test_session_round_trip_computes_four_crcs(crc_lengths):
+    # encode and decode each read crc8 as a module global, once per frame, so
+    # a rebound crc8 (as a tracer rebinds it) sees every CRC of the round trip
     for precision, dtype in (("fp32", np.float32), ("int8", np.int8)):
-        calls.clear()
+        crc_lengths.clear()
         session = Session(precision)
         device = LoopbackDevice(lambda obs, t: obs[:8], precision)
         action = session.receive_action(
             device.handle(session.send_observation(np.ones(24, dtype=dtype)), 0.0))
         assert np.array_equal(action, np.ones(8, dtype=dtype))
         body = 4 + (4 if precision == "fp32" else 1) * np.array([24, 24, 8, 8])
-        assert calls == body.tolist()
+        assert crc_lengths == body.tolist()
 
 
 @pytest.mark.parametrize("encode,dim", [(encode_observation, 24), (encode_action, 8)])
@@ -308,6 +314,16 @@ def test_iter_frames_skips_false_sync_longer_than_any_payload():
     stream = bytes([wire.SYNC]) + body + bytes([crc8(body)])
     assert [f.seq for f in iter_frames(stream)] == [1, 2]
     assert len(f1) + len(f2) > 96
+
+
+def test_iter_frames_skips_false_syncs_without_a_crc(crc_lengths):
+    # a false sync whose header names no type's payload size fails before the
+    # slice and the CRC over the length it claims; only the real frame is checked
+    frame = encode_action(np.arange(8, dtype=np.int8), "int8", 3)
+    crc_lengths.clear()
+    stream = b"\x7e\x01\x00\xff\xff" * 200 + bytes(70_000) + frame
+    assert [f.seq for f in iter_frames(stream)] == [3]
+    assert crc_lengths == [len(frame) - 2]
 
 
 @pytest.mark.parametrize("good", ONE_FRAME_PER_TYPE, ids=["obs-fp32", "act-fp32", "obs-int8",
