@@ -11,6 +11,7 @@ and forward drive (hence tracking reward) degrades as update rate drops.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
@@ -126,10 +127,21 @@ class DRPerturbation:
         check_finite("perturbation", tuple(vars(self).values()))
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int (numpy ints too); a non-integer or negative seed raises DataError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DataError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def sample_dr(seed: int) -> DRPerturbation:
     """One seeded perturbation draw: a Gaussian per ADDITIVE_ROWS row, then a
     uniform factor per SCALING_ROWS row, in table order."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     values = {name: mean + std * float(rng.standard_normal())
               for name, (mean, std) in ADDITIVE_ROWS.items()}
     for name, (lo, hi) in SCALING_ROWS.items():
@@ -178,7 +190,8 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
     NUM_JOINTS finite numbers (held as floats in q_targets).
 
     Straight-line code on Python floats: numpy's per-call dispatch, and even
-    a comprehension frame per 4-leg tuple, costs more than the math. Each
+    a comprehension frame per 4-leg or 8-joint tuple, costs more than the
+    math, so every joint and leg is a local and every tuple a display. Each
     operation keeps its order and operands from the numpy form in
     tests/oracles.py, so the bits match: a clamp takes a bound only when the
     value is strictly past it, as np.clip does, and a sum folds left from
@@ -190,11 +203,24 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
         j = next(j for j, x in enumerate(targets) if not math.isfinite(x))
         raise DataError(f"joint {j} target is not finite: {targets[j]}")
     lo, hi = -Q_LIMIT + dr.dof_lower, Q_LIMIT + dr.dof_upper
-    targets = tuple([hi if hi < (y := lo if lo > x else x) else y for x in map(float, targets)])
+    x0, x1, x2, x3, x4, x5, x6, x7 = map(float, targets)
+    x0 = hi if hi < (y := lo if lo > x0 else x0) else y
+    x1 = hi if hi < (y := lo if lo > x1 else x1) else y
+    x2 = hi if hi < (y := lo if lo > x2 else x2) else y
+    x3 = hi if hi < (y := lo if lo > x3 else x3) else y
+    x4 = hi if hi < (y := lo if lo > x4 else x4) else y
+    x5 = hi if hi < (y := lo if lo > x5 else x5) else y
+    x6 = hi if hi < (y := lo if lo > x6 else x6) else y
+    x7 = hi if hi < (y := lo if lo > x7 else x7) else y
 
-    qd = tuple([(x - q0) / params.tau_joint for x, q0 in zip(targets, s.q)])
-    q = tuple([q0 + DT * v for q0, v in zip(s.q, qd)])
-    l0, w0, l1, w1, l2, w2, l3, w3 = qd  # lift- and swing-joint velocity per leg
+    q0, q1, q2, q3, q4, q5, q6, q7 = s.q
+    tau = params.tau_joint
+    # lift- and swing-joint velocity per leg
+    qd = l0, w0, l1, w1, l2, w2, l3, w3 = ((x0 - q0) / tau, (x1 - q1) / tau, (x2 - q2) / tau,
+                                           (x3 - q3) / tau, (x4 - q4) / tau, (x5 - q5) / tau,
+                                           (x6 - q6) / tau, (x7 - q7) / tau)
+    q = (q0 + DT * l0, q1 + DT * w0, q2 + DT * l1, q3 + DT * w1,
+         q4 + DT * l2, q5 + DT * w2, q6 + DT * l3, q7 + DT * w3)
     c0, c1, c2, c3 = contact = (q[0] < 0.0, q[2] < 0.0, q[4] < 0.0, q[6] < 0.0)
 
     # rectified, saturated swing-velocity drive in stance: np.clip(-w, -QD_SAT, QD_SAT) * c
@@ -221,7 +247,7 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
              (0.0 if p2 else t2) if c2 else t2 + DT, (0.0 if p3 else t3) if c3 else t3 + DT)
     landed = (c0 and not p0, c1 and not p1, c2 and not p2, c3 and not p3)
     att = (roll + DT * (w[0] - roll / TAU_ATT), pitch + DT * (w[1] - pitch / TAU_ATT))
-    return PlantState(v, w, att, q, qd, targets, t_air, contact, landed)
+    return PlantState(v, w, att, q, qd, (x0, x1, x2, x3, x4, x5, x6, x7), t_air, contact, landed)
 
 
 # --- runtimes -------------------------------------------------------------
@@ -302,8 +328,7 @@ class SimConfig:
         check_finite("update rate", self.f_update_hz)
         if not (0 < self.f_update_hz <= SIM_HZ):
             raise DataError(f"need 0 < f_update <= {SIM_HZ:g} Hz")
-        if self.seed < 0:
-            raise DataError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass

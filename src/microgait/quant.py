@@ -87,18 +87,16 @@ def encode_ratio(ratio: float) -> tuple[int, int]:
     """
     if not (ratio > 0 and math.isfinite(ratio)):
         raise DomainError(f"ratio must be positive and finite, got {ratio}")
-    if ratio >= 2 ** 31:
-        raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
-    shift = MAX_SHIFT
-    while shift >= 0:
-        mult = round(ratio * (1 << shift))
-        if mult < 2 ** 31:
-            break
-        shift -= 1
-    if mult == 0:
-        raise DomainError(
-            f"ratio {ratio} is below 2^-{MAX_SHIFT + 1} and not representable")
-    return mult, shift
+    if ratio < 2 ** 31:  # a larger ratio cannot fit, and ratio * 2^31 may overflow
+        for shift in range(MAX_SHIFT, -1, -1):
+            mult = round(ratio * (1 << shift))
+            if mult < 2 ** 31:
+                if mult == 0:
+                    raise DomainError(
+                        f"ratio {ratio} is below 2^-{MAX_SHIFT + 1} and not representable")
+                return mult, shift
+    # from 2^31 - 0.5 up, even shift 0 rounds to 2^31
+    raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
 
 
 def derive_requant(input_scale: float, weight_scale: float, output_scale: float,

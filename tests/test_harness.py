@@ -136,6 +136,31 @@ def test_plant_step_validation():
     assert ints == floats
 
 
+_TARGETS = [-0.5, 1.25, 0.0, -0.0, 0.3, -1.3, 0.7, 1.0, 0.2]  # the first 8 are a step
+_KINDS = [np.float64, np.float32, np.int64, float, np.float16, np.float64, int, np.int32, float]
+
+
+@pytest.mark.parametrize("make", [
+    list,
+    tuple,
+    lambda t: np.array(t, dtype=np.float64),
+    lambda t: np.array(t, dtype=np.float32),
+    lambda t: [kind(x) for kind, x in zip(_KINDS, t)],
+], ids=["list", "tuple", "float64-array", "float32-array", "numpy-scalars-and-ints"])
+def test_plant_step_takes_any_target_container(make):
+    # two targets past the joint bounds, signed zeros, and (in float32) values that
+    # differ from their float64 literals; the oracle reads each container as float64
+    targets = make(_TARGETS[:8])
+    s = _state(q=[0.1, -0.2] * 4, contact=[True, False] * 2)
+    got = plant_step(s, targets, PlantParams(), DRPerturbation())
+    _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(PlantParams()),
+                                             DRPerturbation()))
+    for n in (7, 9):
+        wrong = make(_TARGETS[:n])
+        with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
+            plant_step(s, wrong, PlantParams(), DRPerturbation())
+
+
 def test_plant_step_deterministic_and_pure():
     s = PlantState()
     targets = np.linspace(-0.5, 0.5, 8).tolist()
@@ -440,6 +465,16 @@ def test_sim_config_rejects_negative_seed():
     with pytest.raises(DataError, match="seed"):
         SimConfig(seed=-1)
     assert SimConfig(seed=0).seed == 0
+    for make in (lambda seed: SimConfig(seed=seed), sample_dr):
+        for seed in (1.5, math.nan, 2.0, "3", None):
+            with pytest.raises(DataError, match="seed must be an integer"):
+                make(seed)
+        for seed in (-1, np.int64(-2)):
+            with pytest.raises(DataError, match="seed must be >= 0"):
+                make(seed)
+    # numpy ints are indexes: the same draw as the equal int, held as an int
+    assert sample_dr(np.int64(5)) == sample_dr(np.uint8(5)) == sample_dr(5)
+    assert type(SimConfig(seed=np.int64(7)).seed) is int
 
 
 @pytest.mark.parametrize("make", [

@@ -101,6 +101,11 @@ def test_encode_ratio_rejects_extremes():
         encode_ratio(2.0 ** 31)
     with pytest.raises(DomainError):
         encode_ratio(2.0 ** -40)
+    # from 2^31 - 0.5 up even shift 0 rounds to 2^31, which no shift in [0, 31] fits
+    for ratio in (2.0 ** 31 - 0.5, 2.0 ** 31 - 0.25):
+        with pytest.raises(DomainError, match="overflows the 31-bit multiplier"):
+            encode_ratio(ratio)
+    assert encode_ratio(2.0 ** 31 - 1) == (2 ** 31 - 1, 0)
 
 
 def test_derive_requant_validation():
