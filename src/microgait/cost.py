@@ -68,8 +68,15 @@ def _design_row(spec: PolicySpec, scheme: QuantScheme) -> list[float]:
 
 
 def cycles_decomposed(c: CycleCoeffs, spec: PolicySpec, scheme: QuantScheme) -> float:
-    """Modeled cycles per update for a spec under a quantization scheme."""
-    return sum(k * n for k, n in zip(astuple(c), _design_row(spec, scheme)))
+    """Modeled cycles per update for a spec under a quantization scheme.
+
+    The terms are added left to right in COEFF_NAMES order from +0.0, so the
+    result does not depend on the Python version (sum() compensates from 3.12 on).
+    """
+    total = 0.0
+    for k, n in zip(astuple(c), _design_row(spec, scheme)):
+        total += k * n
+    return total
 
 
 def measured_cycles(m: RateMeasurement) -> float:

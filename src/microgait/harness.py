@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .errors import DataError
 from .inputs import check_finite
 from .kernel import fused_infer_dequant, infer_int8, quantize_obs
 from .policy import Fp32Policy, infer_fp32
-from .quant import QuantizedPolicy, dequantize_action
+# dequantize_action is unused here: perfbench's tracer rebinds harness.dequantize_action
+from .quant import QuantizedPolicy, const_0d, dequantize_action
 from .wire import LoopbackDevice, Session
 
 NUM_LEGS = 4
@@ -121,10 +122,13 @@ class DRPerturbation:
     restitution: float = 1.0
     damping: float = 1.0
     stiffness: float = 1.0
+    # float32, read-only: the observation noise as the 0-d operand every update adds
+    observation_0d: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # vars(), not astuple: its deep copy costs more than the check itself
         check_finite("perturbation", tuple(vars(self).values()))
+        object.__setattr__(self, "observation_0d", const_0d(self.observation, np.float32))
 
 
 def _check_seed(seed) -> int:
@@ -300,11 +304,11 @@ class CodecRuntime:
             if not isinstance(inner, QuantizedRuntime):
                 raise DataError("int8 codec transport needs a QuantizedRuntime")
             qp = inner.qp
-            out = qp.layers[-1]
-            # quantize_obs, infer_int8 and dequantize_action are read as
-            # module globals on every call, so they can be rebound for tracing
+            # quantize_obs and infer_int8 are read as module globals on every
+            # call, so they can be rebound for tracing; the int8 actions are
+            # dequantized from QuantizedPolicy.action_table, not per update
             self._to_wire = lambda obs: quantize_obs(obs, qp.obs_scale_0d, qp.obs_zp_0d)
-            self._from_wire = lambda a: dequantize_action(a, out.output_scale, out.output_zp)
+            self._from_wire = lambda a: qp.action_table.take(a, mode="wrap")
             act_fn = lambda obs_q, t: infer_int8(qp, obs_q)[0]
         else:
             self._to_wire = self._from_wire = lambda x: x
@@ -346,7 +350,7 @@ def _build_observation(s: PlantState, prev_action: list[float],
     # 24 slots: base linear velocity 0-2, base angular velocity 3-5, gravity in
     # the base frame 6-8, joint positions 9-16, the previous action's first 7 17-23
     obs = np.array((*s.v, *s.w, *gravity, *s.q, *prev_action[:7]), dtype=np.float32)
-    obs += np.float32(dr.observation)
+    obs += dr.observation_0d
     return obs
 
 
@@ -366,6 +370,7 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
 
     state = PlantState()
     held = [0.0] * NUM_JOINTS  # the held action as floats
+    dr_action = dr.action
     rows: list[tuple] = []
     total = 0.0
     inference_count = 0
@@ -377,7 +382,8 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
             action = np.asarray(runtime.act(obs, t), dtype=np.float64).ravel()
             if action.shape != (NUM_JOINTS,):
                 raise DataError(f"runtime produced action shape {action.shape}")
-            held = (action + dr.action).tolist()
+            # the float64 add of each element, done on Python floats
+            held = [x + dr_action for x in action.tolist()]
             # also rejects NaN; a value past F32_MAX would become inf in the observation
             if not all([-F32_MAX <= x <= F32_MAX for x in held]):
                 raise DataError(f"runtime produced a non-finite or float32-overflowing "

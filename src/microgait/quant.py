@@ -83,7 +83,7 @@ def encode_ratio(ratio: float) -> tuple[int, int]:
 
     The relative error is at most RATIO_REL_TOL for ratios >= 2^-7; below that
     the shift cap limits precision to the closest representable multiple of
-    2^-31, and ratios under 2^-32 are rejected as unrepresentable.
+    2^-31, and ratios of at most 2^-32 are rejected as unrepresentable.
     """
     if not (ratio > 0 and math.isfinite(ratio)):
         raise DomainError(f"ratio must be positive and finite, got {ratio}")
@@ -93,7 +93,7 @@ def encode_ratio(ratio: float) -> tuple[int, int]:
             if mult < 2 ** 31:
                 if mult == 0:
                     raise DomainError(
-                        f"ratio {ratio} is below 2^-{MAX_SHIFT + 1} and not representable")
+                        f"ratio {ratio} is at most 2^-{MAX_SHIFT + 1} and not representable")
                 return mult, shift
     # from 2^31 - 0.5 up, even shift 0 rounds to 2^31
     raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
@@ -191,6 +191,8 @@ class QuantizedPolicy:
     act_shift_0d: np.ndarray = field(init=False, repr=False, compare=False)  # int64, read-only
     obs_scale_0d: np.ndarray = field(init=False, repr=False, compare=False)  # float64, read-only
     obs_zp_0d: np.ndarray = field(init=False, repr=False, compare=False)     # float64, read-only
+    # float64 (256,), read-only: the dequantized action of int8 code c at index c mod 256
+    action_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -228,6 +230,12 @@ class QuantizedPolicy:
         object.__setattr__(self, "act_shift_0d", const_0d(self.act_shift, np.int64))
         object.__setattr__(self, "obs_scale_0d", const_0d(self.obs_scale, np.float64))
         object.__setattr__(self, "obs_zp_0d", const_0d(self.obs_zp, np.float64))
+        # an int8 action takes one of 256 values, so an update dequantizes with one take
+        out = self.layers[-1]
+        table = dequantize_action(np.arange(256, dtype=np.uint8).view(np.int8),
+                                  out.output_scale, out.output_zp)
+        table.flags.writeable = False
+        object.__setattr__(self, "action_table", table)
 
 
 def _affine_params(x: np.ndarray, what: str) -> tuple[float, int]:

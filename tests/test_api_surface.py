@@ -59,6 +59,8 @@ def test_kept_names_exist_and_have_no_caller():
 # imported names a module keeps without using them, as "module.name", each with its reason
 KEPT_IMPORTS = {
     "kernel.expected_counters": "perfbench reads it as kernel.expected_counters",
+    "kernel.dequantize_action": "perfbench's tracer rebinds it as kernel.dequantize_action",
+    "harness.dequantize_action": "perfbench's tracer rebinds it as harness.dequantize_action",
 }
 
 
@@ -110,3 +112,13 @@ def test_every_import_is_used():
     assert not missing, f"imports the module never uses (use or delete them): {missing}"
     stale = sorted(set(KEPT_IMPORTS) - unused)
     assert not stale, f"KEPT_IMPORTS names that are used or gone (drop them): {stale}"
+
+
+def test_tracing_targets_resolve(monkeypatch):
+    """Every module attribute the benchmark's tracer rebinds exists, so a
+    change that drops a traced name fails here, not only in a traced run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+    missing = [f"{module.__name__}.{attr}" for modules, attr, _, _ in tracing.TARGETS
+               for module in modules if not callable(getattr(module, attr, None))]
+    assert not missing, f"tracing.TARGETS names that do not resolve: {missing}"

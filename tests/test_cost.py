@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -40,6 +42,17 @@ def test_cycles_decomposed_terms():
     base = 8.0 * 11776 + 10.0 * 200 + 12.0 * 192 + 500.0
     assert cycles_decomposed(c, SPEC, QuantScheme.PER_TENSOR) == base
     assert cycles_decomposed(c, SPEC, QuantScheme.PER_FEATURE) == base + 3.0 * 200
+
+
+def test_cycles_decomposed_is_a_left_fold():
+    # (4, 4, 4) has 32 MACs, 8 requants, 4 activations: the terms are 0, 1, 2^53, 0, 1
+    c = CycleCoeffs(c_mac=0.0, c_q=1 / 8, c_phi=2.0 ** 51, c_load=0.0, c0=1.0)
+    terms = (0.0, 1.0, 2.0 ** 53, 0.0, 1.0)
+    fold = 0.0
+    for term in terms:
+        fold += term
+    assert fold == 2.0 ** 53 != math.fsum(terms)  # a compensated sum gives 2^53 + 2
+    assert cycles_decomposed(c, PolicySpec((4, 4, 4)), QuantScheme.PER_TENSOR) == fold
 
 
 @given(st.floats(1e3, 1e9), st.floats(1.0, 1e7))

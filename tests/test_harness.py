@@ -406,9 +406,17 @@ def test_build_observation_slots():
     obs = _build_observation(s, prev_action, DRPerturbation(gravity=0.05))
     assert obs.shape == (24,) and obs.dtype == np.float32
     np.testing.assert_array_equal(obs.view(np.uint32), want.view(np.uint32))
-    noisy = _build_observation(s, prev_action, DRPerturbation(gravity=0.05, observation=0.003))
+    dr = DRPerturbation(gravity=0.05, observation=0.003)
+    noisy = _build_observation(s, prev_action, dr)
     np.testing.assert_array_equal(noisy.view(np.uint32),
                                   (want + np.float32(0.003)).view(np.uint32))
+    # the noise operand: read-only 0-d float32, rebuilt when a copy changes the noise
+    for d, noise in ((dr, 0.003), (replace(dr, observation=-0.007), -0.007)):
+        noise_0d = d.observation_0d
+        assert noise_0d.shape == () and noise_0d.dtype == np.float32
+        assert noise_0d.view(np.uint32) == np.float32(noise).view(np.uint32)
+        with pytest.raises(ValueError, match="read-only"):
+            noise_0d[...] = 0
 
 
 def test_episode_zoh_degenerate_matches_per_step():

@@ -363,5 +363,6 @@ def test_fused_path_composes():
         direct = fused_infer_dequant(qp, obs)
         obs_q = quantize_obs(obs, qp.obs_scale, qp.obs_zp)
         action_q, _ = infer_int8(qp, obs_q)
-        np.testing.assert_array_equal(
-            direct, dequantize_action(action_q, out.output_scale, out.output_zp))
+        # bytes, not assert_array_equal, which takes -0.0 and 0.0 as equal
+        assert direct.tobytes() == dequantize_action(
+            action_q, out.output_scale, out.output_zp).tobytes()

@@ -23,7 +23,7 @@ from microgait import (
     sqnr_db,
 )
 from microgait.kernel import requantize
-from microgait.quant import encode_ratio, fp32_payload_bytes, int8_payload_bytes
+from microgait.quant import dequantize_action, encode_ratio, fp32_payload_bytes, int8_payload_bytes
 from oracles import dequantize_weights, requant_layer, requantize_unbounded
 
 
@@ -101,6 +101,10 @@ def test_encode_ratio_rejects_extremes():
         encode_ratio(2.0 ** 31)
     with pytest.raises(DomainError):
         encode_ratio(2.0 ** -40)
+    # 2^-32 * 2^31 = 0.5 rounds to multiplier 0; the next float up rounds to 1
+    with pytest.raises(DomainError, match=r"at most 2\^-32 and not representable"):
+        encode_ratio(2.0 ** -32)
+    assert encode_ratio(math.nextafter(2.0 ** -32, 1.0)) == (1, 31)
     # from 2^31 - 0.5 up even shift 0 rounds to 2^31, which no shift in [0, 31] fits
     for ratio in (2.0 ** 31 - 0.5, 2.0 ** 31 - 0.25):
         with pytest.raises(DomainError, match="overflows the 31-bit multiplier"):
@@ -384,6 +388,14 @@ def test_kernel_tables_built_at_construction(scheme):
         assert layer.shift.tolist() == [rp.shift for rp in rq]
         assert layer.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
                                          for rp in rq]
+    # the action table holds every int8 code's dequantized value, bit for bit
+    out = qp.layers[-1]
+    assert out.output_zp != 0
+    codes = np.arange(-128, 128).astype(np.int8)
+    table = qp.action_table
+    assert table.shape == (256,) and table.dtype == np.float64 and not table.flags.writeable
+    want = dequantize_action(codes, out.output_scale, out.output_zp)
+    assert table.take(codes, mode="wrap").view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_shared_0d_operands_are_read_only():
