@@ -56,6 +56,7 @@ class RateMeasurement:
     spec: PolicySpec
 
     def __post_init__(self):
+        check_finite("clock and update rate", (self.f_clk_hz, self.f_update_hz))
         if not (self.f_clk_hz > self.f_update_hz > 0):
             raise DataError("need f_clk > f_update > 0")
 
@@ -76,12 +77,12 @@ def cycles_decomposed(c: CycleCoeffs, spec: PolicySpec, scheme: QuantScheme) -> 
     total = 0.0
     for k, n in zip(astuple(c), _design_row(spec, scheme)):
         total += k * n
-    return total
+    return _finite_result("cycles per update", total)
 
 
 def measured_cycles(m: RateMeasurement) -> float:
     """End-to-end cycles per update observed as f_clk / f_update."""
-    return m.f_clk_hz / m.f_update_hz
+    return _finite_result("measured cycles per update", m.f_clk_hz / m.f_update_hz)
 
 
 def _check_cycles(cycles: float) -> None:

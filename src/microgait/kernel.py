@@ -3,12 +3,12 @@
 This is the measurable analogue of the on-device scalar inference loop:
 int8 x int8 products accumulated in int32, an integer leaky-relu applied to
 the accumulator on hidden layers, then a fixed-point requantize per neuron
-output whose scale is calibrated on the post-activation range. One code
-path serves both quant schemes and single or batched observations. Counters
-report exactly how many MACs, activations, requantizations, and extra
-per-output parameter loads a call performs, summed over its observations:
-every observation runs the same fixed network, so that is B x
-expected_counters.
+output whose scale is calibrated on the post-activation range, saturated by
+one clip-mode take of the 256 int8 codes. One code path serves both quant
+schemes and single or batched observations. Counters report exactly how many
+MACs, activations, requantizations, and extra per-output parameter loads a
+call performs, summed over its observations: every observation runs the same
+fixed network, so that is B x expected_counters.
 """
 from __future__ import annotations
 
@@ -23,7 +23,9 @@ from .policy import BLOCK_ROWS
 from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy, const_0d,
                     dequantize_action, expected_counters)
 
-_ACC_MIN, _ACC_MAX = const_0d(INT8_MIN, np.int64), const_0d(INT8_MAX, np.int64)
+# int8 code c at index c + 128: requantize saturates by a clip-mode take of this table
+_INT8_CODES = np.arange(INT8_MIN, INT8_MAX + 1, dtype=np.int8)
+_INT8_CODES.flags.writeable = False
 _OBS_MIN, _OBS_MAX = const_0d(INT8_MIN, np.float64), const_0d(INT8_MAX, np.float64)
 
 
@@ -74,11 +76,10 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     # the shifted product is at most acc where acc >= 0, at least acc where acc < 0.
     # It fits int64: |acc| < 2^31 by the headroom check, act_mult <= 2^31
     act_mult, act_shift = qp.act_mult_0d, qp.act_shift_0d
-    # int32 accumulate, done in float64 through BLAS: every partial sum of
-    # int8 x int8 products is an integer below 2^31 in magnitude (the
-    # QuantizedPolicy headroom check), far inside float64's exact 2^53, so
-    # one dot (dgemv on a row, dgemm on a block) is exact in any order
-    x = x.astype(np.float64)
+    # int32 accumulate, done in float64 through BLAS: dot converts the int8 codes
+    # exactly, and every partial sum of int8 x int8 products is an integer below
+    # 2^31 in magnitude (the QuantizedPolicy headroom check), far inside float64's
+    # exact 2^53, so one dot (dgemv on a row, dgemm on a block) is exact in any order
     for li, layer in enumerate(qp.layers):
         acc = x.dot(layer.weights_t)
         acc += layer.bias_f64
@@ -89,24 +90,21 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
             neg >>= act_shift
             np.maximum(acc, neg, out=acc)
 
-        acc = requantize(acc, layer)
-        x = acc if li == last else acc.astype(np.float64)
+        x = requantize(acc, layer)
 
-    return x.astype(np.int8)
+    return x
 
 
 def requantize(acc: np.ndarray, layer: QuantizedLayer) -> np.ndarray:
-    """clip((mult * acc + offset) >> shift) in place on int64 accumulators, |acc| < 2^31.
+    """The int8 codes clip(((mult * acc + round_term) >> shift) + zero_point), |acc| < 2^31.
 
-    The sum stays below 2^62 + 2^39. The clamp is two ufuncs, as np.clip on an
-    int64 array with Python-int bounds looks up np.iinfo on every call.
+    Overwrites acc. layer.offset adds 128 << shift, so the shifted sum (below
+    2^62 + 2^40) indexes _INT8_CODES, and the clip-mode take saturates it.
     """
     acc *= layer.mult
     acc += layer.offset
     acc >>= layer.shift
-    np.maximum(acc, _ACC_MIN, out=acc)
-    np.minimum(acc, _ACC_MAX, out=acc)
-    return acc
+    return _INT8_CODES.take(acc, mode="clip")
 
 
 def fused_infer_dequant(qp: QuantizedPolicy, obs: np.ndarray) -> np.ndarray:

@@ -122,9 +122,9 @@ class QuantizedLayer:
     can accumulate through BLAS. The requant vectors have n_out entries under
     both schemes, a one-entry (per-tensor) ``requant`` repeated, as numpy
     dispatches a ufunc faster with a full-width operand than a length-1 one.
-    ``offset`` = round_term + (zero_point << shift) folds both addends of the
-    requantize into one before the shift, which is exact because an
-    arithmetic shift of a multiple of 2^shift is.
+    ``offset`` = round_term + ((zero_point + 128) << shift) folds both addends
+    and the 128 that makes the shifted sum a kernel code-table index into one
+    addend before the shift: an arithmetic shift of a multiple of 2^shift is exact.
     """
 
     weights: np.ndarray            # int8, (n_out, n_in)
@@ -154,7 +154,7 @@ class QuantizedLayer:
         rq = self.requant * len(self.weights) if len(self.requant) == 1 else self.requant
         put(self, "mult", np.array([rp.mult for rp in rq], dtype=np.int64))
         put(self, "shift", np.array([rp.shift for rp in rq], dtype=np.int64))
-        put(self, "offset", np.array([rp.round_term + (rp.zero_point << rp.shift)
+        put(self, "offset", np.array([rp.round_term + ((rp.zero_point + 128) << rp.shift)
                                       for rp in rq], dtype=np.int64))
 
 

@@ -74,7 +74,11 @@ def test_rate_domain_errors():
     with pytest.raises(DataError):
         RateMeasurement(100.0, 200.0, QuantScheme.PER_TENSOR, SPEC)
     # finite inputs whose result leaves the float range: v * i underflows to 0,
-    # or the quotient or product overflows
+    # or the quotient, product or sum overflows
+    with pytest.raises(DomainError, match="cycles per update is not finite"):
+        cycles_decomposed(CycleCoeffs(1e308, 1e308, 1e308), SPEC, QuantScheme.PER_TENSOR)
+    with pytest.raises(DomainError, match="measured cycles per update is not finite"):
+        measured_cycles(RateMeasurement(1e300, 1e-300, QuantScheme.PER_TENSOR, SPEC))
     for p in (PowerParams(1e-200, 1e-200, 1.0), PowerParams(1e-300, 1e-300, 1e300)):
         with pytest.raises(DomainError, match="clock at the power budget is not finite"):
             max_clock(p)
@@ -164,3 +168,7 @@ def test_non_finite_inputs_rejected(bad):
         required_clock(bad, 60.0)
     with pytest.raises(DataError):
         required_clock(1e5, bad)
+    with pytest.raises(DataError):
+        RateMeasurement(bad, 60.0, QuantScheme.PER_TENSOR, SPEC)
+    with pytest.raises(DataError):
+        RateMeasurement(5e6, bad, QuantScheme.PER_TENSOR, SPEC)

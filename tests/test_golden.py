@@ -9,8 +9,11 @@ shared one binary reader; the leaky-relu FP32 run-loop pin was recorded
 before the FP32 leaky-relu became branch-free; the 45 Hz int8 run-loop pin
 was recorded before the plant state moved from numpy arrays to tuples of
 floats; the `cost --measured`, `cost --power` and `select-gait --power` pins
-were recorded before the two commands shared one budget resolver. Change them
-only with a deliberate change of output, recorded in CHANGES.md.
+were recorded before the two commands shared one budget resolver; the
+`select-gait --f-update`, `codec`, plain scripted `run-loop` and `--pretty`
+pins were recorded before the key=value rendering gained other forms, from
+commands whose output takes no BLAS or SIMD path. Change them only with a
+deliberate change of output, recorded in CHANGES.md.
 """
 import hashlib
 
@@ -72,6 +75,54 @@ def test_golden_select_gait_power(capsys, tmp_path):
         "f_update_hz=95.23990933",
         "reward_ratio=0.99",
     ]
+
+
+@pytest.mark.parametrize("pretty, lines", [
+    (False, ["gait=trot", "f_update_hz=45", "reward_ratio=0.96"]),
+    (True, ["gait          trot", "f_update_hz   45", "reward_ratio  0.96"]),
+])
+def test_golden_select_gait_f_update(capsys, tmp_path, pretty, lines):
+    args = ["select-gait", "--f-update", "45"] + (["--pretty"] if pretty else [])
+    assert _stdout(capsys, tmp_path, *args) == lines
+
+
+def test_golden_codec_selftest(capsys, tmp_path):
+    assert _stdout(capsys, tmp_path, "codec", "--selftest") == [
+        "selftest=ok",
+        "round_trips=2000",
+        "corruptions_detected=2000",
+    ]
+
+
+def test_golden_codec_decode_int8_action(capsys, tmp_path):
+    # the int8 action frame of codes -128, -1, 0, 1, 2, 64, 100, 127 at seq 200
+    hexfile = tmp_path / "act.hex"
+    hexfile.write_text("7e 12 c8 08 00 80 ff 00 01 02 40 64 7f 50\n")
+    assert _stdout(capsys, tmp_path, "codec", "--decode", hexfile) == [
+        "msg_type=0x12",
+        "seq=200",
+        "payload_bytes=8",
+    ]
+
+
+def test_golden_run_loop_scripted_episodes(capsys, tmp_path):
+    csv_out = tmp_path / "s.csv"
+    assert _stdout(capsys, tmp_path, "run-loop", "--scripted", "--episodes", "2",
+                   "--seed", "6", "--command", "0.08", "--f-update", "30",
+                   "--csv-out", csv_out) == [
+        "episode0_total_reward=14.88845329",
+        "episode0_reward_ratio=0.9992696691",
+        "episode0_inferences=300",
+        "episode0_csv={tmp}/s_0.csv",
+        "episode1_total_reward=14.88845329",
+        "episode1_reward_ratio=0.9992696691",
+        "episode1_inferences=300",
+        "episode1_csv={tmp}/s_1.csv",
+    ]
+    # without domain randomization the seed draws nothing, so the episodes match
+    digest = "d875065b59845007da175080391753320faaa7c813418bce9ffb6681810f530f"
+    assert {p.name: _sha256(p) for p in sorted(tmp_path.glob("s_*.csv"))} == {
+        "s_0.csv": digest, "s_1.csv": digest}
 
 
 def test_golden_ik_geometry(capsys, tmp_path):

@@ -144,6 +144,15 @@ def test_batch_equals_stacked_single_calls(scheme, widths, wide, batch, seed):
 
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_actions_carry_the_wire_int8_dtype_object(scheme):
+    # wire's encoder skips its value check only for the payload dtype object itself
+    qp = _quantized(2, scheme)
+    obs = np.random.default_rng(2).integers(-128, 128, size=(BLOCK_ROWS + 1, 24), dtype=np.int8)
+    for x in (obs[0], obs):
+        assert infer_int8(qp, x)[0].dtype is np.dtype("<i1")
+
+
+@pytest.mark.parametrize("scheme", list(QuantScheme))
 @pytest.mark.parametrize("batch", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3])
 def test_blocked_batch_equals_single_calls(scheme, batch):
     rng = np.random.default_rng(batch)

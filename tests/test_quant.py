@@ -48,6 +48,17 @@ def test_requantize_hand_cases():
     assert _requantize(-(2 ** 30), RequantParams(1, 0, 0)) == -128
 
 
+@pytest.mark.parametrize("acc", [2 ** 31 - 1, -(2 ** 31 - 1)])
+@pytest.mark.parametrize("shift", [0, 31])
+@pytest.mark.parametrize("zp", [127, -127])
+def test_requantize_saturates_indices_far_past_the_table(acc, shift, zp):
+    # the largest multiplier on the largest accumulator puts the table index
+    # about 2^62 (shift 0) or 2^31 (shift 31) past either end of the 256 codes
+    rp = RequantParams(2 ** 31 - 1, shift, zp)
+    assert _requantize(acc, rp) == requantize_unbounded(acc, rp.mult, shift, zp) == \
+        (127 if acc > 0 else -128)
+
+
 def test_requant_params_validation():
     with pytest.raises(DataError):
         RequantParams(1, 32)
@@ -386,7 +397,8 @@ def test_kernel_tables_built_at_construction(scheme):
             assert table.shape == (n_out,) and table.dtype == np.int64
         assert layer.mult.tolist() == [rp.mult for rp in rq]
         assert layer.shift.tolist() == [rp.shift for rp in rq]
-        assert layer.offset.tolist() == [rp.round_term + rp.zero_point * 2 ** rp.shift
+        # the index offset: the shifted sum is the code's index in the kernel's table
+        assert layer.offset.tolist() == [rp.round_term + (rp.zero_point + 128) * 2 ** rp.shift
                                          for rp in rq]
     # the action table holds every int8 code's dequantized value, bit for bit
     out = qp.layers[-1]
@@ -403,11 +415,16 @@ def test_shared_0d_operands_are_read_only():
     _, qp = _quantized(6, QuantScheme.PER_FEATURE)
     for operand, dtype in ((qp.act_mult_0d, np.int64), (qp.act_shift_0d, np.int64),
                            (qp.obs_scale_0d, np.float64), (qp.obs_zp_0d, np.float64),
-                           (kernel._ACC_MIN, np.int64), (kernel._ACC_MAX, np.int64),
                            (kernel._OBS_MIN, np.float64), (kernel._OBS_MAX, np.float64)):
         assert operand.shape == () and operand.dtype == dtype
         with pytest.raises(ValueError, match="read-only"):
             operand[...] = 0
+    # requantize's saturating table: int8 code i - 128 at index i
+    codes = kernel._INT8_CODES
+    assert codes.shape == (256,) and codes.dtype == np.int8
+    assert codes.tolist() == [i - 128 for i in range(256)]
+    with pytest.raises(ValueError, match="read-only"):
+        codes[...] = 0
     assert (int(qp.act_mult_0d), int(qp.act_shift_0d)) == (qp.act_mult, qp.act_shift)
     assert (float(qp.obs_scale_0d), float(qp.obs_zp_0d)) == (qp.obs_scale, qp.obs_zp)
 
