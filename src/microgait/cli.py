@@ -1,7 +1,8 @@
 """Command-line front end.
 
-All commands print machine-parseable key=value lines by default (--pretty
-switches to aligned human output) and use the exit-code contract:
+Each command returns its (key, value) pairs and prints nothing; the one
+command class renders them as machine-parseable key=value lines (--pretty
+switches to aligned human output). All commands use the exit-code contract:
 0 success, 2 usage error, 3 data error, 4 domain error.
 """
 from __future__ import annotations
@@ -19,17 +20,25 @@ from .inputs import check_finite
 
 
 def _emit(pairs: list[tuple[str, object]], pretty: bool) -> None:
-    if pretty:
-        width = max(len(k) for k, _ in pairs)
-        for k, v in pairs:
-            click.echo(f"{k:<{width}}  {v}")
-    else:
-        for k, v in pairs:
-            click.echo(f"{k}={v}")
+    """The one renderer: a float (np.float64 included) prints at 10 significant
+    digits, any other value with str."""
+    width = max(len(k) for k, _ in pairs)
+    for k, v in pairs:
+        text = f"{v:.10g}" if isinstance(v, float) else str(v)
+        click.echo(f"{k:<{width}}  {text}" if pretty else f"{k}={text}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+class _Command(click.Command):
+    """A command whose callback returns its (key, value) pairs; this class
+    declares --pretty and renders the pairs."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(["--pretty"], is_flag=True))
+
+    def invoke(self, ctx):
+        pretty = ctx.params.pop("pretty")
+        _emit(super().invoke(ctx), pretty)
 
 
 def _load_calib(path: str) -> np.ndarray:
@@ -54,6 +63,9 @@ def cli():
     """Quantization, cycle/power budgeting, gait selection, IK, and loop tools."""
 
 
+cli.command_class = _Command
+
+
 @cli.command("quantize")
 @click.option("--model", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--scheme", required=True,
@@ -61,8 +73,7 @@ def cli():
 @click.option("--calib", required=True, type=click.Path(exists=True, dir_okay=False),
               help="calibration observations, CSV rows of input-width floats")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.option("--pretty", is_flag=True)
-def cmd_quantize(model, scheme, calib, out, pretty):
+def cmd_quantize(model, scheme, calib, out):
     """Quantize an FP32 policy file to int8 and report size/SQNR metrics."""
     p = policy.load_policy(model)
     converted = False
@@ -84,24 +95,15 @@ def cmd_quantize(model, scheme, calib, out, pretty):
 
     fp32_bytes = quant.fp32_payload_bytes(p.spec)
     int8_bytes = quant.int8_payload_bytes(qp)
-    pairs = [
-        ("scheme", scheme),
-        ("activation_converted", str(converted).lower()),
-        ("sqnr_db", _fmt(sqnr)),
-        ("fp32_payload_bytes", fp32_bytes),
-        ("int8_payload_bytes", int8_bytes),
-        ("size_ratio", _fmt(fp32_bytes / int8_bytes)),
-        ("out", out),
-    ]
-    # published deployment-image sizes for the reference controller, shown
-    # for context only (they include framework overhead)
+    # the reference_* pairs are the published deployment-image sizes for the
+    # reference controller, shown for context only (they include framework overhead)
     ref_kb = quant.REFERENCE_IMAGE_KB
-    pairs += [
-        ("reference_fp32_image_kb", ref_kb["fp32_mlp"]),
-        ("reference_int8_image_kb", ref_kb["int8_mlp"]),
-        ("reference_image_ratio", _fmt(ref_kb["fp32_mlp"] / ref_kb["int8_mlp"])),
-    ]
-    _emit(pairs, pretty)
+    return [("scheme", scheme), ("activation_converted", str(converted).lower()),
+            ("sqnr_db", sqnr), ("fp32_payload_bytes", fp32_bytes),
+            ("int8_payload_bytes", int8_bytes), ("size_ratio", fp32_bytes / int8_bytes),
+            ("out", out), ("reference_fp32_image_kb", ref_kb["fp32_mlp"]),
+            ("reference_int8_image_kb", ref_kb["int8_mlp"]),
+            ("reference_image_ratio", ref_kb["fp32_mlp"] / ref_kb["int8_mlp"])]
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -126,7 +128,7 @@ def _budget(cycles, power, measured=None, budget=None):
         f_clk, f_update = _parse_floats(measured, 2, "--measured")
         if not (f_clk > f_update > 0):
             raise DomainError(f"need f_clk > f_update > 0, got {measured!r}")
-        cycles = f_clk / f_update
+        cycles = cost._finite_result("measured cycles per update", f_clk / f_update)
     elif cycles is None:
         cycles = file_cycles
     if cycles is None:
@@ -146,20 +148,18 @@ def _budget(cycles, power, measured=None, budget=None):
               help="key=value budget file")
 @click.option("--power", default=None, metavar="V,I_PER_MHZ,PMAX")
 @click.option("--target-hz", type=float, default=None)
-@click.option("--pretty", is_flag=True)
-def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
+def cmd_cost(cycles, measured, budget, power, target_hz):
     """Map cycles/update, clock, power budget, and update frequency."""
     cycles, f_clk, pp = _budget(cycles, power, measured, budget)
-    pairs: list[tuple[str, object]] = [("cycles_per_update", _fmt(cycles))]
+    pairs: list[tuple[str, object]] = [("cycles_per_update", cycles)]
     if f_clk is not None:
-        pairs.append(("f_update_max_hz", _fmt(cost.max_update_rate(f_clk, cycles))))
+        pairs.append(("f_update_max_hz", cost.max_update_rate(f_clk, cycles)))
     if pp is not None:
-        pairs.append(("f_clk_max_hz", _fmt(cost.max_clock(pp))))
-        pairs.append(("f_update_max_at_budget_hz",
-                      _fmt(cost.feasible_update_rate(pp, cycles))))
+        pairs.append(("f_clk_max_hz", cost.max_clock(pp)))
+        pairs.append(("f_update_max_at_budget_hz", cost.feasible_update_rate(pp, cycles)))
     if target_hz is not None:
-        pairs.append(("f_clk_req_hz", _fmt(cost.required_clock(cycles, target_hz))))
-    _emit(pairs, pretty)
+        pairs.append(("f_clk_req_hz", cost.required_clock(cycles, target_hz)))
+    return pairs
 
 
 @cli.command("select-gait")
@@ -168,8 +168,7 @@ def cmd_cost(cycles, measured, budget, power, target_hz, pretty):
 @click.option("--f-update", type=float, default=None)
 @click.option("--power", default=None, metavar="V,I_PER_MHZ,PMAX")
 @click.option("--cycles", type=float, default=None)
-@click.option("--pretty", is_flag=True)
-def cmd_select_gait(curves, f_update, power, cycles, pretty):
+def cmd_select_gait(curves, f_update, power, cycles):
     """Pick the gait regime maximizing reward ratio at a rate or power budget."""
     table = gait.load_gait_table(curves)
     if f_update is None:
@@ -180,9 +179,7 @@ def cmd_select_gait(curves, f_update, power, cycles, pretty):
     elif power is not None or cycles is not None:
         raise DataError("--f-update is the rate; drop --power and --cycles")
     regime, reward = gait.select_gait(table, f_update)
-    _emit([("gait", regime.value),
-           ("f_update_hz", _fmt(f_update)),
-           ("reward_ratio", _fmt(reward))], pretty)
+    return [("gait", regime.value), ("f_update_hz", f_update), ("reward_ratio", reward)]
 
 
 @cli.command("run-loop")
@@ -201,9 +198,8 @@ def cmd_select_gait(curves, f_update, power, cycles, pretty):
 @click.option("--codec/--no-codec", default=False,
               help="route observations/actions through the wire codec")
 @click.option("--csv-out", type=click.Path(dir_okay=False), default=None)
-@click.option("--pretty", is_flag=True)
 def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
-                 episodes, randomize, codec, csv_out, pretty):
+                 episodes, randomize, codec, csv_out):
     """Run closed-loop episodes and report total reward and reward ratio."""
     if episodes < 1:
         raise DataError("--episodes must be >= 1")
@@ -236,8 +232,8 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
         if baseline.total_reward == 0:
             raise DomainError("baseline reward is zero; ratio undefined")
         prefix = f"episode{ep}_" if episodes > 1 else ""
-        pairs += [(f"{prefix}total_reward", _fmt(result.total_reward)),
-                  (f"{prefix}reward_ratio", _fmt(result.total_reward / baseline.total_reward)),
+        pairs += [(f"{prefix}total_reward", result.total_reward),
+                  (f"{prefix}reward_ratio", result.total_reward / baseline.total_reward),
                   (f"{prefix}inferences", result.inference_count)]
         if csv_out is not None:
             path = Path(csv_out)
@@ -245,7 +241,7 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
                 path = path.with_name(f"{path.stem}_{ep}{path.suffix}")
             harness.write_trajectory_csv(result, path)
             pairs.append((f"{prefix}csv", str(path)))
-    _emit(pairs, pretty)
+    return pairs
 
 
 @cli.command("ik")
@@ -253,23 +249,19 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
               help="key=value file: l_x, l_y, x_motor_ref, y_motor_ref")
 @click.option("--x", "x_end", type=float, required=True)
 @click.option("--y", "y_end", type=float, required=True)
-@click.option("--pretty", is_flag=True)
-def cmd_ik(geometry, x_end, y_end, pretty):
+def cmd_ik(geometry, x_end, y_end):
     """Solve leg inverse kinematics for one end-effector target."""
     g = kinematics.load_geometry(geometry)
     sol = kinematics.ik(g, kinematics.EndEffector(x_end, y_end))
-    _emit([("theta_x_rad", _fmt(sol.theta_x)),
-           ("theta_y_rad", _fmt(sol.theta_y)),
-           ("x_motor_m", _fmt(sol.x_motor)),
-           ("y_motor_m", _fmt(sol.y_motor))], pretty)
+    return [("theta_x_rad", sol.theta_x), ("theta_y_rad", sol.theta_y),
+            ("x_motor_m", sol.x_motor), ("y_motor_m", sol.y_motor)]
 
 
 @cli.command("codec")
 @click.option("--selftest", is_flag=True)
 @click.option("--decode", "hexfile", type=click.Path(exists=True, dir_okay=False),
               default=None, help="decode one frame from a hex text file")
-@click.option("--pretty", is_flag=True)
-def cmd_codec(selftest, hexfile, pretty):
+def cmd_codec(selftest, hexfile):
     """Wire-codec round-trip/corruption self-test or one-shot frame decode."""
     if selftest:
         if hexfile is not None:
@@ -290,9 +282,7 @@ def cmd_codec(selftest, hexfile, pretty):
                 pass
             else:
                 raise DataError("codec selftest: corruption went undetected")
-        _emit([("selftest", "ok"), ("round_trips", rounds),
-               ("corruptions_detected", rounds)], pretty)
-        return
+        return [("selftest", "ok"), ("round_trips", rounds), ("corruptions_detected", rounds)]
     if hexfile is None:
         raise DataError("provide --selftest or --decode")
     try:
@@ -300,9 +290,8 @@ def cmd_codec(selftest, hexfile, pretty):
     except ValueError as exc:
         raise DataError(f"bad hex in {hexfile}: {exc}") from None
     frame = wire.decode_frame(raw)
-    _emit([("msg_type", f"0x{frame.msg_type:02X}"),
-           ("seq", frame.seq),
-           ("payload_bytes", len(frame.payload))], pretty)
+    return [("msg_type", f"0x{frame.msg_type:02X}"), ("seq", frame.seq),
+            ("payload_bytes", len(frame.payload))]
 
 
 def main(argv=None) -> int:

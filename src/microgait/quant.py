@@ -41,7 +41,7 @@ MAX_SHIFT = 31
 
 # Deployment-image sizes reported for the reference [24,128,64,8] controller,
 # including framework/runtime overhead; shown for context, never asserted.
-REFERENCE_IMAGE_KB = {"fp32_mlp": 204.54, "int8_mlp": 51.136, "linear_baseline": 1.184}
+REFERENCE_IMAGE_KB = {"fp32_mlp": 204.54, "int8_mlp": 51.136}
 
 
 def const_0d(value, dtype) -> np.ndarray:

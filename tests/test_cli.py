@@ -9,7 +9,7 @@ import microgait
 from microgait import (DomainError, PolicySpec, PowerParams, QuantScheme, cost,
                        feasible_update_rate, harness, leaky_relu, max_clock, quantize_policy,
                        random_policy, wire)
-from microgait.cli import main
+from microgait.cli import _emit, cli, main
 from microgait.policy import save_policy
 from microgait.quant import save_quantized
 
@@ -287,6 +287,7 @@ def test_run_loop_non_finite_action_is_data_error(capsys, tmp_path):
                  id="cost-required-clock-overflow"),
     pytest.param(["cost", "--cycles", "1e-300", "--power", "1,1,1e300"],
                  id="cost-update-rate-overflow"),
+    pytest.param(["cost", "--measured", "5e6,1e-320"], id="cost-measured-overflow"),
 ])
 def test_out_of_domain_number_is_domain_error(capsys, tmp_path, args):
     # a bytes argument is the contents of a file, passed by its path
@@ -438,6 +439,43 @@ def test_pretty_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "gait" in out and "=" not in out.splitlines()[0]
+
+
+def test_every_command_has_one_pretty_flag():
+    for name, command in cli.commands.items():
+        assert [p.name for p in command.params].count("pretty") == 1, name
+
+
+@pytest.mark.parametrize("args", [
+    ["cost", "--cycles", "104998", "--power", "1.8,0.0001,0.0018"],
+    ["ik", "--geometry", b"l_x=1.0\nl_y=1.0\n", "--x", "0", "--y", "0"],
+    ["codec", "--selftest"],
+    ["codec", "--decode",
+     wire.encode_observation(np.zeros(24, dtype=np.int8), "int8", 9).hex().encode()],
+], ids=["cost", "ik", "codec-selftest", "codec-decode"])
+def test_pretty_lines_hold_the_plain_pairs_aligned(capsys, tmp_path, args):
+    # a bytes argument is the contents of a file, passed by its path
+    args = [_file(tmp_path / "arg.txt", a) if isinstance(a, bytes) else a for a in args]
+    assert main(args) == 0
+    plain = [tuple(line.split("=", 1)) for line in capsys.readouterr().out.splitlines()]
+    assert main([*args, "--pretty"]) == 0
+    pretty, columns = [], set()
+    for line in capsys.readouterr().out.splitlines():
+        key = line.split()[0]
+        value = line[len(key):].lstrip()
+        pretty.append((key, value))
+        columns.add(len(line) - len(value))
+    assert len(plain) > 1
+    assert pretty == plain
+    assert len(columns) == 1
+
+
+def test_emit_renders_floats_at_ten_digits_and_other_values_as_written(capsys):
+    _emit([("py_float", 0.1 + 0.2), ("np_float64", np.float64(2.0) / 3),
+           ("big_int", 10**12), ("text", "0x11 as written")], pretty=False)
+    assert capsys.readouterr().out.splitlines() == [
+        "py_float=0.3", "np_float64=0.6666666667", "big_int=1000000000000",
+        "text=0x11 as written"]
 
 
 _NO_SCIPY_CHECK = """
