@@ -183,8 +183,8 @@ def cmd_select_gait(curves, f_update, power, cycles):
 
 
 @cli.command("run-loop")
-@click.option("--model", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--quantized", is_flag=True, help="model file is an int8 policy")
+@click.option("--model", type=click.Path(exists=True, dir_okay=False), default=None,
+              help="FP32 (TGP1) or int8 (TGQ1) policy file; its magic says which")
 @click.option("--scripted", is_flag=True,
               help="use the built-in scripted gait controller instead of a model")
 @click.option("--f-update", type=float, default=120.0)
@@ -193,24 +193,22 @@ def cmd_select_gait(curves, f_update, power, cycles):
 @click.option("--omega", type=float, default=0.0, help="yaw rate command, rad/s")
 @click.option("--seed", type=int, default=0)
 @click.option("--episodes", type=int, default=1)
-@click.option("--randomize/--no-randomize", default=False,
-              help="apply the domain-randomization sampler")
-@click.option("--codec/--no-codec", default=False,
-              help="route observations/actions through the wire codec")
+@click.option("--randomize", is_flag=True, help="apply the domain-randomization sampler")
+@click.option("--codec", is_flag=True, help="route observations/actions through the wire codec")
 @click.option("--csv-out", type=click.Path(dir_okay=False), default=None)
-def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
-                 episodes, randomize, codec, csv_out):
+def cmd_run_loop(model, scripted, f_update, v_cmd, omega, seed, episodes, randomize, codec,
+                 csv_out):
     """Run closed-loop episodes and report total reward and reward ratio."""
     if episodes < 1:
         raise DataError("--episodes must be >= 1")
 
     if scripted:
-        if model is not None or quantized:
-            raise DataError("--scripted runs no model; drop --model and --quantized")
+        if model is not None:
+            raise DataError("--scripted runs no model; drop --model")
         inner = harness.ScriptedGaitController(v_cmd)
     elif model is None:
         raise DataError("provide --model or --scripted")
-    elif quantized:
+    elif Path(model).read_bytes().startswith(quant.QUANT_MAGIC):
         inner = harness.QuantizedRuntime(quant.load_quantized(model))
     else:
         inner = harness.PolicyRuntime(policy.load_policy(model))
@@ -226,11 +224,13 @@ def cmd_run_loop(model, quantized, scripted, f_update, v_cmd, omega, seed,
     for ep in range(episodes):
         ep_seed = seed + ep
         base_sim = harness.SimConfig(seed=ep_seed)  # baseline: inference every step
-        baseline = harness.run_episode(runtime(), base_sim, dr_config, cmd)
         sim = harness.SimConfig(f_update_hz=f_update, seed=ep_seed)
-        result = harness.run_episode(runtime(), sim, dr_config, cmd)
+        baseline = harness.run_episode(runtime(), base_sim, dr_config, cmd)
         if baseline.total_reward == 0:
             raise DomainError("baseline reward is zero; ratio undefined")
+        # on a fresh runtime an episode depends on nothing but sim, randomization and command
+        result = (baseline if sim == base_sim
+                  else harness.run_episode(runtime(), sim, dr_config, cmd))
         prefix = f"episode{ep}_" if episodes > 1 else ""
         pairs += [(f"{prefix}total_reward", result.total_reward),
                   (f"{prefix}reward_ratio", result.total_reward / baseline.total_reward),
@@ -270,14 +270,14 @@ def cmd_codec(selftest, hexfile):
         rounds = 2000
         for _ in range(rounds):
             obs = rng.normal(size=wire.OBS_DIM).astype(np.float32)
-            vals, _, _ = wire.decode_observation(wire.encode_observation(obs, "fp32", 1))
-            if not np.array_equal(vals, obs):
+            frame = wire.encode_observation(obs, "fp32", 1)
+            if not np.array_equal(wire.decode_observation(frame)[0], obs):
                 raise DataError("codec selftest: fp32 round trip mismatch")
-            frame = bytearray(wire.encode_observation(obs, "fp32", 1))
-            idx = int(rng.integers(1, len(frame) - 1))
-            frame[idx] ^= int(rng.integers(1, 256))
+            corrupt = bytearray(frame)
+            idx = int(rng.integers(1, len(corrupt) - 1))
+            corrupt[idx] ^= int(rng.integers(1, 256))
             try:
-                wire.decode_observation(bytes(frame))
+                wire.decode_observation(bytes(corrupt))
             except wire.ProtocolError:
                 pass
             else:

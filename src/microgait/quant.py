@@ -207,16 +207,22 @@ class QuantizedPolicy:
                 f"activation slope {self.act_mult}/2^{self.act_shift} outside [0, 1]")
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise DataError(f"obs_scale must be finite and > 0, got {self.obs_scale}")
+        if not (INT8_MIN <= self.obs_zp <= INT8_MAX):
+            raise DataError(f"obs_zp {self.obs_zp} outside int8 range")
         per_feature = self.scheme is QuantScheme.PER_FEATURE
         for i, layer in enumerate(self.layers):
             if layer.weights.shape != (dims[i + 1], dims[i]):
                 raise DataError(
                     f"layer {i} weight shape {layer.weights.shape} != {(dims[i + 1], dims[i])}")
             entries = dims[i + 1] if per_feature else 1
-            if len(layer.requant) != entries:
+            if len(layer.requant) != entries or len(layer.weight_scales) != entries:
                 raise DataError(
-                    f"layer {i} requant table has {len(layer.requant)} entries, "
+                    f"layer {i} requant table has {len(layer.requant)} entries and "
+                    f"{len(layer.weight_scales)} weight scales, "
                     f"{self.scheme.name.lower()} needs {entries}")
+            if not all(INT8_MIN <= zp <= INT8_MAX for zp in (layer.input_zp, layer.output_zp)):
+                raise DataError(f"layer {i} zero-points {layer.input_zp}, {layer.output_zp} "
+                                "outside int8 range")
             # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255;
             # |bias| is taken in int64 because abs() of the int32 minimum wraps
             worst = (dims[i] * WEIGHT_MAX * 255
@@ -394,12 +400,12 @@ def load_quantized(path) -> QuantizedPolicy:
         w = r.array("<i1", n_in * n_out).reshape(n_out, n_in)
         b = r.array("<i4", n_out)
         (n_scales,) = r.unpack("H")
+        if n_scales < 2:  # the input and output scale; the type checks the weight scales
+            raise DataError(f"layer {i} scale table has {n_scales} entries, needs at least 2")
         scales = r.unpack(f"{n_scales}f")
         in_zp, out_zp = r.unpack("bb")
         (n_rq,) = r.unpack("H")
         requant = [RequantParams(*r.unpack("iBb")) for _ in range(n_rq)]
-        if n_scales != 2 + n_rq:  # input and output scale, one weight scale per requant entry
-            raise DataError(f"layer {i} scale table has {n_scales} entries, needs 2 + {n_rq}")
         layers.append(QuantizedLayer(
             weights=w, bias=b.astype(np.int32),
             input_scale=scales[0], input_zp=in_zp,

@@ -5,8 +5,32 @@ calls; a BLAS thread pool on a busy host adds noise to the batched side only.
 OpenBLAS reads these variables when numpy loads, so they are set here, before
 any test module imports numpy; `test_kernel.py::test_blas_runs_one_thread`
 checks that they took effect.
+
+`run_python` runs code in a fresh interpreter, for checks of what happens
+when a process starts: which BLAS kernel numpy picks, which modules load.
 """
 import os
+import subprocess
+import sys
+
+import pytest
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
+
+
+@pytest.fixture
+def run_python():
+    """`run(code, *args, timeout=..., **env)` runs `python -c code *args` in a
+    fresh process that imports this package from the source tree the tests
+    import, with the keyword arguments as extra environment variables, and
+    returns the CompletedProcess with text stdout and stderr."""
+    import microgait
+    src = os.path.dirname(os.path.dirname(microgait.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(code, *args, timeout, **env):
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              env={**os.environ, **env, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=timeout)
+    return run

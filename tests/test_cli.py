@@ -1,11 +1,8 @@
-import os
-import subprocess
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import microgait
 from microgait import (DomainError, PolicySpec, PowerParams, QuantScheme, cost,
                        feasible_update_rate, harness, leaky_relu, max_clock, quantize_policy,
                        random_policy, wire)
@@ -119,12 +116,16 @@ PARTIAL_POWER = b"cycles_per_update = 1e5\nv_volts = 1.8\np_max_watts = 0.0018\n
     pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--model", model,
                                      "--command", "0.08", "--f-update", "30"],
                  "--scripted runs no model", id="scripted-with-model"),
-    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--quantized", "--model", model,
-                                     "--command", "0.08", "--f-update", "30"],
-                 "--scripted runs no model", id="scripted-quantized-model"),
-    pytest.param(lambda tmp, model: ["run-loop", "--scripted", "--quantized",
-                                     "--command", "0.08", "--f-update", "30"],
-                 "--scripted runs no model", id="scripted-quantized"),
+    # the file's magic picks the reader, and that reader's message is the one reported
+    pytest.param(lambda tmp, model: ["run-loop", "--command", "0.05",
+                                     "--model", _file(tmp / "m.bin", b"XXXX" + bytes(8))],
+                 "bad policy magic b'XXXX'", id="run-loop-model-no-magic"),
+    pytest.param(lambda tmp, model: ["run-loop", "--command", "0.05",
+                                     "--model", _file(tmp / "m.bin", b"TGQ1" + bytes(3))],
+                 "truncated quantized-policy file", id="run-loop-truncated-int8-model"),
+    pytest.param(lambda tmp, model: ["run-loop", "--command", "0.05",
+                                     "--model", _file(tmp / "m.bin", Path(model).read_bytes()[:-1])],
+                 "truncated policy file", id="run-loop-truncated-fp32-model"),
     pytest.param(lambda tmp, model: ["codec"], "provide --selftest or --decode", id="codec-no-flag"),
     pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", b"zz01")],
                  "bad hex in", id="codec-bad-hex"),
@@ -349,7 +350,7 @@ def test_run_loop_quantized_model(capsys, tmp_path, model_file, calib_file):
     qpath = tmp_path / "q.bin"
     save_quantized(qp, qpath)
     code, pairs, _ = run_cli(capsys, "run-loop", "--model", str(qpath),
-                             "--quantized", "--command", "0.05", "--codec")
+                             "--command", "0.05", "--codec")
     assert code == 0
     assert "total_reward" in pairs
 
@@ -363,6 +364,35 @@ def test_reward_ratio_against_self_is_one(capsys, monkeypatch):
     code = main(["run-loop", "--scripted", "--command", "0.08"])
     assert code == 4
     assert "domain error: baseline reward is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("f_update, code, runs", [
+    ("120", 0, 1),  # the episode at the update rate is the baseline
+    ("30", 0, 2),
+    ("500", 3, 0),  # a bad rate is reported before any episode runs
+])
+def test_run_loop_runs_each_distinct_episode_once(capsys, monkeypatch, f_update, code, runs):
+    run_episode, sims = harness.run_episode, []
+
+    def counted(runtime, sim, *args):
+        sims.append(sim)
+        return run_episode(runtime, sim, *args)
+
+    monkeypatch.setattr(harness, "run_episode", counted)
+    assert main(["run-loop", "--scripted", "--command", "0.08", "--f-update", f_update,
+                 "--episodes", "2"]) == code
+    capsys.readouterr()
+    assert len(sims) == 2 * runs
+
+
+@pytest.mark.parametrize("flag", ["--quantized", "--no-codec", "--no-randomize"])
+def test_run_loop_has_no_second_spelling(capsys, flag):
+    # the model file's magic says int8 or FP32, and each switch is off unless given
+    code = main(["run-loop", "--scripted", "--command", "0.08", flag])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"usage error: No such option '{flag}'")
 
 
 def test_run_loop_negative_seed_is_data_error(capsys):
@@ -493,7 +523,7 @@ np.savetxt(tmp / "calib.csv", np.random.default_rng(0).normal(size=(32, 24)), de
 codes = [main(args) for args in (
     ["quantize", "--model", str(tmp / "policy.bin"), "--scheme", "per-feature",
      "--calib", str(tmp / "calib.csv"), "--out", str(tmp / "q.bin")],
-    ["run-loop", "--model", str(tmp / "q.bin"), "--quantized", "--command", "0.05", "--codec"],
+    ["run-loop", "--model", str(tmp / "q.bin"), "--command", "0.05", "--codec"],
     ["run-loop", "--scripted", "--command", "0.08", "--f-update", "30"],
     ["cost", "--cycles", "100000", "--target-hz", "50"],
     ["select-gait", "--f-update", "40"],
@@ -510,14 +540,10 @@ print("scipy.optimize" in scipy())
 """
 
 
-def test_no_command_loads_scipy_until_a_fit(tmp_path):
+def test_no_command_loads_scipy_until_a_fit(run_python, tmp_path):
     # scipy is imported by cost.fit_coeffs alone, on its first call; a fresh
     # process shows what importing the package and running each command load
-    src = os.path.dirname(os.path.dirname(microgait.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHECK, str(tmp_path)], env=env,
-                         capture_output=True, text=True, timeout=300)
+    run = run_python(_NO_SCIPY_CHECK, str(tmp_path), timeout=300)
     assert run.returncode == 0, run.stderr
     *_, commands, fitted = run.stdout.splitlines()
     assert commands == "[0, 0, 0, 0, 0, 0, 0] []"

@@ -166,7 +166,7 @@ def test_golden_run_loop_quantized_codec(capsys, tmp_path):
     assert _sha256(model) == \
         "73e1d0b4de91533d3f256ed52f5b05c8b689d3c3032958fcca84dbff6098e084"
     csv_out = tmp_path / "q.csv"
-    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--quantized", "--codec",
+    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--codec",
                    "--seed", "1", "--command", "0.05", "--f-update", "30",
                    "--csv-out", csv_out) == [
         "total_reward=14.8908665",
@@ -259,7 +259,7 @@ def test_golden_run_loop_quantized_randomized_45hz(capsys, tmp_path):
     assert _sha256(model) == \
         "59dbcd9506c9339893e69aca165a4ed8501dd900811ea87a7c3c4c6505de082e"
     csv_out = tmp_path / "pt.csv"
-    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--quantized", "--randomize",
+    assert _stdout(capsys, tmp_path, "run-loop", "--model", model, "--randomize",
                    "--episodes", "2", "--seed", "5", "--command", "0.09", "--omega", "0.1",
                    "--f-update", "45", "--csv-out", csv_out) == [
         "episode0_total_reward=14.47272797",

@@ -20,9 +20,11 @@ from microgait import (
     fused_infer_dequant,
     infer_int8,
     leaky_relu,
+    load_quantized,
     quantize_obs,
     quantize_policy,
     random_policy,
+    save_quantized,
 )
 from microgait.policy import BLOCK_ROWS
 from microgait.quant import QuantizedLayer, encode_ratio, expected_counters
@@ -306,6 +308,34 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     batched, _ = infer_int8(qp, obs)
     np.testing.assert_array_equal(batched, want)
     np.testing.assert_array_equal(np.stack([infer_int8(qp, row)[0] for row in obs]), want)
+
+
+def test_hand_built_models_round_trip_through_a_file(tmp_path):
+    # every model the tests above build by hand is one the file format holds
+    models = [_random_qp(np.random.default_rng(seed), dims, scheme) for seed, dims in
+              enumerate([(24, 128, 64, 8), (37, 29, 11, 5), (6, 5, 3), (4, 4), (1, 1)])
+              for scheme in QuantScheme]
+    tables = [(QuantScheme.PER_FEATURE, EXTREME_REQUANTS),
+              *((QuantScheme.PER_TENSOR, [rp]) for rp in CORNER_REQUANTS)]
+    models += [_extreme_qp(scheme, requants, act)
+               for act in EXTREME_SLOPES for scheme, requants in tables]
+    assert len(models) == 55
+    path = tmp_path / "q.bin"
+    for qp in models:
+        save_quantized(qp, path)
+        back = load_quantized(path)
+        assert (back.scheme, back.spec.layer_dims, back.obs_scale, back.obs_zp,
+                back.act_mult, back.act_shift) == (qp.scheme, qp.spec.layer_dims, qp.obs_scale,
+                                                   qp.obs_zp, qp.act_mult, qp.act_shift)
+        for a, b in zip(back.layers, qp.layers, strict=True):
+            assert a.weights.tobytes() == b.weights.tobytes()
+            assert a.bias.tobytes() == b.bias.tobytes()
+            assert a.requant == b.requant
+            assert (a.input_scale, a.input_zp, a.output_scale, a.output_zp) == \
+                (b.input_scale, b.input_zp, b.output_scale, b.output_zp)
+            assert a.weight_scales.tolist() == b.weight_scales.tolist()
+            for table in ("mult", "shift", "offset"):
+                np.testing.assert_array_equal(getattr(a, table), getattr(b, table))
 
 
 # The largest |acc| a layer of fan-in 1 reaches: the headroom check admits

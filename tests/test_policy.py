@@ -2,8 +2,6 @@ import glob
 import math
 import os
 import struct
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-import microgait
 from microgait import (
     ActivationKind,
     ActivationSpec,
@@ -191,7 +188,7 @@ print(corename().decode(), bad)
 
 # each kernel with the /proc/cpuinfo flag it needs
 @pytest.mark.parametrize("coretype, flag", [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Prescott", "pni")])
-def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(coretype, flag):
+def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(run_python, coretype, flag):
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas*"))
     if not libs:
@@ -199,11 +196,8 @@ def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(coretype, flag
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.exists() and flag not in cpuinfo.read_text().split():
         pytest.skip(f"this CPU cannot run the {coretype} kernel")
-    src = os.path.dirname(os.path.dirname(microgait.__file__))
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    run = subprocess.run([sys.executable, "-c", _KERNEL_CHECK, libs[0]], env=env,
-                         capture_output=True, text=True, timeout=120)
+    run = run_python(_KERNEL_CHECK, libs[0], timeout=120,
+                     OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
     assert run.returncode == 0, run.stderr
     corename, bad = run.stdout.split()
     assert bad == "0", f"{bad} of 384 rows differ from the block under {corename}"

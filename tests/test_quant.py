@@ -367,6 +367,42 @@ def test_load_rejects_int32_min_bias(tmp_path):
         load_quantized(path)
 
 
+def _with_first_layer(qp, **change):
+    return dataclasses.replace(qp, layers=(dataclasses.replace(qp.layers[0], **change),
+                                           *qp.layers[1:]))
+
+
+# each of these the file format cannot hold, so the model is refused when built
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda qp: dataclasses.replace(qp, obs_zp=200),
+                 "obs_zp 200 outside int8 range", id="obs-zp"),
+    pytest.param(lambda qp: _with_first_layer(qp, input_zp=300),
+                 "layer 0 zero-points 300, ", id="input-zp"),
+    pytest.param(lambda qp: _with_first_layer(qp, output_zp=-200),
+                 "layer 0 zero-points .*, -200 outside int8 range", id="output-zp"),
+    pytest.param(lambda qp: _with_first_layer(qp, weight_scales=np.ones(3)),
+                 "layer 0 requant table has 1 entries and 3 weight scales, per_tensor needs 1",
+                 id="weight-scales"),
+])
+def test_model_the_file_cannot_hold_is_rejected_when_built(build, message):
+    _, qp = _quantized(2, QuantScheme.PER_TENSOR)
+    with pytest.raises(DataError, match=message):
+        build(qp)
+
+
+@pytest.mark.parametrize("n_scales", [0, 1])
+def test_load_rejects_scale_table_without_input_and_output_scale(tmp_path, n_scales):
+    _, qp = _quantized(4, QuantScheme.PER_TENSOR)
+    data = _saved_bytes(tmp_path, qp)
+    off = _scale_table_offset(qp, 0)
+    struct.pack_into("<H", data, off - 2, n_scales)
+    del data[off + 4 * n_scales:off + 4 * (2 + len(qp.layers[0].weight_scales))]
+    path = tmp_path / "short.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=f"layer 0 scale table has {n_scales} entries"):
+        load_quantized(path)
+
+
 def test_quantized_policy_is_frozen():
     # each layer's kernel tables are built at construction; assignment would leave them stale
     _, qf = _quantized(2, QuantScheme.PER_FEATURE)
