@@ -58,6 +58,7 @@ from .harness import (
     PlantParams,
     PlantState,
     SimConfig,
+    hold_targets,
     plant_step,
     reward_step,
     run_episode,

@@ -50,12 +50,13 @@ _AIR_TIME_DT = AIR_TIME_WEIGHT * DT
 _SIGMA_SQ = TRACKING_SIGMA * TRACKING_SIGMA
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantState:
     """The plant state as tuples of Python floats (bools for the contact flags).
 
     Tuples cannot change in place, so the record need not be frozen, and a
-    frozen __init__ costs four times as much on every plant step.
+    frozen __init__ costs four times as much on every plant step; slots make
+    the construction and the field reads of each step cheaper.
     """
 
     v: tuple[float, ...] = (0.0,) * 3                  # base lin vel
@@ -188,18 +189,12 @@ def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
         tau_joint=p.tau_joint / max(dr.stiffness, 1e-6))
 
 
-def plant_step(s: PlantState, targets: list[float], params: PlantParams,
-               dr: DRPerturbation) -> PlantState:
-    """Advance the surrogate by one step of DT toward the held joint targets,
-    NUM_JOINTS finite numbers (held as floats in q_targets).
+def hold_targets(targets, dr: DRPerturbation) -> tuple[float, ...]:
+    """The joint targets an update holds: NUM_JOINTS finite numbers as floats,
+    each clamped to [-Q_LIMIT + dof_lower, Q_LIMIT + dof_upper].
 
-    Straight-line code on Python floats: numpy's per-call dispatch, and even
-    a comprehension frame per 4-leg or 8-joint tuple, costs more than the
-    math, so every joint and leg is a local and every tuple a display. Each
-    operation keeps its order and operands from the numpy form in
-    tests/oracles.py, so the bits match: a clamp takes a bound only when the
-    value is strictly past it, as np.clip does, and a sum folds left from
-    +0.0 as numpy's add.reduce does (sum() compensates from Python 3.12 on).
+    A bound replaces a value only when the value is strictly past it, as
+    np.clip does in tests/oracles.py, so the bits match.
     """
     if len(targets) != NUM_JOINTS:
         raise DataError(f"expected {NUM_JOINTS} joint targets, got {len(targets)}")
@@ -216,7 +211,22 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
     x5 = hi if hi < (y := lo if lo > x5 else x5) else y
     x6 = hi if hi < (y := lo if lo > x6 else x6) else y
     x7 = hi if hi < (y := lo if lo > x7 else x7) else y
+    return x0, x1, x2, x3, x4, x5, x6, x7
 
+
+def plant_step(s: PlantState, q_targets: tuple[float, ...], params: PlantParams) -> PlantState:
+    """Advance the surrogate by one step of DT toward q_targets, the tuple
+    hold_targets returns (held as is in the new state's q_targets).
+
+    Straight-line code on Python floats: numpy's per-call dispatch, and even
+    a comprehension frame per 4-leg or 8-joint tuple, costs more than the
+    math, so every joint and leg is a local and every tuple a display. Each
+    operation keeps its order and operands from the numpy form in
+    tests/oracles.py, so the bits match: a clamp takes a bound only when the
+    value is strictly past it, as np.clip does, and a sum folds left from
+    +0.0 as numpy's add.reduce does (sum() compensates from Python 3.12 on).
+    """
+    x0, x1, x2, x3, x4, x5, x6, x7 = q_targets
     q0, q1, q2, q3, q4, q5, q6, q7 = s.q
     tau = params.tau_joint
     # lift- and swing-joint velocity per leg
@@ -251,7 +261,7 @@ def plant_step(s: PlantState, targets: list[float], params: PlantParams,
              (0.0 if p2 else t2) if c2 else t2 + DT, (0.0 if p3 else t3) if c3 else t3 + DT)
     landed = (c0 and not p0, c1 and not p1, c2 and not p2, c3 and not p3)
     att = (roll + DT * (w[0] - roll / TAU_ATT), pitch + DT * (w[1] - pitch / TAU_ATT))
-    return PlantState(v, w, att, q, qd, (x0, x1, x2, x3, x4, x5, x6, x7), t_air, contact, landed)
+    return PlantState(v, w, att, q, qd, q_targets, t_air, contact, landed)
 
 
 # --- runtimes -------------------------------------------------------------
@@ -359,27 +369,29 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     """Run one deterministic closed-loop episode with zero-order-hold control.
 
     Update k runs at the first step where floor(step * f_update / SIM_HZ)
-    reaches k, and its action is held until the next update, so the mean
-    update rate is exactly f_update even when it does not divide SIM_HZ.
+    reaches k, and its action, checked and clamped once by hold_targets, is
+    held until the next update, so the mean update rate is exactly f_update
+    even when it does not divide SIM_HZ.
     """
     check_finite("velocity command", cmd)
     dr = sample_dr(sim.seed) if dr_config is not None else DRPerturbation()
     params = _apply_dr_to_params(PlantParams(), dr)
 
     n_steps = round(EPISODE_S * SIM_HZ)
+    schedule = [math.floor(step * sim.f_update_hz / SIM_HZ) for step in range(n_steps)]
 
     state = PlantState()
-    held = [0.0] * NUM_JOINTS  # the held action as floats
+    held = [0.0] * NUM_JOINTS  # the last action as floats; step 0 is an update and sets targets
     dr_action = dr.action
     rows: list[tuple] = []
     total = 0.0
     inference_count = 0
 
-    for step in range(n_steps):
+    for step, due in enumerate(schedule):
         t = step * DT
-        if math.floor(step * sim.f_update_hz / SIM_HZ) >= inference_count:
+        if due >= inference_count:
             obs = _build_observation(state, held, dr)
-            action = np.asarray(runtime.act(obs, t), dtype=np.float64).ravel()
+            action = np.asarray(runtime.act(obs, t), dtype=np.float64)
             if action.shape != (NUM_JOINTS,):
                 raise DataError(f"runtime produced action shape {action.shape}")
             # the float64 add of each element, done on Python floats
@@ -388,8 +400,9 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
             if not all([-F32_MAX <= x <= F32_MAX for x in held]):
                 raise DataError(f"runtime produced a non-finite or float32-overflowing "
                                 f"action at update {inference_count} (t={t:.6g} s)")
+            targets = hold_targets(held, dr)
             inference_count += 1
-        state = plant_step(state, held, params, dr)
+        state = plant_step(state, targets, params)
         reward = reward_step(state, cmd)
         total += reward[0]
         rows.append((t + DT, state.v[0], state.v[1], state.w[2], *reward))

@@ -205,14 +205,23 @@ def random_policy(spec: PolicySpec, seed: int, weight_scale: float = 0.5,
     return Fp32Policy(spec, weights, biases)
 
 
+def pack_layer_dims(dims: tuple[int, ...]) -> bytes:
+    """A model file's layer widths: a u8 count, then a u16 per width. PolicySpec
+    takes any width, so a model a file cannot hold raises DataError here,
+    before its writer opens the file."""
+    if len(dims) > 0xFF:
+        raise DataError(f"{len(dims)} layer widths do not fit a model file (at most 255)")
+    if max(dims) > 0xFFFF:
+        raise DataError(f"layer width {max(dims)} does not fit a model file (at most 65535)")
+    return struct.pack(f"<B{len(dims)}H", len(dims), *dims)
+
+
 def save_policy(p: Fp32Policy, path) -> None:
     """Binary little-endian policy file; see README for the layout."""
-    dims = p.spec.layer_dims
     act = p.spec.hidden_activation
     out = bytearray()
     out += POLICY_MAGIC
-    out += struct.pack("<B", len(dims))
-    out += struct.pack(f"<{len(dims)}H", *dims)
+    out += pack_layer_dims(p.spec.layer_dims)
     out += struct.pack("<Bf", act.kind.value, act.alpha)
     for w, b in zip(p.weights, p.biases):
         out += w.astype("<f4").tobytes(order="C")

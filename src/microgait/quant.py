@@ -27,6 +27,7 @@ from .policy import (
     activation_count,
     mac_count,
     neuron_count,
+    pack_layer_dims,
     param_count,
 )
 
@@ -364,17 +365,19 @@ def int8_payload_bytes(qp: QuantizedPolicy) -> int:
 
 
 def save_quantized(qp: QuantizedPolicy, path) -> None:
-    dims = qp.spec.layer_dims
     out = bytearray()
     out += QUANT_MAGIC
-    out += struct.pack("<BB", qp.scheme.value, len(dims))
-    out += struct.pack(f"<{len(dims)}H", *dims)
+    out += struct.pack("<B", qp.scheme.value)
+    out += pack_layer_dims(qp.spec.layer_dims)
     out += struct.pack("<fIBfb", qp.spec.hidden_activation.alpha,
                        qp.act_mult, qp.act_shift, qp.obs_scale, qp.obs_zp)
-    for layer in qp.layers:
+    for i, layer in enumerate(qp.layers):
         out += layer.weights.astype("<i1").tobytes(order="C")
         out += layer.bias.astype("<i4").tobytes()
         scales = [layer.input_scale, layer.output_scale] + [float(s) for s in layer.weight_scales]
+        if len(scales) > 0xFFFF:  # a per-feature layer 65,534 or 65,535 wide
+            raise DataError(f"layer {i} scale table has {len(scales)} entries, "
+                            f"a model file holds at most 65535")
         out += struct.pack("<H", len(scales))
         out += struct.pack(f"<{len(scales)}f", *scales)
         out += struct.pack("<bb", layer.input_zp, layer.output_zp)

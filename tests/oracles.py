@@ -15,6 +15,7 @@ action. They use the package's `EndEffector`, `DataError` and
 one requant entry, the subject of the requantize tests.
 """
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,7 +130,7 @@ def reward_terms_scalar(dt, vx, vy, wx, wy, wz, t_air, just_landed,
 
 def _as_arrays(s):
     """A plant state's fields as numpy arrays, whatever sequences hold them."""
-    return SimpleNamespace(**{name: np.asarray(v) for name, v in vars(s).items()})
+    return SimpleNamespace(**{f.name: np.asarray(getattr(s, f.name)) for f in fields(s)})
 
 
 def plant_step_numpy(s, motor_targets, dt, params, dr):

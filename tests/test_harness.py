@@ -1,6 +1,7 @@
 import math
+import re
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ from microgait import (
     PolicySpec,
     QuantScheme,
     SimConfig,
+    hold_targets,
     leaky_relu,
     plant_step,
     quantize_policy,
@@ -122,18 +124,19 @@ def test_sample_dr_statistics():
 def test_plant_step_validation():
     for n in (7, 9):
         with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
-            plant_step(PlantState(), [0.0] * n, PlantParams(), DRPerturbation())
+            hold_targets([0.0] * n, DRPerturbation())
     for bad in (math.nan, math.inf, -math.inf):
         targets = [0.1] * 8
         targets[5] = bad
         with pytest.raises(DataError, match=f"joint 5 target is not finite: {bad}"):
-            plant_step(PlantState(), targets, PlantParams(), DRPerturbation())
+            hold_targets(targets, DRPerturbation())
     # int targets are held as floats and step like the equal float targets
-    ints = plant_step(PlantState(), [0, 1, 0, -1, 2, 0, 0, 1], PlantParams(), DRPerturbation())
-    floats = plant_step(PlantState(), [0.0, 1.0, 0.0, -1.0, 2.0, 0.0, 0.0, 1.0],
-                        PlantParams(), DRPerturbation())
-    assert all(type(x) is float for x in ints.q_targets)
+    ints = hold_targets([0, 1, 0, -1, 2, 0, 0, 1], DRPerturbation())
+    floats = hold_targets([0.0, 1.0, 0.0, -1.0, 2.0, 0.0, 0.0, 1.0], DRPerturbation())
+    assert type(ints) is tuple and all(type(x) is float for x in ints)
     assert ints == floats
+    assert plant_step(PlantState(), ints, PlantParams()) == \
+        plant_step(PlantState(), floats, PlantParams())
 
 
 _TARGETS = [-0.5, 1.25, 0.0, -0.0, 0.3, -1.3, 0.7, 1.0, 0.2]  # the first 8 are a step
@@ -152,22 +155,22 @@ def test_plant_step_takes_any_target_container(make):
     # differ from their float64 literals; the oracle reads each container as float64
     targets = make(_TARGETS[:8])
     s = _state(q=[0.1, -0.2] * 4, contact=[True, False] * 2)
-    got = plant_step(s, targets, PlantParams(), DRPerturbation())
+    got = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
     _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(PlantParams()),
                                              DRPerturbation()))
     for n in (7, 9):
         wrong = make(_TARGETS[:n])
         with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
-            plant_step(s, wrong, PlantParams(), DRPerturbation())
+            hold_targets(wrong, DRPerturbation())
 
 
 def test_plant_step_deterministic_and_pure():
     s = PlantState()
     targets = np.linspace(-0.5, 0.5, 8).tolist()
-    a = plant_step(s, targets, PlantParams(), DRPerturbation())
-    b = plant_step(s, targets, PlantParams(), DRPerturbation())
-    for x, y in zip(vars(a).values(), vars(b).values()):
-        np.testing.assert_array_equal(x, y)
+    a = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
+    b = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
+    for f in fields(PlantState):
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
     np.testing.assert_array_equal(s.q, np.zeros(8))  # input untouched
 
 
@@ -179,7 +182,7 @@ def _assert_same_state(got, want: dict):
     """Every PlantState field a tuple of Python floats (bools for a bool
     reference) equal to the reference array element by element, in bits for
     the floats (so -0.0 != 0.0)."""
-    assert set(vars(got)) == set(want)
+    assert {f.name for f in fields(got)} == set(want)
     for name, ref in want.items():
         values = getattr(got, name)
         assert type(values) is tuple and len(values) == ref.size, name
@@ -228,7 +231,7 @@ def _plant_cases(draw):
 @given(_plant_cases())
 def test_plant_and_reward_match_numpy_reference(case):
     s, targets, params, dr, cmd = case
-    got = plant_step(s, targets.tolist(), params, dr)
+    got = plant_step(s, hold_targets(targets.tolist(), dr), params)
     _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
     r = _reward(got, cmd)
     ref_total, ref_terms = reward_step_numpy(got, cmd, DT)
@@ -288,7 +291,7 @@ PLANT_CASES = [
 @pytest.mark.parametrize("fields, targets, params, dr, expect", PLANT_CASES)
 def test_plant_edge_cases_match_numpy_reference(fields, targets, params, dr, expect):
     s = _state(**fields)
-    got = plant_step(s, targets, params, dr)
+    got = plant_step(s, hold_targets(targets, dr), params)
     _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
     for name, want in expect.items():
         assert [_bits(x) for x in getattr(got, name)] == [_bits(x) for x in want], name
@@ -306,18 +309,34 @@ def test_air_term_of_four_negative_zeros_is_positive_zero():
     assert _bits(air) == _bits(0.0) == _bits(reward_step_numpy(s, (0.08, 0.0), DT)[1]["reward_air"])
 
 
-def test_run_episode_calls_plant_and_reward_as_module_globals(monkeypatch):
-    # perfbench's tracer times the two steps by rebinding these module globals
-    calls = {"plant_step": 0, "reward_step": 0}
-    for name in calls:
+def _count_calls(monkeypatch, *names):
+    """Rebind each named harness global to a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
         def counted(*args, _step=getattr(harness, name), _name=name):
             calls[_name] += 1
             return _step(*args)
         monkeypatch.setattr(harness, name, counted)
+    return calls
+
+
+def test_run_episode_calls_plant_and_reward_as_module_globals(monkeypatch):
+    # perfbench's tracer times the two steps by rebinding these module globals
+    calls = _count_calls(monkeypatch, "plant_step", "reward_step")
     result = run_episode(ScriptedGaitController(0.08), SimConfig(f_update_hz=30.0), None,
                          (0.08, 0.0))
     assert result.steps == 1200
     assert calls == {"plant_step": 1200, "reward_step": 1200}
+
+
+@pytest.mark.parametrize("f_update, holds", [(30.0, 300), (7.0, 70), (120.0, 1200)])
+def test_run_episode_holds_each_update_once(monkeypatch, f_update, holds):
+    # an update checks and clamps its action once; every plant step reuses the tuple
+    calls = _count_calls(monkeypatch, "hold_targets", "plant_step")
+    result = run_episode(ScriptedGaitController(0.08), SimConfig(f_update_hz=f_update), None,
+                         (0.08, 0.0))
+    assert result.inference_count == holds
+    assert calls == {"hold_targets": holds, "plant_step": 1200}
 
 
 def test_plant_episode_matches_numpy_reference():
@@ -329,7 +348,7 @@ def test_plant_episode_matches_numpy_reference():
     s = ref = PlantState()
     for step in range(1200):
         targets = ctrl.act(None, step * DT) + dr.action
-        s = plant_step(s, targets.tolist(), params, dr)
+        s = plant_step(s, hold_targets(targets.tolist(), dr), params)
         want = plant_step_numpy(ref, targets, DT, ref_params, dr)
         _assert_same_state(s, want)
         ref = _state(**want)
@@ -356,8 +375,9 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 
     new_times, ref_times = [], []
     for _ in range(5):  # interleaved, so a change in host speed hits both alike
-        new_times.append(timed(lambda: steps(held, lambda s, t: plant_step(s, t, params, dr),
-                                             lambda s: reward_step(s, (0.1, 0.0)))))
+        new_times.append(timed(lambda: steps(
+            held, lambda s, t: plant_step(s, hold_targets(t, dr), params),
+            lambda s: reward_step(s, (0.1, 0.0)))))
         ref_times.append(timed(lambda: steps(
             targets, lambda s, t: PlantState(**plant_step_numpy(s, t, DT, ref_params, dr)),
             lambda s: reward_step_numpy(s, (0.1, 0.0), DT))))
@@ -368,10 +388,10 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 def test_air_timers_track_contact():
     params = PlantParams()
     s = _state(q=(0.1,) + (0.0,) * 7)  # leg 0 lift joint above ground: airborne
-    up = plant_step(s, s.q, params, DRPerturbation())
+    up = plant_step(s, hold_targets(s.q, DRPerturbation()), params)
     assert not up.contact[0]
     assert up.t_air[0] == pytest.approx(DT)
-    down = plant_step(up, [-0.5] * 8, params, DRPerturbation())
+    down = plant_step(up, hold_targets([-0.5] * 8, DRPerturbation()), params)
     assert down.contact[0]
     assert down.just_landed[0]
 
@@ -389,7 +409,7 @@ def test_attitude_stays_small_under_full_range_lift(legs):
                 level = Q_LIMIT if (step // half_period) % 2 == 0 else -Q_LIMIT
                 targets = [0.0] * 8
                 targets[0::2] = [sign * level for sign in legs]
-                s = plant_step(s, targets, params, dr)
+                s = plant_step(s, hold_targets(targets, dr), params)
                 peak = max(peak, abs(s.att[0]), abs(s.att[1]))
             assert peak < 0.1, (params, half_period, peak)
 
@@ -467,6 +487,26 @@ def test_episode_rejects_non_finite_action(bad):
         run_episode(_NonFiniteAfter(bad), sim, None, (0.05, 0.0))
     res = run_episode(_NonFiniteAfter(5.0), sim, None, (0.05, 0.0))  # a finite one is held
     assert res.steps == 1200 and res.inference_count == 300
+
+
+class _Shaped:
+    """Zero actions of one shape."""
+
+    def __init__(self, shape):
+        self.shape, self.calls = shape, 0
+
+    def act(self, obs, t):
+        self.calls += 1
+        return np.zeros(self.shape)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (1, 8), (7,)])
+def test_episode_rejects_action_of_wrong_shape(shape):
+    # eight values in the wrong shape are rejected too, at the first update
+    runtime = _Shaped(shape)
+    with pytest.raises(DataError, match=re.escape(f"runtime produced action shape {shape}")):
+        run_episode(runtime, SimConfig(f_update_hz=30.0), None, (0.05, 0.0))
+    assert runtime.calls == 1
 
 
 def test_sim_config_rejects_negative_seed():

@@ -310,6 +310,19 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     np.testing.assert_array_equal(np.stack([infer_int8(qp, row)[0] for row in obs]), want)
 
 
+@pytest.mark.parametrize("dims, scheme, message", [
+    ((WIDE_FAN_IN, 4), QuantScheme.PER_TENSOR, "layer width 66000 "),
+    ((WIDE_FAN_IN, 4), QuantScheme.PER_FEATURE, "layer width 66000 "),
+    ((1, 65534), QuantScheme.PER_FEATURE, "layer 0 scale table has 65536 entries"),
+])
+def test_save_rejects_a_model_a_file_cannot_hold(tmp_path, dims, scheme, message):
+    # the kernel runs these models; the file's u16 widths and scale counts cannot hold them
+    path = tmp_path / "q.bin"
+    with pytest.raises(DataError, match=message):
+        save_quantized(_random_qp(np.random.default_rng(0), dims, scheme), path)
+    assert not path.exists()
+
+
 def test_hand_built_models_round_trip_through_a_file(tmp_path):
     # every model the tests above build by hand is one the file format holds
     models = [_random_qp(np.random.default_rng(seed), dims, scheme) for seed, dims in

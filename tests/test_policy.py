@@ -280,6 +280,16 @@ def test_save_load_round_trip(tmp_path):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dims, message", [((70000, 1), "layer width 70000 "),
+                                            ((1,) * 256, "256 layer widths ")])
+def test_save_rejects_a_model_a_file_cannot_hold(tmp_path, dims, message):
+    # PolicySpec takes the model; the file's u16 widths and u8 count cannot
+    path = tmp_path / "policy.bin"
+    with pytest.raises(DataError, match=message):
+        save_policy(random_policy(PolicySpec(dims), 0), path)
+    assert not path.exists()
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + bytes(40))
