@@ -22,7 +22,6 @@ from .policy import (
 from .quant import (
     QuantScheme,
     QuantizedPolicy,
-    RequantParams,
     dequantize_action,
     derive_requant,
     load_quantized,

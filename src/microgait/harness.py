@@ -101,7 +101,7 @@ ADDITIVE_ROWS = {
 SCALING_ROWS = {
     "mass": (0.05, 0.15),
     "friction": (0.07, 0.13),
-    "restitution": (0.0, 0.7),
+    "restitution": (0.0, 0.7),  # acts on nothing; drawn so the later rows keep their values
     "damping": (0.5, 1.5),
     "stiffness": (0.5, 1.5),
 }
@@ -120,7 +120,6 @@ class DRPerturbation:
     dof_upper: float = 0.0
     mass: float = 1.0
     friction: float = 1.0
-    restitution: float = 1.0
     damping: float = 1.0
     stiffness: float = 1.0
     # float32, read-only: the observation noise as the 0-d operand every update adds
@@ -151,6 +150,7 @@ def sample_dr(seed: int) -> DRPerturbation:
               for name, (mean, std) in ADDITIVE_ROWS.items()}
     for name, (lo, hi) in SCALING_ROWS.items():
         values[name] = float(rng.uniform(lo, hi))
+    del values["restitution"]  # no field takes it
     return DRPerturbation(**values)
 
 
@@ -180,8 +180,7 @@ class PlantParams:
 
 def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
     # mass slows the body response and damping speeds it (both scale tau_vel);
-    # friction scales drive; stiffness speeds the joint servo; restitution has
-    # no hook in this surrogate
+    # friction scales drive; stiffness speeds the joint servo
     return replace(
         p,
         tau_vel=p.tau_vel * dr.mass / max(dr.damping, 1e-6),

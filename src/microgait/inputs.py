@@ -71,7 +71,7 @@ class BinaryReader:
         """The next values of a `struct` format such as "BB" or "3f", read little-endian."""
         return struct.unpack("<" + fmt, self._take(struct.calcsize("<" + fmt)))
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
+    def array(self, dtype: str | np.dtype, count: int) -> np.ndarray:
         """The next `count` items of a numpy dtype such as "<i1", as a writable array."""
         dtype = np.dtype(dtype)
         return np.frombuffer(self._take(dtype.itemsize * count), dtype).copy()

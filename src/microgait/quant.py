@@ -36,8 +36,6 @@ QUANT_MAGIC = b"TGQ1"
 INT8_MIN, INT8_MAX = -128, 127
 WEIGHT_MAX = 127  # symmetric weight range
 
-# Ratio encoding precision contract for derive_requant.
-RATIO_REL_TOL = 2.0 ** -24
 MAX_SHIFT = 31
 
 # Deployment-image sizes reported for the reference [24,128,64,8] controller,
@@ -57,75 +55,68 @@ class QuantScheme(enum.Enum):
     PER_FEATURE = 1
 
 
-@dataclass(frozen=True)
-class RequantParams:
-    """Fixed-point rescale: y = clip(((mult * acc + round_term) >> shift) + zero_point)."""
-
-    mult: int
-    shift: int
-    zero_point: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.shift <= MAX_SHIFT):
-            raise DataError(f"shift {self.shift} outside [0, {MAX_SHIFT}]")
-        if not (0 <= self.mult < 2 ** 31):
-            raise DataError(f"multiplier {self.mult} outside [0, 2^31)")
-        if not (INT8_MIN <= self.zero_point <= INT8_MAX):
-            raise DataError(f"zero_point {self.zero_point} outside int8 range")
-
-    @property
-    def round_term(self) -> int:
-        # round-half-up before the arithmetic shift
-        return 1 << (self.shift - 1) if self.shift >= 1 else 0
+# a requant table entry, as kernel.requantize reads it, in the model file's 6-byte layout;
+# an entry taken from a table is an np.record, so it reads its fields as attributes too
+REQUANT_DTYPE = np.dtype((np.record, [("mult", "<i4"), ("shift", "u1"), ("zero_point", "i1")]))
 
 
-def encode_ratio(ratio: float) -> tuple[int, int]:
-    """Encode a positive real as mult / 2^shift with mult < 2^31, largest shift.
+def encode_ratio(ratio) -> tuple[np.ndarray, np.ndarray]:
+    """Encode each positive real as mult / 2^shift with mult < 2^31, largest shift.
 
-    The relative error is at most RATIO_REL_TOL for ratios >= 2^-7; below that
-    the shift cap limits precision to the closest representable multiple of
-    2^-31, and ratios of at most 2^-32 are rejected as unrepresentable.
+    Takes a scalar or an array and returns int64 values of its shape. The
+    relative error is at most 2^-24 for ratios >= 2^-7; below that the shift
+    cap limits precision to the closest representable multiple of 2^-31, and
+    ratios of at most 2^-32 are rejected, the first in array order named.
     """
-    if not (ratio > 0 and math.isfinite(ratio)):
-        raise DomainError(f"ratio must be positive and finite, got {ratio}")
-    if ratio < 2 ** 31:  # a larger ratio cannot fit, and ratio * 2^31 may overflow
-        for shift in range(MAX_SHIFT, -1, -1):
-            mult = round(ratio * (1 << shift))
-            if mult < 2 ** 31:
-                if mult == 0:
-                    raise DomainError(
-                        f"ratio {ratio} is at most 2^-{MAX_SHIFT + 1} and not representable")
-                return mult, shift
-    # from 2^31 - 0.5 up, even shift 0 rounds to 2^31
-    raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
+    r = np.asarray(ratio, dtype=np.float64)
+    # r = f * 2^e with f in [0.5, 1): at shift 31 - e the product f * 2^31 lies
+    # just below 2^31, exactly, as scaling by a power of two is exact; where it
+    # rounds up to 2^31, the shift one less fits
+    shift = np.minimum(MAX_SHIFT - np.frexp(r)[1], MAX_SHIFT)
+    shift -= np.rint(np.ldexp(r, shift)) >= 2 ** 31
+    mult = np.rint(np.ldexp(r, shift))
+    # false for a ratio that is not positive, finite and representable
+    ok = (shift >= 0) & (mult > 0) & (mult < 2 ** 31)
+    if not ok.all():
+        x = float(r.flat[np.argmin(ok)])
+        if not (x > 0 and math.isfinite(x)):
+            raise DomainError(f"ratio must be positive and finite, got {x}")
+        raise DomainError(f"ratio {x} overflows the 31-bit multiplier" if x >= 2 ** 31 - 0.5
+                          else f"ratio {x} is at most 2^-{MAX_SHIFT + 1} and not representable")
+    return mult.astype(np.int64), shift.astype(np.int64)
 
 
-def derive_requant(input_scale: float, weight_scale: float, output_scale: float,
-                   zero_point: int = 0) -> RequantParams:
-    """Fixed-point parameters for the rescale input_scale*weight_scale/output_scale."""
-    for name, s in (("input_scale", input_scale), ("weight_scale", weight_scale),
+def derive_requant(input_scale: float, weight_scales, output_scale: float,
+                   zero_point: int = 0) -> np.ndarray:
+    """A layer's requant table: per weight scale, one REQUANT_DTYPE entry for
+    the rescale input_scale*weight_scale/output_scale."""
+    weight_scales = np.asarray(weight_scales, dtype=np.float64)
+    for name, s in (("input_scale", input_scale), ("weight_scales", weight_scales),
                     ("output_scale", output_scale)):
-        if not (s > 0):
+        if not np.all(np.greater(s, 0)):
             raise DomainError(f"{name} must be > 0, got {s}")
-    mult, shift = encode_ratio(input_scale * weight_scale / output_scale)
-    return RequantParams(mult, shift, zero_point)
+    table = np.empty(weight_scales.shape, dtype=REQUANT_DTYPE)
+    table["mult"], table["shift"] = encode_ratio(input_scale * weight_scales / output_scale)
+    table["zero_point"] = zero_point
+    return table
 
 
 @dataclass(frozen=True)
 class QuantizedLayer:
-    """One dense layer in int8 with its requantization parameters.
+    """One dense layer in int8 with its requantization table.
 
     ``bias`` is stored at scale input_scale*weight_scale with the input
-    zero-point correction (-input_zp * row_sum) already folded in.
+    zero-point correction (-input_zp * row_sum) already folded in. ``requant``
+    is held once, in the model file's layout: a read-only record array of
+    REQUANT_DTYPE entries, built from any sequence of (mult, shift, zero_point).
 
-    The kernel's tables are built once here. The int8 weights and int32 bias
-    are held again as float64, which represents them exactly, so the kernel
-    can accumulate through BLAS. The requant vectors have n_out entries under
-    both schemes, a one-entry (per-tensor) ``requant`` repeated, as numpy
-    dispatches a ufunc faster with a full-width operand than a length-1 one.
-    ``offset`` = round_term + ((zero_point + 128) << shift) folds both addends
-    and the 128 that makes the shifted sum a kernel code-table index into one
-    addend before the shift: an arithmetic shift of a multiple of 2^shift is exact.
+    The kernel's tables are built once here, with array operations. The int8
+    weights and int32 bias are held again as float64, exact, so the kernel can
+    accumulate through BLAS. The int64 requant vectors have n_out entries under
+    both schemes (a ufunc dispatches faster on a full-width operand). ``offset``
+    = round_term + ((zero_point + 128) << shift) folds both addends and the 128
+    that makes the shifted sum a kernel code-table index into one addend before
+    the shift: an arithmetic shift of a multiple of 2^shift is exact.
     """
 
     weights: np.ndarray            # int8, (n_out, n_in)
@@ -135,7 +126,7 @@ class QuantizedLayer:
     weight_scales: np.ndarray      # float, len 1 (per-tensor) or n_out
     output_scale: float
     output_zp: int
-    requant: tuple[RequantParams, ...]   # len 1 (per-tensor) or n_out
+    requant: np.ndarray            # REQUANT_DTYPE records, len 1 (per-tensor) or n_out
     weights_t: np.ndarray = field(init=False, repr=False, compare=False)  # float64, (n_in, n_out)
     bias_f64: np.ndarray = field(init=False, repr=False, compare=False)   # float64, (n_out,)
     mult: np.ndarray = field(init=False, repr=False, compare=False)       # int64, (n_out,)
@@ -144,19 +135,25 @@ class QuantizedLayer:
 
     def __post_init__(self):
         put = object.__setattr__  # the dataclass is frozen, so the tables below stay in step
-        put(self, "requant", tuple(self.requant))
+        try:
+            rq = np.array(self.requant, dtype=REQUANT_DTYPE)
+        except OverflowError as exc:
+            raise DataError(f"requant entry does not fit the requant record: {exc}") from None
+        rq.flags.writeable = False
+        put(self, "requant", rq)
         scales = np.concatenate(([self.input_scale, self.output_scale], self.weight_scales))
         if not (np.isfinite(scales).all() and (scales > 0).all()):
             raise DataError(f"layer scales must be finite and > 0, got input {self.input_scale}, "
                             f"output {self.output_scale}, weights {self.weight_scales}")
         put(self, "weights_t", self.weights.T.astype(np.float64))
         put(self, "bias_f64", self.bias.astype(np.float64))
-        # a table of any other wrong length is QuantizedPolicy's to reject
-        rq = self.requant * len(self.weights) if len(self.requant) == 1 else self.requant
-        put(self, "mult", np.array([rp.mult for rp in rq], dtype=np.int64))
-        put(self, "shift", np.array([rp.shift for rp in rq], dtype=np.int64))
-        put(self, "offset", np.array([rp.round_term + ((rp.zero_point + 128) << rp.shift)
-                                      for rp in rq], dtype=np.int64))
+        # a table of another wrong length, or with an entry out of range, is
+        # QuantizedPolicy's to reject
+        full = rq.repeat(len(self.weights)) if len(rq) == 1 else rq
+        mult, shift, zp = (full[name].astype(np.int64) for name in REQUANT_DTYPE.names)
+        put(self, "mult", mult)
+        put(self, "shift", shift)
+        put(self, "offset", ((1 << shift) >> 1) + ((zp + 128) << shift))
 
 
 @dataclass(frozen=True)
@@ -221,6 +218,11 @@ class QuantizedPolicy:
                     f"layer {i} requant table has {len(layer.requant)} entries and "
                     f"{len(layer.weight_scales)} weight scales, "
                     f"{self.scheme.name.lower()} needs {entries}")
+            rq = layer.requant
+            bad = np.flatnonzero((rq["mult"] < 0) | (rq["shift"] > MAX_SHIFT))
+            if bad.size:
+                raise DataError(f"layer {i} requant entry {bad[0]}: multiplier and shift "
+                                f"{rq[bad[0]].item()[:2]} outside [0, 2^31) x [0, {MAX_SHIFT}]")
             if not all(INT8_MIN <= zp <= INT8_MAX for zp in (layer.input_zp, layer.output_zp)):
                 raise DataError(f"layer {i} zero-points {layer.input_zp}, {layer.output_zp} "
                                 "outside int8 range")
@@ -286,7 +288,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
         raise DataError(f"calibration width {calib.shape[1]} != {p.spec.input_dim}")
 
     obs_scale, obs_zp = _affine_params(calib, "observation")
-    act_mult, act_shift = encode_ratio(act.alpha)
+    act_mult, act_shift = (int(v) for v in encode_ratio(act.alpha))
 
     # The FP32 pass of layer i gives its output range, then layer i is quantized
     # onto it. Hidden-layer ranges are taken post-activation: the kernel applies
@@ -317,7 +319,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
             input_scale=in_scale, input_zp=in_zp,
             weight_scales=w_scales,
             output_scale=out_scale, output_zp=out_zp,
-            requant=[derive_requant(in_scale, float(s), out_scale, out_zp) for s in w_scales]))
+            requant=derive_requant(in_scale, w_scales, out_scale, out_zp)))
         in_scale, in_zp = out_scale, out_zp
 
     return QuantizedPolicy(
@@ -360,7 +362,7 @@ def int8_payload_bytes(qp: QuantizedPolicy) -> int:
     for layer in qp.layers:
         total += layer.weights.size           # int8 weights
         total += 4 * layer.bias.size          # int32 biases
-        total += 6 * len(layer.requant)       # i32 mult + u8 shift + i8 zp
+        total += layer.requant.nbytes         # i32 mult + u8 shift + i8 zp
     return total
 
 
@@ -382,8 +384,7 @@ def save_quantized(qp: QuantizedPolicy, path) -> None:
         out += struct.pack(f"<{len(scales)}f", *scales)
         out += struct.pack("<bb", layer.input_zp, layer.output_zp)
         out += struct.pack("<H", len(layer.requant))
-        for rp in layer.requant:
-            out += struct.pack("<iBb", rp.mult, rp.shift, rp.zero_point)
+        out += layer.requant.tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
@@ -408,12 +409,11 @@ def load_quantized(path) -> QuantizedPolicy:
         scales = r.unpack(f"{n_scales}f")
         in_zp, out_zp = r.unpack("bb")
         (n_rq,) = r.unpack("H")
-        requant = [RequantParams(*r.unpack("iBb")) for _ in range(n_rq)]
         layers.append(QuantizedLayer(
             weights=w, bias=b.astype(np.int32),
             input_scale=scales[0], input_zp=in_zp,
             weight_scales=np.asarray(scales[2:], dtype=np.float64),
             output_scale=scales[1], output_zp=out_zp,
-            requant=requant))
+            requant=r.array(REQUANT_DTYPE, n_rq)))
     r.finish()
     return QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

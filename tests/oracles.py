@@ -10,19 +10,23 @@ FP32 leaky-relu and ELU in their former forms.
 Three references check what the package computes another way: the
 dequantized weights of a quantized layer, forward kinematics (the algebraic
 inversion of ik's angle equations) and the closed-form motor targets of an
-action. They use the package's `EndEffector`, `DataError` and
-`check_finite`. `requant_layer` builds a one-output `QuantizedLayer` for
-one requant entry, the subject of the requantize tests.
+action. They use the package's `EndEffector`, `DataError`, `DomainError`
+and `check_finite`. `RequantParams` is one requant table entry as the tests
+write it, and `layer_from_params` builds a `QuantizedLayer` with one output
+per entry, the subject of the requantize tests. `encode_ratio_loop` is the
+package's former scalar ratio encoder, kept frozen as the reference for its
+array form.
 """
 import math
 from dataclasses import fields
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
-from microgait import DataError, EndEffector
+from microgait import DataError, DomainError, EndEffector
 from microgait.inputs import check_finite
-from microgait.quant import QuantizedLayer
+from microgait.quant import MAX_SHIFT, QuantizedLayer
 
 INT8_MIN, INT8_MAX = -128, 127
 
@@ -59,19 +63,57 @@ def elu_where(alpha, x):
 
 
 def requantize_unbounded(acc, mult, shift, zp):
-    """The rescale formula in unbounded Python integer arithmetic."""
+    """The rescale formula in unbounded Python integer arithmetic; numpy
+    integers are taken as Python ints first, so none can wrap."""
+    acc, mult, shift, zp = int(acc), int(mult), int(shift), int(zp)
     r = (1 << (shift - 1)) if shift >= 1 else 0
     v = ((mult * acc + r) >> shift) + zp
     return max(INT8_MIN, min(INT8_MAX, v))
 
 
-def requant_layer(rp):
-    """A one-output layer for one requant entry, its kernel vectors built by
+class RequantParams(NamedTuple):
+    """One requant entry: y = clip(((mult * acc + round_term) >> shift) + zero_point)."""
+
+    mult: int
+    shift: int
+    zero_point: int = 0
+
+    @property
+    def round_term(self) -> int:
+        # round-half-up before the arithmetic shift
+        return 1 << (self.shift - 1) if self.shift >= 1 else 0
+
+
+def layer_from_params(params):
+    """A layer with one output per requant entry, its kernel vectors built by
     `QuantizedLayer` as inference builds them (weights and scales are unused)."""
-    return QuantizedLayer(weights=np.zeros((1, 1), dtype=np.int8),
-                          bias=np.zeros(1, dtype=np.int32), input_scale=1.0, input_zp=0,
-                          weight_scales=np.ones(1), output_scale=1.0, output_zp=0,
-                          requant=(rp,))
+    n = len(params)
+    return QuantizedLayer(weights=np.zeros((n, 1), dtype=np.int8),
+                          bias=np.zeros(n, dtype=np.int32), input_scale=1.0, input_zp=0,
+                          weight_scales=np.ones(n), output_scale=1.0, output_zp=0,
+                          requant=params)
+
+
+def requant_layer(rp):
+    """The one-output layer of one requant entry."""
+    return layer_from_params([rp])
+
+
+def encode_ratio_loop(ratio):
+    """mult / 2^shift for one positive real, mult < 2^31 at the largest shift,
+    by trying each shift from MAX_SHIFT down."""
+    if not (ratio > 0 and math.isfinite(ratio)):
+        raise DomainError(f"ratio must be positive and finite, got {ratio}")
+    if ratio < 2 ** 31:  # a larger ratio cannot fit, and ratio * 2^31 may overflow
+        for shift in range(MAX_SHIFT, -1, -1):
+            mult = round(ratio * (1 << shift))
+            if mult < 2 ** 31:
+                if mult == 0:
+                    raise DomainError(
+                        f"ratio {ratio} is at most 2^-{MAX_SHIFT + 1} and not representable")
+                return mult, shift
+    # from 2^31 - 0.5 up, even shift 0 rounds to 2^31
+    raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
 
 
 def dequantize_weights(layer):
@@ -81,15 +123,18 @@ def dequantize_weights(layer):
 def int8_forward_bigint(qp, obs_q):
     """Arbitrary-precision integer forward pass mirroring the device math.
 
-    Plain Python ints throughout; no numpy arithmetic, so any fixed-width
-    overflow in the package kernel would show up as a mismatch.
+    Plain Python ints throughout, the table entries and the slope taken with
+    tolist() and int(); no numpy arithmetic, so any fixed-width overflow in
+    the package kernel would show up as a mismatch.
     """
     x = [int(v) for v in obs_q]
+    act_mult, act_shift = int(qp.act_mult), int(qp.act_shift)
     last = len(qp.layers) - 1
     for li, layer in enumerate(qp.layers):
         n_out, n_in = layer.weights.shape
         w = layer.weights.tolist()
         b = layer.bias.tolist()
+        rq = layer.requant.tolist()  # (mult, shift, zero_point) per entry
         y = []
         for i in range(n_out):
             acc = int(b[i])
@@ -97,9 +142,8 @@ def int8_forward_bigint(qp, obs_q):
             for j in range(n_in):
                 acc += int(row[j]) * x[j]
             if li != last and acc < 0:
-                acc = (acc * qp.act_mult) >> qp.act_shift
-            rp = layer.requant[0] if len(layer.requant) == 1 else layer.requant[i]
-            y.append(requantize_unbounded(acc, rp.mult, rp.shift, rp.zero_point))
+                acc = (acc * act_mult) >> act_shift
+            y.append(requantize_unbounded(acc, *(rq[0] if len(rq) == 1 else rq[i])))
         x = y
     return np.array(x, dtype=np.int8)
 

@@ -17,7 +17,6 @@ from microgait import (
     PlantState,
     PolicySpec,
     QuantScheme,
-    RequantParams,
     SimConfig,
     ik,
     infer_fp32,
@@ -35,8 +34,8 @@ from microgait.harness import TRAJECTORY_COLUMNS, ScriptedGaitController, write_
 from microgait.kernel import fused_infer_dequant, requantize
 from microgait.quant import expected_counters, fp32_payload_bytes, int8_payload_bytes
 from microgait import wire
-from oracles import (fk_oracle, int8_forward_bigint, requant_layer, requantize_unbounded,
-                     reward_terms_scalar)
+from oracles import (RequantParams, fk_oracle, int8_forward_bigint, requant_layer,
+                     requantize_unbounded, reward_terms_scalar)
 
 REF_SPEC = PolicySpec((24, 128, 64, 8), leaky_relu())
 

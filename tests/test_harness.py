@@ -110,7 +110,18 @@ def test_sample_dr_deterministic_and_in_range():
         d = sample_dr(_)
         assert 0.05 <= d.mass <= 0.15
         assert 0.07 <= d.friction <= 0.13
-        assert 0.0 <= d.restitution <= 0.7
+
+
+def test_sample_dr_keeps_its_draws_without_restitution():
+    # the restitution draw acts on nothing and has no field, but is still made,
+    # so the later rows keep the values they had when it was a field
+    assert not hasattr(sample_dr(0), "restitution")
+    want = [(1.043624991465423, 1.4350724237877683), (1.0495936876730596, 0.5275591132430684),
+            (0.7749693679060381, 1.1574330148755925), (1.2345771514092145, 0.6136720199214034),
+            (1.3716352741876565, 1.0439414007634982), (0.5487577107271681, 1.4991761150650715),
+            (0.5517292319837752, 1.3501913468087872), (1.2970694287520463, 0.9679349528437208),
+            (0.6069535964727744, 0.978965454162717), (0.5265877344675972, 0.9372480001295087)]
+    assert [(sample_dr(seed).damping, sample_dr(seed).stiffness) for seed in range(10)] == want
 
 
 def test_sample_dr_statistics():

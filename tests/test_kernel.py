@@ -16,7 +16,6 @@ from microgait import (
     PolicySpec,
     QuantScheme,
     QuantizedPolicy,
-    RequantParams,
     fused_infer_dequant,
     infer_int8,
     leaky_relu,
@@ -28,7 +27,7 @@ from microgait import (
 )
 from microgait.policy import BLOCK_ROWS
 from microgait.quant import QuantizedLayer, encode_ratio, expected_counters
-from oracles import int8_forward_bigint, requantize_unbounded
+from oracles import RequantParams, int8_forward_bigint, requantize_unbounded
 
 # Near the largest fan-in the int32 headroom check admits (66311 with zero
 # bias): partial sums of int8 x int8 products reach ~2^30 here, far past the
@@ -343,7 +342,7 @@ def test_hand_built_models_round_trip_through_a_file(tmp_path):
         for a, b in zip(back.layers, qp.layers, strict=True):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
-            assert a.requant == b.requant
+            assert a.requant.tobytes() == b.requant.tobytes()
             assert (a.input_scale, a.input_zp, a.output_scale, a.output_zp) == \
                 (b.input_scale, b.input_zp, b.output_scale, b.output_zp)
             assert a.weight_scales.tolist() == b.weight_scales.tolist()

@@ -12,7 +12,7 @@ from microgait import (
     DomainError,
     PolicySpec,
     QuantScheme,
-    RequantParams,
+    QuantizedPolicy,
     derive_requant,
     infer_fp32,
     leaky_relu,
@@ -22,9 +22,11 @@ from microgait import (
     save_quantized,
     sqnr_db,
 )
+from microgait import quant
 from microgait.kernel import requantize
 from microgait.quant import dequantize_action, encode_ratio, fp32_payload_bytes, int8_payload_bytes
-from oracles import dequantize_weights, requant_layer, requantize_unbounded
+from oracles import (RequantParams, dequantize_weights, encode_ratio_loop, layer_from_params,
+                     requant_layer, requantize_unbounded)
 
 
 def _calib(seed, n=64, dim=24):
@@ -59,15 +61,28 @@ def test_requantize_saturates_indices_far_past_the_table(acc, shift, zp):
         (127 if acc > 0 else -128)
 
 
+def _one_layer_policy(params):
+    layer = layer_from_params(params)
+    return QuantizedPolicy(PolicySpec((1, len(params)), leaky_relu()), QuantScheme.PER_FEATURE,
+                           [layer], 1.0, 0, 0, 0)
+
+
 def test_requant_params_validation():
-    with pytest.raises(DataError):
-        RequantParams(1, 32)
-    with pytest.raises(DataError):
-        RequantParams(2 ** 31, 0)
-    with pytest.raises(DataError):
-        RequantParams(1, 0, 200)
+    ok = RequantParams(1, 0)
+    _one_layer_policy([ok, RequantParams(2 ** 31 - 1, 31, -128), RequantParams(0, 0, 127)])
+    with pytest.raises(DataError, match=r"layer 0 requant entry 2: multiplier and shift \(1, 32\) "
+                                        r"outside \[0, 2\^31\) x \[0, 31\]"):
+        _one_layer_policy([ok, ok, RequantParams(1, 32)])
+    with pytest.raises(DataError, match=r"layer 0 requant entry 1: multiplier and shift \(-1, 0\)"):
+        _one_layer_policy([ok, RequantParams(-1, 0)])
+    # an entry the file's i4, u1, i1 record cannot hold
+    for bad in (RequantParams(2 ** 31, 0), RequantParams(1, 0, 200), RequantParams(1, 256)):
+        with pytest.raises(DataError, match="does not fit the requant record"):
+            layer_from_params([bad])
     assert RequantParams(1, 0).round_term == 0
     assert RequantParams(1, 5).round_term == 16
+    assert layer_from_params([RequantParams(1, 0), RequantParams(1, 5)]).offset.tolist() == \
+        [0 + (128 << 0), 16 + (128 << 5)]
 
 
 @given(st.integers(-(2 ** 31) + 1, 2 ** 31 - 1),
@@ -124,11 +139,101 @@ def test_encode_ratio_rejects_extremes():
 
 
 def test_derive_requant_validation():
-    with pytest.raises(DomainError):
-        derive_requant(0.0, 1.0, 1.0)
-    rp = derive_requant(0.02, 0.005, 0.03, zero_point=-5)
-    assert rp.zero_point == -5
-    assert abs(rp.mult / 2 ** rp.shift - 0.02 * 0.005 / 0.03) < 1e-6
+    with pytest.raises(DomainError, match="input_scale must be > 0"):
+        derive_requant(0.0, [1.0], 1.0)
+    with pytest.raises(DomainError, match="weight_scales must be > 0"):
+        derive_requant(1.0, [1.0, -1.0], 1.0)
+    with pytest.raises(DomainError, match="output_scale must be > 0"):
+        derive_requant(1.0, [1.0], math.nan)
+    table = derive_requant(0.02, [0.005, 0.01], 0.03, zero_point=-5)
+    assert table.dtype == quant.REQUANT_DTYPE and table.shape == (2,)
+    assert table["zero_point"].tolist() == [-5, -5]
+    for (mult, shift, _), ws in zip(table.tolist(), (0.005, 0.01)):
+        assert (mult, shift) == encode_ratio_loop(0.02 * ws / 0.03)
+        assert abs(mult / 2 ** shift - 0.02 * ws / 0.03) < 1e-6
+
+
+def _encoded(ratio):
+    """encode_ratio_loop's (mult, shift), or its exception's type and message."""
+    try:
+        return encode_ratio_loop(ratio)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_encodes_like_loop(ratios):
+    """encode_ratio on the whole array, and on each ratio alone, agrees with
+    the loop; a rejected array is named by its first rejected ratio."""
+    want = [_encoded(r) for r in ratios]
+    for r, w in zip(ratios, want):
+        try:
+            got = tuple(int(v) for v in encode_ratio(r))
+        except DomainError as exc:
+            got = type(exc), str(exc)
+        assert got == w, r
+    rejected = [w for w in want if isinstance(w[0], type)]
+    if rejected:
+        with pytest.raises(DomainError) as info:
+            encode_ratio(np.array(ratios))
+        assert str(info.value) == rejected[0][1]
+    else:
+        mult, shift = encode_ratio(np.array(ratios))
+        assert mult.dtype == shift.dtype == np.int64
+        assert list(zip(mult.tolist(), shift.tolist())) == want
+
+
+# log-uniform over [2^-35, 2^31.5): below 2^-32 every ratio is rejected,
+# above 2^31 - 0.5 every ratio overflows
+_log_ratios = st.floats(-35.0, 31.5, exclude_max=True).map(lambda e: 2.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_log_ratios, min_size=1, max_size=40))
+def test_encode_ratio_matches_scalar_loop(ratios):
+    _assert_encodes_like_loop(ratios)
+
+
+EDGE_RATIOS = [2.0 ** -32, math.nextafter(2.0 ** -32, 1.0), 2.0 ** 31 - 0.75, 2.0 ** 31 - 0.5,
+               2.0 ** 31 - 1, 0.5, 1.0, 0.3, 0.01]
+
+
+@pytest.mark.parametrize("ratio", EDGE_RATIOS + [0.0, -1.0, math.nan, math.inf, 2.0 ** 40])
+def test_encode_ratio_edges_match_scalar_loop(ratio):
+    _assert_encodes_like_loop([ratio])
+    _assert_encodes_like_loop([0.3, ratio, 2.0 ** -40])
+
+
+def test_encode_ratio_matches_scalar_loop_on_many_ratios():
+    ratios = 2.0 ** np.random.default_rng(0).uniform(-31.9, 30.9, size=20_000)
+    mult, shift = encode_ratio(ratios)
+    assert list(zip(mult.tolist(), shift.tolist())) == [encode_ratio_loop(r) for r in ratios]
+
+
+def test_requantize_oracle_takes_numpy_ints_unbounded():
+    # np.int32 times an int in numpy arithmetic would wrap: (2^31 - 1)^2 = 1 mod 2^32
+    big = 2 ** 31 - 1
+    want = requantize_unbounded(big, big, 31, 0)
+    assert want == 127
+    assert requantize_unbounded(np.int32(big), np.int32(big), np.uint8(31), np.int8(0)) == want
+    assert requantize_unbounded(big, np.int32(big), 31, 0) == want
+
+
+def test_build_save_load_encodes_once_per_layer(tmp_path, monkeypatch):
+    # each layer's requant table is derived in one call, so per-neuron Python
+    # work on the build and load path would show here as extra calls
+    calls = []
+
+    def counting(ratio):
+        calls.append(np.shape(ratio))
+        return encode_ratio(ratio)
+
+    monkeypatch.setattr(quant, "encode_ratio", counting)
+    _, qp = _quantized(0, QuantScheme.PER_FEATURE)
+    save_quantized(qp, tmp_path / "q.bin")
+    back = load_quantized(tmp_path / "q.bin")
+    assert len(calls) <= qp.spec.num_layers + 1
+    assert sorted(calls) == [(), (8,), (64,), (128,)]
+    assert [len(layer.requant) for layer in back.layers] == [128, 64, 8]
 
 
 def test_quantize_rejects_elu():
@@ -258,7 +363,7 @@ def test_save_load_round_trip(tmp_path, scheme):
     for a, b in zip(back.layers, qp.layers):
         assert a.weights.tobytes() == b.weights.tobytes()
         assert a.bias.tobytes() == b.bias.tobytes()
-        assert a.requant == b.requant
+        assert a.requant.tobytes() == b.requant.tobytes()
         np.testing.assert_allclose(a.weight_scales, b.weight_scales, rtol=1e-6)
 
 
@@ -355,6 +460,32 @@ def test_load_rejects_bad_layer_scales(tmp_path, index, slot, value):
         load_quantized(path)
 
 
+def _requant_entry_offset(qp, index, entry):
+    """Byte offset of entry `entry` of layer `index`'s requant table."""
+    layer = qp.layers[index]
+    return _scale_table_offset(qp, index) + 4 * (2 + len(layer.weight_scales)) + 2 + 2 + 6 * entry
+
+
+# a record is "<iBb": the multiplier at byte 0, the shift at byte 4
+@pytest.mark.parametrize("fmt, at, value, message", [
+    ("<i", 0, -5, r"layer 2 requant entry 5: multiplier and shift \(-5, \d+\) outside"),
+    ("<i", 0, -2 ** 31, r"layer 2 requant entry 5: multiplier and shift \(-2147483648, \d+\) "),
+    ("<B", 4, 40, r"layer 2 requant entry 5: multiplier and shift \(\d+, 40\) outside"),
+    ("<B", 4, 255, r"layer 2 requant entry 5: multiplier and shift \(\d+, 255\) outside"),
+])
+def test_load_names_the_bad_requant_entry(tmp_path, fmt, at, value, message):
+    _, qp = _quantized(4, QuantScheme.PER_FEATURE)
+    data = _saved_bytes(tmp_path, qp)
+    off = _requant_entry_offset(qp, 2, 5)
+    entry = qp.layers[2].requant[5]
+    assert struct.unpack_from("<iBb", data, off) == (entry.mult, entry.shift, entry.zero_point)
+    struct.pack_into(fmt, data, off + at, value)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=message):
+        load_quantized(path)
+
+
 def test_load_rejects_int32_min_bias(tmp_path):
     # |INT32_MIN| wraps in int32, so the headroom check must widen before abs()
     _, qp = _quantized(4, QuantScheme.PER_TENSOR)
@@ -407,7 +538,9 @@ def test_quantized_policy_is_frozen():
     # each layer's kernel tables are built at construction; assignment would leave them stale
     _, qf = _quantized(2, QuantScheme.PER_FEATURE)
     _, qt = _quantized(3, QuantScheme.PER_FEATURE)
-    assert isinstance(qf.layers, tuple) and isinstance(qf.layers[0].requant, tuple)
+    assert isinstance(qf.layers, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        qf.layers[0].requant[0] = (1, 0, 0)
     for obj, field, value in ((qf, "layers", qt.layers), (qf, "act_shift", 3),
                               (qf, "scheme", QuantScheme.PER_TENSOR),
                               (qf.layers[0], "requant", qt.layers[0].requant)):
@@ -428,7 +561,8 @@ def test_kernel_tables_built_at_construction(scheme):
         # requant table itself keeps its one entry, which the file stores
         per_tensor = scheme is QuantScheme.PER_TENSOR
         assert len(layer.requant) == (1 if per_tensor else n_out)
-        rq = layer.requant * n_out if per_tensor else layer.requant
+        rq = [RequantParams(*entry) for entry in layer.requant.tolist()]
+        rq = rq * n_out if per_tensor else rq
         for table in (layer.mult, layer.shift, layer.offset):
             assert table.shape == (n_out,) and table.dtype == np.int64
         assert layer.mult.tolist() == [rp.mult for rp in rq]
@@ -470,7 +604,7 @@ def test_load_rejects_empty_requant_table(tmp_path, scheme):
     # a layer whose requant table has no entry and whose scale table has no
     # weight scale, so only the table-length check can reject it
     _, qp = _quantized(2, scheme)
-    empty = dataclasses.replace(qp.layers[0], weight_scales=np.ones(0), requant=())
+    empty = dataclasses.replace(qp.layers[0], weight_scales=np.ones(0), requant=[])
     assert empty.mult.shape == (0,)
     fields = {f.name: getattr(qp, f.name) for f in dataclasses.fields(qp) if f.init}
     save_quantized(types.SimpleNamespace(**{**fields, "layers": (empty, *qp.layers[1:])}),
