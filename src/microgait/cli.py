@@ -14,7 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import cost, gait, harness, kinematics, policy, quant, wire
+from . import cost, gait, harness, kernel, kinematics, policy, quant, wire
 from .errors import DataError, DomainError
 from .inputs import check_finite
 
@@ -86,11 +86,10 @@ def cmd_quantize(model, scheme, calib, out):
     qp = quant.quantize_policy(p, qscheme, calib_data)
     quant.save_quantized(qp, out)
 
-    from .kernel import fused_infer_dequant
     # one call for the whole matrix on both sides; each FP32 reference row is
     # bit-identical to a single-row call, so sqnr_db does not depend on batching
     ref = policy.infer_fp32(p, calib_data)
-    tst = fused_infer_dequant(qp, calib_data)
+    tst = kernel.fused_infer_dequant(qp, calib_data)
     sqnr = quant.sqnr_db(ref, tst)
 
     fp32_bytes = quant.fp32_payload_bytes(p.spec)

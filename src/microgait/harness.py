@@ -308,7 +308,7 @@ class QuantizedRuntime:
 class CodecRuntime:
     """Route another runtime's observations/actions through the wire codec."""
 
-    def __init__(self, inner, precision: str = "fp32"):
+    def __init__(self, inner, precision: str):
         if precision == "int8":
             if not isinstance(inner, QuantizedRuntime):
                 raise DataError("int8 codec transport needs a QuantizedRuntime")

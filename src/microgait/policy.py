@@ -122,7 +122,7 @@ def _activate_array(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass
+@dataclass(eq=False)
 class Fp32Policy:
     """Dense weights/biases in float32, shapes fixed by the spec."""
 

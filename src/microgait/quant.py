@@ -101,7 +101,7 @@ def derive_requant(input_scale: float, weight_scales, output_scale: float,
     return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedLayer:
     """One dense layer in int8 with its requantization table.
 
@@ -127,11 +127,11 @@ class QuantizedLayer:
     output_scale: float
     output_zp: int
     requant: np.ndarray            # REQUANT_DTYPE records, len 1 (per-tensor) or n_out
-    weights_t: np.ndarray = field(init=False, repr=False, compare=False)  # float64, (n_in, n_out)
-    bias_f64: np.ndarray = field(init=False, repr=False, compare=False)   # float64, (n_out,)
-    mult: np.ndarray = field(init=False, repr=False, compare=False)       # int64, (n_out,)
-    shift: np.ndarray = field(init=False, repr=False, compare=False)      # int64, (n_out,)
-    offset: np.ndarray = field(init=False, repr=False, compare=False)     # int64, (n_out,)
+    weights_t: np.ndarray = field(init=False, repr=False)  # float64, (n_in, n_out)
+    bias_f64: np.ndarray = field(init=False, repr=False)   # float64, (n_out,)
+    mult: np.ndarray = field(init=False, repr=False)       # int64, (n_out,)
+    shift: np.ndarray = field(init=False, repr=False)      # int64, (n_out,)
+    offset: np.ndarray = field(init=False, repr=False)     # int64, (n_out,)
 
     def __post_init__(self):
         put = object.__setattr__  # the dataclass is frozen, so the tables below stay in step
@@ -174,7 +174,7 @@ def expected_counters(spec: PolicySpec, scheme: QuantScheme) -> OpCounters:
         param_loads=n if scheme is QuantScheme.PER_FEATURE else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedPolicy:
     spec: PolicySpec
     scheme: QuantScheme
@@ -184,13 +184,13 @@ class QuantizedPolicy:
     act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
     act_shift: int
     # built once here; the dataclass is frozen so they stay in step
-    row_counters: OpCounters = field(init=False, repr=False, compare=False)
-    act_mult_0d: np.ndarray = field(init=False, repr=False, compare=False)   # int64, read-only
-    act_shift_0d: np.ndarray = field(init=False, repr=False, compare=False)  # int64, read-only
-    obs_scale_0d: np.ndarray = field(init=False, repr=False, compare=False)  # float64, read-only
-    obs_zp_0d: np.ndarray = field(init=False, repr=False, compare=False)     # float64, read-only
+    row_counters: OpCounters = field(init=False, repr=False)
+    act_mult_0d: np.ndarray = field(init=False, repr=False)   # int64, read-only
+    act_shift_0d: np.ndarray = field(init=False, repr=False)  # int64, read-only
+    obs_scale_0d: np.ndarray = field(init=False, repr=False)  # float64, read-only
+    obs_zp_0d: np.ndarray = field(init=False, repr=False)     # float64, read-only
     # float64 (256,), read-only: the dequantized action of int8 code c at index c mod 256
-    action_table: np.ndarray = field(init=False, repr=False, compare=False)
+    action_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -323,7 +323,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
         in_scale, in_zp = out_scale, out_zp
 
     return QuantizedPolicy(
-        spec=PolicySpec(p.spec.layer_dims, ActivationSpec(ActivationKind.LEAKY_RELU, act.alpha)),
+        spec=p.spec,
         scheme=scheme, layers=layers,
         obs_scale=obs_scale, obs_zp=obs_zp,
         act_mult=act_mult, act_shift=act_shift)

@@ -201,7 +201,7 @@ class Session:
     session blocks (state-wise) until the matching action reply is consumed.
     """
 
-    def __init__(self, precision: str = "fp32"):
+    def __init__(self, precision: str):
         self.precision = precision
         self._awaiting_action = False
         self._seq = 0
@@ -231,7 +231,7 @@ class Session:
 class LoopbackDevice:
     """In-memory device endpoint: decodes an observation, answers with act_fn(obs, t)."""
 
-    def __init__(self, act_fn, precision: str = "fp32"):
+    def __init__(self, act_fn, precision: str):
         self.act_fn = act_fn
         self.precision = precision
 

@@ -24,8 +24,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from microgait import DataError, DomainError, EndEffector
+from microgait.errors import DataError, DomainError
 from microgait.inputs import check_finite
+from microgait.kinematics import EndEffector
 from microgait.quant import MAX_SHIFT, QuantizedLayer
 
 INT8_MIN, INT8_MAX = -128, 127

@@ -9,31 +9,40 @@ import time
 import numpy as np
 import pytest
 
-import microgait as mg
-from microgait import (
-    EndEffector,
-    GaitRegime,
-    LegGeometry,
+from microgait import wire
+from microgait.cost import RateMeasurement, measured_cycles, required_clock
+from microgait.errors import DomainError
+from microgait.gait import GaitRegime, load_gait_table, reward_at, select_gait
+from microgait.harness import (
+    TRAJECTORY_COLUMNS,
+    DRConfig,
     PlantState,
-    PolicySpec,
-    QuantScheme,
+    ScriptedGaitController,
     SimConfig,
-    ik,
-    infer_fp32,
-    infer_int8,
-    leaky_relu,
-    quantize_policy,
-    random_policy,
     reward_step,
     run_episode,
+    write_trajectory_csv,
+)
+from microgait.kernel import fused_infer_dequant, infer_int8, requantize
+from microgait.kinematics import EndEffector, LegGeometry, ik
+from microgait.policy import (
+    PolicySpec,
+    activation_count,
+    infer_fp32,
+    leaky_relu,
+    mac_count,
+    neuron_count,
+    param_count,
+    random_policy,
+)
+from microgait.quant import (
+    QuantScheme,
+    expected_counters,
+    fp32_payload_bytes,
+    int8_payload_bytes,
+    quantize_policy,
     sqnr_db,
 )
-from microgait.cost import measured_cycles, required_clock, RateMeasurement
-from microgait.gait import load_gait_table, reward_at, select_gait
-from microgait.harness import TRAJECTORY_COLUMNS, ScriptedGaitController, write_trajectory_csv
-from microgait.kernel import fused_infer_dequant, requantize
-from microgait.quant import expected_counters, fp32_payload_bytes, int8_payload_bytes
-from microgait import wire
 from oracles import (RequantParams, fk_oracle, int8_forward_bigint, requant_layer,
                      requantize_unbounded, reward_terms_scalar)
 
@@ -42,10 +51,10 @@ REF_SPEC = PolicySpec((24, 128, 64, 8), leaky_relu())
 
 def test_criterion_01_counting_identities():
     start = time.perf_counter()
-    assert mg.mac_count(REF_SPEC) == 11776
-    assert mg.param_count(REF_SPEC) == 11976
-    assert mg.activation_count(REF_SPEC) == 192
-    assert mg.neuron_count(REF_SPEC) == 200
+    assert mac_count(REF_SPEC) == 11776
+    assert param_count(REF_SPEC) == 11976
+    assert activation_count(REF_SPEC) == 192
+    assert neuron_count(REF_SPEC) == 200
     assert time.perf_counter() - start < 1e-3
 
 
@@ -197,7 +206,7 @@ def test_criterion_08_ik_round_trip():
         assert abs(sol.theta_y - theta_y) <= 1e-9
     unit = LegGeometry(l_x=1.0, l_y=1.0)
     ik(unit, EndEffector(1.0, 0.0))  # |asin arg| = 1: accepted
-    with pytest.raises(mg.DomainError):
+    with pytest.raises(DomainError):
         ik(unit, EndEffector(1.0 + 1e-12, 0.0))
 
 
@@ -242,7 +251,7 @@ def test_criterion_10_harness_degradation_and_determinism(tmp_path):
     for i in range(2):
         res = run_episode(ScriptedGaitController(0.08),
                           SimConfig(f_update_hz=30.0, seed=7),
-                          mg.DRConfig(), (0.08, 0.0))
+                          DRConfig(), (0.08, 0.0))
         path = tmp_path / f"run{i}.csv"
         write_trajectory_csv(res, path)
         paths.append(path)

@@ -1,20 +1,23 @@
 """Every public top-level function and class in the package and the
 benchmark has a caller there, or a stated reason to stay; every name a
-package module imports is used in that module, or has a stated reason.
+package module imports is used in that module, or has a stated reason;
+and each name has one import path, the module that defines it.
 
 A name is reached when a Name or Attribute node anywhere in
 src/microgait/*.py or perfbench/*.py refers to it outside its own
-definition. Tests do not count as callers, and neither does an import in
-`__init__.py`. A decorated definition (a click command, a dataclass) is
-left out, since its decorator may be what makes it reachable.
+definition. Tests do not count as callers. A decorated definition (a
+click command, a dataclass) is left out, since its decorator may be what
+makes it reachable.
 """
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted([*(ROOT / "src" / "microgait").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 TREES = {path: ast.parse(path.read_text(), str(path)) for path in FILES}
+MODULES = {path.stem: tree for path, tree in TREES.items() if path.parent.name == "microgait"}
 TOPS = [(path, node) for path, tree in TREES.items() for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
 
@@ -65,17 +68,15 @@ KEPT_IMPORTS = {
 
 
 def _unused_imports() -> set[str]:
-    """Names bound by an import in a package module other than `__init__.py`
-    that no Name or Attribute node of that module refers to, as module.name."""
+    """Names bound by an import in a package module that no Name or
+    Attribute node of that module refers to, as module.name."""
     unused = set()
-    for path, tree in TREES.items():
-        if path.parent.name != "microgait" or path.name == "__init__.py":
-            continue
+    for stem, tree in MODULES.items():
         imported = {(alias.asname or alias.name).split(".")[0]
                     for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                     and getattr(node, "module", None) != "__future__"
                     for alias in node.names}
-        unused |= {f"{path.stem}.{name}" for name in imported - set(_refs(tree))}
+        unused |= {f"{stem}.{name}" for name in imported - set(_refs(tree))}
     return unused
 
 
@@ -101,8 +102,7 @@ def _package_imports(tree) -> set[str]:
 
 
 def test_leaf_modules_import_only_errors_and_inputs():
-    trees = {path.stem: tree for path, tree in TREES.items() if path.parent.name == "microgait"}
-    extra = {leaf: sorted(_package_imports(trees[leaf]) - LEAF_IMPORTS) for leaf in LEAVES}
+    extra = {leaf: sorted(_package_imports(MODULES[leaf]) - LEAF_IMPORTS) for leaf in LEAVES}
     assert not any(extra.values()), f"leaf modules importing other package modules: {extra}"
 
 
@@ -112,6 +112,42 @@ def test_every_import_is_used():
     assert not missing, f"imports the module never uses (use or delete them): {missing}"
     stale = sorted(set(KEPT_IMPORTS) - unused)
     assert not stale, f"KEPT_IMPORTS names that are used or gone (drop them): {stale}"
+
+
+# an import from the package or one of its modules, found in a file's text so
+# that the code strings a test runs in a fresh interpreter are read too
+PACKAGE_IMPORT = re.compile(r"from\s+(microgait(?:\.(\w+))?)\s+import\s+(\([^)]*\)|.*)")
+
+
+def _defined(tree) -> set[str]:
+    """The names a module binds at its top level by a def, a class or an assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_package_namespace_exports_nothing():
+    init = MODULES["__init__"]
+    assert ast.get_docstring(init) and len(init.body) == 1, \
+        "__init__.py holds only its docstring: import each name from the module that defines it"
+
+
+def test_each_name_is_imported_from_the_module_that_defines_it():
+    defined = {stem: _defined(tree) for stem, tree in MODULES.items() if stem != "__init__"}
+    wrong = []
+    for path in sorted([*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        for match in PACKAGE_IMPORT.finditer(path.read_text()):
+            dotted, module, names = match.groups()
+            for name in re.sub(r"#.*", "", names).strip("()").split(","):
+                name = name.split(" as ")[0].strip()
+                if name and name not in (defined.get(module, ()) if module else defined):
+                    wrong.append(f"{path.name}: from {dotted} import {name}")
+    assert not wrong, f"names imported through a module that does not define them: {wrong}"
 
 
 def test_tracing_targets_resolve(monkeypatch):

@@ -3,12 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from microgait import (DomainError, PolicySpec, PowerParams, QuantScheme, cost,
-                       feasible_update_rate, harness, leaky_relu, max_clock, quantize_policy,
-                       random_policy, wire)
+from microgait import cost, harness, wire
 from microgait.cli import _emit, cli, main
-from microgait.policy import save_policy
-from microgait.quant import save_quantized
+from microgait.cost import PowerParams, feasible_update_rate, max_clock
+from microgait.errors import DomainError
+from microgait.policy import PolicySpec, leaky_relu, random_policy, save_policy
+from microgait.quant import QuantScheme, quantize_policy, save_quantized
 
 
 def run_cli(capsys, *args):
@@ -512,9 +512,11 @@ _NO_SCIPY_CHECK = """
 import sys
 from pathlib import Path
 import numpy as np
-from microgait import CycleCoeffs, PolicySpec, QuantScheme, cost, random_policy
+from microgait import cost
 from microgait.cli import main
-from microgait.policy import save_policy
+from microgait.cost import CycleCoeffs
+from microgait.policy import PolicySpec, random_policy, save_policy
+from microgait.quant import QuantScheme
 
 tmp = Path(sys.argv[1])
 save_policy(random_policy(PolicySpec((24, 128, 64, 8)), 0), tmp / "policy.bin")

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from microgait import (
+from microgait.cost import (
     CycleCoeffs,
-    DataError,
-    DomainError,
-    PolicySpec,
     PowerParams,
-    QuantScheme,
     RateMeasurement,
     cycles_decomposed,
     feasible_update_rate,
     fit_coeffs,
+    load_budget,
     max_clock,
     max_update_rate,
     measured_cycles,
     required_clock,
 )
-from microgait.cost import load_budget
+from microgait.errors import DataError, DomainError
+from microgait.policy import PolicySpec
+from microgait.quant import QuantScheme
 
 SPEC = PolicySpec((24, 128, 64, 8))
 

@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from microgait import (
-    DataError,
-    DomainError,
+from microgait.cost import PowerParams, feasible_update_rate
+from microgait.errors import DataError, DomainError
+from microgait.gait import (
     GaitRegime,
-    PowerParams,
-    feasible_update_rate,
+    GaitTable,
+    RewardCurve,
     load_gait_table,
     reward_at,
     select_gait,
 )
-from microgait.gait import GaitTable, RewardCurve
 
 
 @pytest.fixture(scope="module")

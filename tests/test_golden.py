@@ -20,10 +20,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from microgait import (PolicySpec, QuantScheme, leaky_relu, quantize_policy, random_policy,
-                       save_policy)
 from microgait.cli import main
-from microgait.quant import save_quantized
+from microgait.policy import PolicySpec, leaky_relu, random_policy, save_policy
+from microgait.quant import QuantScheme, quantize_policy, save_quantized
 
 
 def _sha256(path) -> str:

@@ -8,25 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgait import (
-    DataError,
-    DRConfig,
-    DRPerturbation,
-    PlantParams,
-    PlantState,
-    PolicySpec,
-    QuantScheme,
-    SimConfig,
-    hold_targets,
-    leaky_relu,
-    plant_step,
-    quantize_policy,
-    random_policy,
-    reward_step,
-    run_episode,
-    sample_dr,
-)
 from microgait import harness
+from microgait.errors import DataError
 from microgait.harness import (
     DT,
     K_ATT,
@@ -37,13 +20,25 @@ from microgait.harness import (
     TAU_ATT,
     TRAJECTORY_COLUMNS,
     CodecRuntime,
+    DRConfig,
+    DRPerturbation,
+    PlantParams,
+    PlantState,
     PolicyRuntime,
     QuantizedRuntime,
     ScriptedGaitController,
+    SimConfig,
     _apply_dr_to_params,
     _build_observation,
+    hold_targets,
+    plant_step,
+    reward_step,
+    run_episode,
+    sample_dr,
     write_trajectory_csv,
 )
+from microgait.policy import PolicySpec, leaky_relu, random_policy
+from microgait.quant import QuantScheme, quantize_policy
 from oracles import plant_step_numpy, reward_step_numpy, reward_terms_scalar
 
 

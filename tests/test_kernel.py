@@ -10,23 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microgait import (
-    DataError,
+from microgait.errors import DataError
+from microgait.kernel import fused_infer_dequant, infer_int8, quantize_obs
+from microgait.policy import BLOCK_ROWS, PolicySpec, leaky_relu, random_policy
+from microgait.quant import (
     OpCounters,
-    PolicySpec,
-    QuantScheme,
+    QuantizedLayer,
     QuantizedPolicy,
-    fused_infer_dequant,
-    infer_int8,
-    leaky_relu,
+    QuantScheme,
+    encode_ratio,
+    expected_counters,
     load_quantized,
-    quantize_obs,
     quantize_policy,
-    random_policy,
     save_quantized,
 )
-from microgait.policy import BLOCK_ROWS
-from microgait.quant import QuantizedLayer, encode_ratio, expected_counters
 from oracles import RequantParams, int8_forward_bigint, requantize_unbounded
 
 # Near the largest fan-in the int32 headroom check admits (66311 with zero

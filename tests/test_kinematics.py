@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from microgait import DataError, DomainError, EndEffector, LegGeometry, ik
-from microgait.kinematics import load_geometry
+from microgait.errors import DataError, DomainError
+from microgait.kinematics import EndEffector, LegGeometry, ik, load_geometry
 from oracles import action_to_motor_targets, fk_oracle
 
 UNIT = LegGeometry(l_x=1.0, l_y=1.0)

@@ -13,26 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microgait import (
-    DataError,
-    DomainError,
-    PolicySpec,
-    QuantScheme,
-    elu,
-    fused_infer_dequant,
-    leaky_relu,
-    load_gait_table,
-    load_policy,
-    load_quantized,
-    quantize_policy,
-    random_policy,
-    save_policy,
-    save_quantized,
-)
 from microgait import wire
 from microgait.cost import load_budget
-from microgait.errors import ProtocolError
+from microgait.errors import DataError, DomainError, ProtocolError
+from microgait.gait import load_gait_table
+from microgait.kernel import fused_infer_dequant
 from microgait.kinematics import load_geometry
+from microgait.policy import PolicySpec, elu, leaky_relu, load_policy, random_policy, save_policy
+from microgait.quant import QuantScheme, load_quantized, quantize_policy, save_quantized
 
 DIMS = (6, 5, 3)
 # one valid file per text loader, UTF-8 with a comment and a non-ASCII character

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from microgait import (
+from microgait.errors import DataError
+from microgait.policy import (
+    BLOCK_ROWS,
     ActivationKind,
     ActivationSpec,
-    DataError,
     Fp32Policy,
     PolicySpec,
+    _activate_array,
     activate,
     activation_count,
     elu,
@@ -28,7 +30,6 @@ from microgait import (
     random_policy,
     save_policy,
 )
-from microgait.policy import BLOCK_ROWS, _activate_array
 from oracles import elu_where, fp32_forward_naive, leaky_relu_where
 
 dims_strategy = st.lists(st.integers(1, 64), min_size=2, max_size=6)
@@ -171,7 +172,7 @@ def test_batch_bit_identical_to_single_rows(act, widths, batch, seed):
 # picks its kernel once, when numpy loads. 48 policies x 8 rows, widths 1-139.
 _KERNEL_CHECK = """
 import ctypes, sys, numpy as np
-from microgait import PolicySpec, infer_fp32, random_policy
+from microgait.policy import PolicySpec, infer_fp32, random_policy
 rng = np.random.default_rng(0)
 bad = 0
 for seed in range(48):

@@ -7,24 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgait import (
-    DataError,
-    DomainError,
-    PolicySpec,
-    QuantScheme,
+from microgait import quant
+from microgait.errors import DataError, DomainError
+from microgait.kernel import requantize
+from microgait.policy import PolicySpec, infer_fp32, leaky_relu, random_policy
+from microgait.quant import (
     QuantizedPolicy,
+    QuantScheme,
+    dequantize_action,
     derive_requant,
-    infer_fp32,
-    leaky_relu,
+    encode_ratio,
+    fp32_payload_bytes,
+    int8_payload_bytes,
     load_quantized,
     quantize_policy,
-    random_policy,
     save_quantized,
     sqnr_db,
 )
-from microgait import quant
-from microgait.kernel import requantize
-from microgait.quant import dequantize_action, encode_ratio, fp32_payload_bytes, int8_payload_bytes
 from oracles import (RequantParams, dequantize_weights, encode_ratio_loop, layer_from_params,
                      requant_layer, requantize_unbounded)
 
@@ -269,7 +268,7 @@ def test_quantize_rejects_layer_output_that_overflows_float32():
 
 def test_constant_weight_tensor_per_tensor():
     spec = PolicySpec((4, 3), leaky_relu())
-    from microgait import Fp32Policy
+    from microgait.policy import Fp32Policy
     w = np.full((3, 4), -0.25)
     p = Fp32Policy(spec, [w], [np.zeros(3)])
     qp = quantize_policy(p, QuantScheme.PER_TENSOR, _calib(0, dim=4))
@@ -279,7 +278,7 @@ def test_constant_weight_tensor_per_tensor():
 
 def test_per_feature_row_scales_differ():
     spec = PolicySpec((4, 2), leaky_relu())
-    from microgait import Fp32Policy
+    from microgait.policy import Fp32Policy
     w = np.array([[0.5, 0.1, 0.2, 0.3], [0.005, 0.001, 0.002, 0.003]])
     p = Fp32Policy(spec, [w], [np.zeros(2)])
     qf = quantize_policy(p, QuantScheme.PER_FEATURE, _calib(0, dim=4))
@@ -291,7 +290,7 @@ def test_per_feature_row_scales_differ():
 
 def test_all_zero_row_gets_unit_scale():
     spec = PolicySpec((4, 2), leaky_relu())
-    from microgait import Fp32Policy
+    from microgait.policy import Fp32Policy
     w = np.array([[0.5, 0.1, 0.2, 0.3], [0.0, 0.0, 0.0, 0.0]])
     p = Fp32Policy(spec, [w], [np.zeros(2)])
     qf = quantize_policy(p, QuantScheme.PER_FEATURE, _calib(0, dim=4))
@@ -548,6 +547,20 @@ def test_quantized_policy_is_frozen():
             setattr(obj, field, value)
 
 
+def test_models_compare_and_hash_by_identity():
+    # their ndarray fields have no one truth value, so a model equals only itself
+    (pa, qa), (pb, qb) = (_quantized(4, QuantScheme.PER_FEATURE) for _ in range(2))
+    for a, b in ((pa, pb), (qa, qb), (qa.layers[0], qb.layers[0])):
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+
+def test_quantized_policy_keeps_the_checked_spec():
+    p, qp = _quantized(5, QuantScheme.PER_TENSOR)
+    assert qp.spec is p.spec
+
+
 @pytest.mark.parametrize("scheme", list(QuantScheme))
 def test_kernel_tables_built_at_construction(scheme):
     _, qp = _quantized(6, scheme)
@@ -615,7 +628,7 @@ def test_load_rejects_empty_requant_table(tmp_path, scheme):
 
 @pytest.mark.parametrize("scheme", list(QuantScheme))
 def test_fused_output_tracks_fp32(scheme):
-    from microgait import fused_infer_dequant
+    from microgait.kernel import fused_infer_dequant
     p, qp = _quantized(11, scheme)
     calib = _calib(1011)
     ref = np.array([infer_fp32(p, row) for row in calib])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microgait import DataError, ProtocolError
 from microgait import wire
+from microgait.errors import DataError, ProtocolError
 from microgait.wire import (
     CrcError,
     Frame,
