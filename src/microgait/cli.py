@@ -45,12 +45,12 @@ def _load_calib(path: str) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no data: reported below
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+            # each field parses as float64, then is cast: a float32 overflow is inf, caught below
+            data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float32)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read calibration CSV {path}: {exc}") from None
     if data.size == 0:
         raise DataError(f"calibration CSV {path} is empty")
-    data = data.astype(np.float32)  # a value that overflows float32 is caught below
     bad = ~np.isfinite(data).all(axis=1)
     if bad.any():
         raise DataError(f"calibration CSV {path} row {int(np.argmax(bad)) + 1} "
@@ -84,13 +84,13 @@ def cmd_quantize(model, scheme, calib, out):
     qscheme = (quant.QuantScheme.PER_TENSOR if scheme == "per-tensor"
                else quant.QuantScheme.PER_FEATURE)
     qp = quant.quantize_policy(p, qscheme, calib_data)
-    quant.save_quantized(qp, out)
 
     # one call for the whole matrix on both sides; each FP32 reference row is
     # bit-identical to a single-row call, so sqnr_db does not depend on batching
     ref = policy.infer_fp32(p, calib_data)
     tst = kernel.fused_infer_dequant(qp, calib_data)
     sqnr = quant.sqnr_db(ref, tst)
+    quant.save_quantized(qp, out)  # after sqnr_db, so a command that fails leaves no file
 
     fp32_bytes = quant.fp32_payload_bytes(p.spec)
     int8_bytes = quant.int8_payload_bytes(qp)

@@ -76,14 +76,14 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     # the shifted product is at most acc where acc >= 0, at least acc where acc < 0.
     # It fits int64: |acc| < 2^31 by the headroom check, act_mult <= 2^31
     act_mult, act_shift = qp.act_mult_0d, qp.act_shift_0d
-    # int32 accumulate, done in float64 through BLAS: dot converts the int8 codes
-    # exactly, and every partial sum of int8 x int8 products is an integer below
-    # 2^31 in magnitude (the QuantizedPolicy headroom check), far inside float64's
-    # exact 2^53, so one dot (dgemv on a row, dgemm on a block) is exact in any order
+    # int32 accumulate, done in floats through BLAS: dot converts the int8 codes
+    # exactly, and every partial sum of int8 x int8 products is an integer of at
+    # most n_in * 2^14: up to 2^24, exact in the float32 weights_t, to fan-in 1024,
+    # and below 2^31 (the headroom check) in float64 beyond, so one dot (gemv on a
+    # row, gemm on a block) is exact in any order; the int64 bias adds after it
     for li, layer in enumerate(qp.layers):
-        acc = x.dot(layer.weights_t)
-        acc += layer.bias_f64
-        acc = acc.astype(np.int64)
+        acc = x.dot(layer.weights_t).astype(np.int64)
+        acc += layer.bias_i64
 
         if li != last:
             neg = acc * act_mult

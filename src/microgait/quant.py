@@ -111,12 +111,14 @@ class QuantizedLayer:
     REQUANT_DTYPE entries, built from any sequence of (mult, shift, zero_point).
 
     The kernel's tables are built once here, with array operations. The int8
-    weights and int32 bias are held again as float64, exact, so the kernel can
-    accumulate through BLAS. The int64 requant vectors have n_out entries under
-    both schemes (a ufunc dispatches faster on a full-width operand). ``offset``
-    = round_term + ((zero_point + 128) << shift) folds both addends and the 128
-    that makes the shifted sum a kernel code-table index into one addend before
-    the shift: an arithmetic shift of a multiple of 2^shift is exact.
+    weights are held again as floats, exact, for BLAS to accumulate: float32 up
+    to fan-in 1024, where every partial sum of int8 x int8 products (each at most
+    2^14) is an integer of at most 2^24, float64 beyond; the int32 bias as int64,
+    as float32 does not hold every int32. The int64 requant vectors have n_out entries
+    under both schemes (a ufunc dispatches faster on a full-width operand).
+    ``offset`` = round_term + ((zero_point + 128) << shift) folds both addends
+    and the 128 that makes the shifted sum a kernel code-table index into one
+    addend before the shift: an arithmetic shift of a multiple of 2^shift is exact.
     """
 
     weights: np.ndarray            # int8, (n_out, n_in)
@@ -127,8 +129,8 @@ class QuantizedLayer:
     output_scale: float
     output_zp: int
     requant: np.ndarray            # REQUANT_DTYPE records, len 1 (per-tensor) or n_out
-    weights_t: np.ndarray = field(init=False, repr=False)  # float64, (n_in, n_out)
-    bias_f64: np.ndarray = field(init=False, repr=False)   # float64, (n_out,)
+    weights_t: np.ndarray = field(init=False, repr=False)  # float32 or float64, (n_in, n_out)
+    bias_i64: np.ndarray = field(init=False, repr=False)   # int64, (n_out,)
     mult: np.ndarray = field(init=False, repr=False)       # int64, (n_out,)
     shift: np.ndarray = field(init=False, repr=False)      # int64, (n_out,)
     offset: np.ndarray = field(init=False, repr=False)     # int64, (n_out,)
@@ -145,8 +147,9 @@ class QuantizedLayer:
         if not (np.isfinite(scales).all() and (scales > 0).all()):
             raise DataError(f"layer scales must be finite and > 0, got input {self.input_scale}, "
                             f"output {self.output_scale}, weights {self.weight_scales}")
-        put(self, "weights_t", self.weights.T.astype(np.float64))
-        put(self, "bias_f64", self.bias.astype(np.float64))
+        put(self, "weights_t", self.weights.T.astype(
+            np.float32 if self.weights.shape[-1] * 128 * 128 <= 2 ** 24 else np.float64))
+        put(self, "bias_i64", self.bias.astype(np.int64))
         # a table of another wrong length, or with an entry out of range, is
         # QuantizedPolicy's to reject
         full = rq.repeat(len(self.weights)) if len(rq) == 1 else rq

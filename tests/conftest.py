@@ -8,10 +8,14 @@ checks that they took effect.
 
 `run_python` runs code in a fresh interpreter, for checks of what happens
 when a process starts: which BLAS kernel numpy picks, which modules load.
+`openblas_lib` finds the OpenBLAS library numpy loaded, and `blas_coretype`
+names each kernel a fresh process can be made to pick with OPENBLAS_CORETYPE.
 """
+import glob
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +38,27 @@ def run_python():
                               env={**os.environ, **env, "PYTHONPATH": path},
                               capture_output=True, text=True, timeout=timeout)
     return run
+
+
+@pytest.fixture
+def openblas_lib():
+    """The path of the scipy-openblas library that numpy's wheels bundle;
+    skips the test where numpy has none."""
+    import numpy as np
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if not libs:
+        pytest.skip("numpy does not bundle scipy-openblas here")
+    return libs[0]
+
+
+# each kernel with the /proc/cpuinfo flag it needs
+@pytest.fixture(params=[("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Prescott", "pni")],
+                ids="-".join)
+def blas_coretype(request, openblas_lib):
+    """An OPENBLAS_CORETYPE value, one per param; skips a kernel this CPU cannot run."""
+    coretype, flag = request.param
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and flag not in cpuinfo.read_text().split():
+        pytest.skip(f"this CPU cannot run the {coretype} kernel")
+    return coretype

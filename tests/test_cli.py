@@ -1,12 +1,13 @@
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from microgait import cost, harness, wire
-from microgait.cli import _emit, cli, main
+from microgait.cli import _emit, _load_calib, cli, main
 from microgait.cost import PowerParams, feasible_update_rate, max_clock
-from microgait.errors import DomainError
+from microgait.errors import DataError, DomainError
 from microgait.policy import PolicySpec, leaky_relu, random_policy, save_policy
 from microgait.quant import QuantScheme, quantize_policy, save_quantized
 
@@ -82,6 +83,58 @@ def test_quantize_non_finite_calib_is_data_error(capsys, tmp_path, model_file, b
     assert err.strip().splitlines()[-1].startswith("data error:")
     assert "row 3" in err
     assert not (tmp_path / "q.bin").exists()
+
+
+@pytest.mark.parametrize("scheme", ["per-tensor", "per-feature"])
+def test_quantize_that_fails_after_quantizing_writes_no_file(capsys, tmp_path, calib_file, scheme):
+    # an all-zero policy quantizes, but its FP32 actions are all zero, so the SQNR has no signal
+    p = random_policy(PolicySpec((24, 128, 64, 8)), 0)
+    for a in (*p.weights, *p.biases):
+        a[:] = 0.0
+    save_policy(p, tmp_path / "zero.bin")
+    code = main(["quantize", "--model", str(tmp_path / "zero.bin"), "--scheme", scheme,
+                 "--calib", str(calib_file), "--out", str(tmp_path / "q.bin")])
+    assert code == 4
+    assert capsys.readouterr().err == "domain error: reference signal is identically zero\n"
+    assert not (tmp_path / "q.bin").exists()
+
+
+# 1 + 2^-24 is the float64 midway between the float32 1.0 and its successor, and this
+# string lies 1e-25 above it: parsed to float64 it is that midway, which the cast to
+# float32 rounds to even, 1.0; a correctly rounded float32 parse would give the successor
+ABOVE_MIDWAY = "1.0000000596046447753906251"
+
+
+def _just_past(v: float) -> str:
+    """v's exact decimal with one more nonzero digit: farther from zero by less than float64 resolves."""
+    s = format(Decimal(v), "f")
+    return s + ("1" if "." in s else ".1")
+
+
+def test_calib_parses_as_the_float64_parse_cast_to_float32(tmp_path):
+    assert Decimal(ABOVE_MIDWAY) > Decimal(1) + Decimal(2) ** -24
+    rng = np.random.default_rng(3)
+    f32 = rng.normal(scale=10.0 ** rng.integers(-30, 30, size=(64, 24)), size=(64, 24))
+    f32 = f32.astype(np.float32)
+    # the exact float64 midway between each float32 and its successor, with a digit
+    # past it, so a parse straight to float32 would round these away from the cast
+    mid = (f32.astype(np.float64) + np.nextafter(f32, np.float32(np.inf)).astype(np.float64)) / 2
+    text = [[_just_past(v) for v in row] for row in mid.tolist()]
+    text += [[ABOVE_MIDWAY, "-" + ABOVE_MIDWAY] + [repr(v) for v in rng.normal(size=22).tolist()]]
+    path = tmp_path / "calib.csv"
+    path.write_text("\n".join(",".join(row) for row in text) + "\n")
+
+    got = _load_calib(str(path))
+
+    want = np.loadtxt(path, delimiter=",", ndmin=2).astype(np.float32)
+    assert got.dtype == np.float32 and got.shape == (65, 24)
+    assert got.view(np.uint32).tolist() == want.view(np.uint32).tolist()
+    assert got[-1, :2].tolist() == [1.0, -1.0]
+    # a value past float32's range is still a non-finite value, named by its row
+    text[40][5] = "1e39"
+    path.write_text("\n".join(",".join(row) for row in text) + "\n")
+    with pytest.raises(DataError, match="row 41 has a non-finite value"):
+        _load_calib(str(path))
 
 
 def _file(path, data: bytes) -> str:

@@ -1,6 +1,5 @@
 import math
 import ctypes
-import glob
 import os
 import time
 import tracemalloc
@@ -184,6 +183,17 @@ def test_batch_memory_does_not_grow_with_rows():
     assert eight_blocks <= 2 * one_block, f"peak {eight_blocks} B for 8 blocks, {one_block} B for one"
 
 
+def _identity_model(w: np.ndarray, bias: int) -> QuantizedPolicy:
+    """One layer with weight row w and one output, whose identity requant
+    passes an accumulator in the int8 range through unchanged."""
+    layer = QuantizedLayer(
+        weights=w[None, :].copy(), bias=np.array([bias], dtype=np.int32),
+        input_scale=1.0, input_zp=0, weight_scales=np.ones(1),
+        output_scale=1.0, output_zp=0, requant=[RequantParams(1, 0, 0)])
+    return QuantizedPolicy(PolicySpec((len(w), 1), leaky_relu()), QuantScheme.PER_TENSOR,
+                           [layer], 1.0, 0, 1, 7)
+
+
 def test_accumulation_exact_where_partial_sums_cancel():
     """Partial sums climb to about 2^28 and cancel to a small accumulator that the
     identity requant passes through unchanged, so any rounding in the
@@ -196,26 +206,109 @@ def test_accumulation_exact_where_partial_sums_cancel():
     x[half:] = np.where(w[half:] >= 0, -128, 127)
     dot = int(np.dot(w.astype(np.int64), x.astype(np.int64)))
     for target in (-77, 0, 1, 100):
-        layer = QuantizedLayer(
-            weights=w[None, :].copy(), bias=np.array([target - dot], dtype=np.int32),
-            input_scale=1.0, input_zp=0, weight_scales=np.ones(1),
-            output_scale=1.0, output_zp=0, requant=[RequantParams(1, 0, 0)])
-        qp = QuantizedPolicy(PolicySpec((n_in, 1), leaky_relu()), QuantScheme.PER_TENSOR,
-                             [layer], 1.0, 0, 1, 7)
+        qp = _identity_model(w, target - dot)
         for obs in (x, np.stack([x, x])):
             got, _ = infer_int8(qp, obs)
             assert np.all(got == target)
         assert int8_forward_bigint(qp, x)[0] == target
 
 
-def test_blas_runs_one_thread():
+# The widest fan-in whose accumulation runs in float32: an int8 x int8 product
+# is at most 2^14 in magnitude (-128 x -128), so every partial sum of 1024 of
+# them is an integer of at most 2^24, which float32 holds exactly.
+F32_FAN_IN = 1024
+
+
+@pytest.mark.parametrize("n_in, dtype", [(1, np.float32), (F32_FAN_IN, np.float32),
+                                         (F32_FAN_IN + 1, np.float64),
+                                         (WIDE_FAN_IN, np.float64)])
+def test_accumulator_dtype_follows_fan_in(n_in, dtype):
+    layer = _identity_model(np.zeros(n_in, dtype=np.int8), 0).layers[0]
+    assert layer.weights_t.dtype == dtype and layer.weights_t.shape == (n_in, 1)
+    assert layer.bias_i64.dtype == np.int64
+
+
+def _edge_rows(n_in):
+    """(w, x) pairs of fan-in n_in whose partial sums run to the edge of float32's integers."""
+    saturated = np.full(n_in, -128, dtype=np.int8)  # every product +2^14: w . x = n_in * 2^14
+    # all but the last product +2^14, the last -127 x 127: an odd w . x just below
+    # (n_in - 1) * 2^14, where float32's spacing at fan-in 1024 is 1
+    w_odd, x_odd = saturated.copy(), saturated.copy()
+    w_odd[-1], x_odd[-1] = -127, 127
+    # 509 products +2^14 climb to 8,339,456 (0.994 x 2^23, the most a dot that
+    # cancels can reach at fan-in 1024), 514 products -128 x 127 bring it to
+    # -16,128, and 127 x 127 ends it at 1
+    w_cancel, x_cancel = saturated.copy(), saturated.copy()
+    x_cancel[509:] = 127
+    w_cancel[-1] = x_cancel[-1] = 127
+    return {"saturated": (saturated, saturated), "odd": (w_odd, x_odd),
+            "cancelling": (w_cancel, x_cancel)}
+
+
+@pytest.mark.parametrize("case", ["saturated", "odd", "cancelling"])
+@pytest.mark.parametrize("n_in", [F32_FAN_IN, F32_FAN_IN + 1])
+def test_accumulation_exact_at_the_float32_fan_in_bound(n_in, case):
+    """The largest fan-in on float32 and the smallest on float64, with partial
+    sums at 2^24, odd just below it, and cancelling from near 2^23 to an odd 1;
+    the bias brings each to a small odd accumulator that the identity requant
+    passes through, so any rounding shows in the output."""
+    w, x = _edge_rows(n_in)[case]
+    dot = int(np.dot(w.astype(np.int64), x.astype(np.int64)))
+    if n_in == F32_FAN_IN:
+        assert dot == {"saturated": 2 ** 24, "odd": 2 ** 24 - 2 ** 14 - 127 * 127,
+                       "cancelling": 1}[case]
+    for target in (-77, 1, 101):
+        qp = _identity_model(w, target - dot)
+        for obs in (x, np.stack([x] * (BLOCK_ROWS + 1))):  # a row, and two blocks
+            got, _ = infer_int8(qp, obs)
+            assert np.all(got == target)
+        assert int8_forward_bigint(qp, x)[0] == target
+
+
+# The int8 kernel against the big-integer oracle, in a process of its own:
+# OpenBLAS picks its kernel once, when numpy loads. The reference network under
+# both schemes and a fan-in-1024 model accumulate in float32, a WIDE_FAN_IN one
+# in float64; each runs single rows and a batch of rows.
+_ORACLE_CHECK = """
+import ctypes, sys
+import numpy as np
+sys.path.insert(0, sys.argv[2])
+from oracles import int8_forward_bigint
+from test_kernel import BLOCK_ROWS, F32_FAN_IN, WIDE_FAN_IN, _quantized, _random_qp
+from microgait.kernel import infer_int8
+from microgait.quant import QuantScheme
+rng = np.random.default_rng(0)
+models = [_quantized(9, scheme) for scheme in QuantScheme]
+models += [_random_qp(rng, dims, QuantScheme.PER_FEATURE)
+           for dims in ((F32_FAN_IN, 16, 8), (WIDE_FAN_IN, 4))]
+bad = 0
+for qp in models:
+    n_in = qp.spec.input_dim
+    rows = BLOCK_ROWS + 3 if n_in <= F32_FAN_IN else 3  # two blocks, or one small one
+    obs = rng.integers(-128, 128, size=(rows, n_in), dtype=np.int8)
+    obs[0] = np.where(qp.layers[0].weights[0] >= 0, 127, -128)
+    block, _ = infer_int8(qp, obs)
+    for i in sorted({0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, rows - 1} & set(range(rows))):
+        want = int8_forward_bigint(qp, obs[i])
+        bad += int((block[i] != want).any()) + int((infer_int8(qp, obs[i])[0] != want).any())
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.restype, corename.argtypes = ctypes.c_char_p, []
+print(corename().decode(), bad)
+"""
+
+
+def test_matches_bigint_oracle_on_other_blas_kernels(run_python, openblas_lib, blas_coretype):
+    run = run_python(_ORACLE_CHECK, openblas_lib, os.path.dirname(__file__), timeout=120,
+                     OPENBLAS_CORETYPE=blas_coretype, OPENBLAS_NUM_THREADS="1")
+    assert run.returncode == 0, run.stderr
+    corename, bad = run.stdout.split()
+    assert bad == "0", f"{bad} single-row or batch results differ from the oracle under {corename}"
+
+
+def test_blas_runs_one_thread(openblas_lib):
     # tests/conftest.py pins the thread count before numpy loads; numpy's
     # wheels bundle scipy-openblas, which ctypes reaches in the copy already loaded
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
-    if not libs:
-        pytest.skip("numpy does not bundle scipy-openblas here")
-    get_num_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get_num_threads = ctypes.CDLL(openblas_lib).scipy_openblas_get_num_threads64_
     get_num_threads.restype = ctypes.c_int
     get_num_threads.argtypes = []
     assert get_num_threads() == 1

@@ -1,9 +1,6 @@
-import glob
 import math
-import os
 import struct
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,18 +184,10 @@ print(corename().decode(), bad)
 """
 
 
-# each kernel with the /proc/cpuinfo flag it needs
-@pytest.mark.parametrize("coretype, flag", [("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Prescott", "pni")])
-def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(run_python, coretype, flag):
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "libscipy_openblas*"))
-    if not libs:
-        pytest.skip("numpy does not bundle scipy-openblas here")
-    cpuinfo = Path("/proc/cpuinfo")
-    if cpuinfo.exists() and flag not in cpuinfo.read_text().split():
-        pytest.skip(f"this CPU cannot run the {coretype} kernel")
-    run = run_python(_KERNEL_CHECK, libs[0], timeout=120,
-                     OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+def test_batch_bit_identical_to_single_rows_on_other_blas_kernels(run_python, openblas_lib,
+                                                                  blas_coretype):
+    run = run_python(_KERNEL_CHECK, openblas_lib, timeout=120,
+                     OPENBLAS_CORETYPE=blas_coretype, OPENBLAS_NUM_THREADS="1")
     assert run.returncode == 0, run.stderr
     corename, bad = run.stdout.split()
     assert bad == "0", f"{bad} of 384 rows differ from the block under {corename}"
