@@ -58,6 +58,12 @@ def _load_calib(path: str) -> np.ndarray:
     return data
 
 
+def _is_quantized_model(path: str) -> bool:
+    """Whether the model file starts with the quantized-policy magic; reads only those bytes."""
+    with open(path, "rb") as fh:
+        return fh.read(len(quant.QUANT_MAGIC)) == quant.QUANT_MAGIC
+
+
 @click.group()
 def cli():
     """Quantization, cycle/power budgeting, gait selection, IK, and loop tools."""
@@ -207,7 +213,7 @@ def cmd_run_loop(model, scripted, f_update, v_cmd, omega, seed, episodes, random
         inner = harness.ScriptedGaitController(v_cmd)
     elif model is None:
         raise DataError("provide --model or --scripted")
-    elif Path(model).read_bytes().startswith(quant.QUANT_MAGIC):
+    elif _is_quantized_model(model):
         inner = harness.QuantizedRuntime(quant.load_quantized(model))
     else:
         inner = harness.PolicyRuntime(policy.load_policy(model))

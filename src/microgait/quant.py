@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError, DomainError
 from .inputs import BinaryReader
 from .policy import (
+    BLOCK_ROWS,
     ActivationKind,
     ActivationSpec,
     Fp32Policy,
@@ -250,9 +251,9 @@ class QuantizedPolicy:
         object.__setattr__(self, "action_table", table)
 
 
-def _affine_params(x: np.ndarray, what: str) -> tuple[float, int]:
-    """Asymmetric int8 scale/zero-point covering the range of x (extended to include 0)."""
-    lo, hi = float(x.min()), float(x.max())
+def _affine_params(lo, hi, what: str) -> tuple[float, int]:
+    """Asymmetric int8 scale/zero-point covering [lo, hi] (extended to include 0)."""
+    lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DataError(f"{what} range [{lo}, {hi}] is not finite")
     lo, hi = min(lo, 0.0), max(hi, 0.0)
@@ -270,6 +271,29 @@ def _weight_scales(w: np.ndarray, scheme: QuantScheme) -> np.ndarray:
         m = m.max(keepdims=True)
     m = np.where(m > 0, m, float(WEIGHT_MAX))  # all-zero tensor/row: scale defaults to 1
     return m / WEIGHT_MAX
+
+
+def _finish_in_place(x: np.ndarray, b: np.ndarray,
+                     act: ActivationSpec | None) -> tuple[np.floating, np.floating]:
+    """Add the bias to the layer product x and apply act (None on the output
+    layer), in place, one BLOCK_ROWS-row slice at a time; return the (min, max)
+    of the result.
+
+    The product itself stays one whole-matrix x @ w.T: a blocked sgemm can sum
+    in another order and move the calibration ranges. Slicing only the
+    element-wise steps bounds their temporaries at BLOCK_ROWS rows, and the
+    per-slice extremes reduce through numpy, which keeps a NaN where Python's
+    min and max could drop it.
+    """
+    lows, highs = [], []
+    for start in range(0, len(x), BLOCK_ROWS):
+        block = x[start:start + BLOCK_ROWS]
+        block += b
+        if act is not None:
+            block[...] = _activate_array(act, block)
+        lows.append(block.min())
+        highs.append(block.max())
+    return np.min(lows), np.max(highs)
 
 
 def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
@@ -290,7 +314,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
     if calib.shape[1] != p.spec.input_dim:
         raise DataError(f"calibration width {calib.shape[1]} != {p.spec.input_dim}")
 
-    obs_scale, obs_zp = _affine_params(calib, "observation")
+    obs_scale, obs_zp = _affine_params(calib.min(), calib.max(), "observation")
     act_mult, act_shift = (int(v) for v in encode_ratio(act.alpha))
 
     # The FP32 pass of layer i gives its output range, then layer i is quantized
@@ -303,10 +327,8 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
     in_scale, in_zp = obs_scale, obs_zp
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
         x = x @ w.T
-        x += b
-        if i != last:
-            x = _activate_array(act, x)
-        out_scale, out_zp = _affine_params(x, f"layer {i} output")
+        lo, hi = _finish_in_place(x, b, act if i != last else None)
+        out_scale, out_zp = _affine_params(lo, hi, f"layer {i} output")
         # length 1 (per-tensor) or n_out (per-feature); both broadcast over the rows
         w_scales = _weight_scales(w, scheme)
         # divide in float64 so round-to-nearest lands within scale/2 per weight

@@ -15,7 +15,9 @@ and `check_finite`. `RequantParams` is one requant table entry as the tests
 write it, and `layer_from_params` builds a `QuantizedLayer` with one output
 per entry, the subject of the requantize tests. `encode_ratio_loop` is the
 package's former scalar ratio encoder, kept frozen as the reference for its
-array form.
+array form. `quantize_whole_matrix` quantizes a policy from calibration
+ranges taken over whole matrices, the reference for the package's pass over
+row blocks; it builds the package's `QuantizedLayer` and `QuantizedPolicy`.
 """
 import math
 from dataclasses import fields
@@ -27,7 +29,7 @@ import numpy as np
 from microgait.errors import DataError, DomainError
 from microgait.inputs import check_finite
 from microgait.kinematics import EndEffector
-from microgait.quant import MAX_SHIFT, QuantizedLayer
+from microgait.quant import MAX_SHIFT, QuantizedLayer, QuantizedPolicy, QuantScheme
 
 INT8_MIN, INT8_MAX = -128, 127
 
@@ -115,6 +117,51 @@ def encode_ratio_loop(ratio):
                 return mult, shift
     # from 2^31 - 0.5 up, even shift 0 rounds to 2^31
     raise DomainError(f"ratio {ratio} overflows the 31-bit multiplier")
+
+
+def _affine_range(lo, hi):
+    """Asymmetric int8 scale and zero-point of the range [lo, hi] widened to
+    hold 0, as in Jacob et al. 2018 (arXiv:1712.05877)."""
+    lo, hi = min(float(lo), 0.0), max(float(hi), 0.0)
+    if hi == lo:
+        return 1.0, 0
+    scale = (hi - lo) / (INT8_MAX - INT8_MIN)
+    return scale, max(INT8_MIN, min(INT8_MAX, round(INT8_MIN - lo / scale)))
+
+
+def quantize_whole_matrix(p, scheme, calib):
+    """A leaky-relu policy quantized with its calibration ranges taken over
+    whole matrices: per layer x @ w.T + b in float32, the frozen leaky-relu on
+    hidden layers, and the min and max of the whole output. The reference for
+    the package's pass, which adds the bias, activates and takes the range
+    over row blocks of the product in place. Weights take symmetric scales
+    (one per tensor or per output row), biases the input scale with the input
+    zero-point folded in, and each requant entry encode_ratio_loop's rescale."""
+    alpha = p.spec.hidden_activation.alpha
+    x = np.atleast_2d(np.asarray(calib, dtype=np.float32))
+    in_scale, in_zp = obs_scale, obs_zp = _affine_range(x.min(), x.max())
+    last = len(p.weights) - 1
+    layers = []
+    for i, (w, b) in enumerate(zip(p.weights, p.biases)):
+        x = x @ w.T + b
+        if i != last:
+            x = leaky_relu_where(alpha, x)
+        out_scale, out_zp = _affine_range(x.min(), x.max())
+        w64 = w.astype(np.float64)
+        peak = np.abs(w64).max(axis=1)
+        if scheme is QuantScheme.PER_TENSOR:
+            peak = peak.max(keepdims=True)
+        w_scales = np.where(peak > 0, peak, 127.0) / 127
+        w_q = np.clip(np.rint(w64 / w_scales[:, None]), -127, 127).astype(np.int8)
+        bias = (np.rint(b.astype(np.float64) / (in_scale * w_scales)).astype(np.int64)
+                - in_zp * w_q.astype(np.int64).sum(axis=1))
+        requant = [(*encode_ratio_loop(in_scale * float(s) / out_scale), out_zp) for s in w_scales]
+        layers.append(QuantizedLayer(
+            weights=w_q, bias=bias.astype(np.int32), input_scale=in_scale, input_zp=in_zp,
+            weight_scales=w_scales, output_scale=out_scale, output_zp=out_zp, requant=requant))
+        in_scale, in_zp = out_scale, out_zp
+    act_mult, act_shift = encode_ratio_loop(alpha)
+    return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)
 
 
 def dequantize_weights(layer):

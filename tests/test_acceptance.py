@@ -89,9 +89,11 @@ def _exact_oracle_batch(qp, obs_batch):
     unbounded Python integers, element by element."""
     out = []
     last = len(qp.layers) - 1
+    # each table read once, as (mult, shift, zero_point) tuples
+    tables = [layer.requant.tolist() for layer in qp.layers]
     for obs_q in obs_batch:
         x = obs_q.astype(np.int64)
-        for li, layer in enumerate(qp.layers):
+        for li, (layer, rq) in enumerate(zip(qp.layers, tables)):
             acc = (np.einsum("ij,j->i", layer.weights.astype(np.int64), x)
                    + layer.bias.astype(np.int64)).tolist()
             y = []
@@ -99,8 +101,7 @@ def _exact_oracle_batch(qp, obs_batch):
                 a = int(a)
                 if li != last and a < 0:
                     a = (a * qp.act_mult) >> qp.act_shift
-                rp = layer.requant[0] if len(layer.requant) == 1 else layer.requant[i]
-                y.append(requantize_unbounded(a, rp.mult, rp.shift, rp.zero_point))
+                y.append(requantize_unbounded(a, *(rq[0] if len(rq) == 1 else rq[i])))
             x = np.array(y, dtype=np.int64)
         out.append(x.astype(np.int8))
     return out

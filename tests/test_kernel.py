@@ -167,20 +167,36 @@ def test_blocked_batch_equals_single_calls(scheme, batch):
             np.testing.assert_array_equal(got[i], int8_forward_bigint(qp, obs[i]))
 
 
+def _traced_peak(fn, *args):
+    """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_memory_does_not_grow_with_rows():
     qp = _quantized(6, QuantScheme.PER_FEATURE)
     obs = np.random.default_rng(4).integers(-128, 128, size=(8 * BLOCK_ROWS, 24), dtype=np.int8)
-
-    def peak(rows):
-        tracemalloc.start()
-        try:
-            infer_int8(qp, rows)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one_block, eight_blocks = peak(obs[:BLOCK_ROWS]), peak(obs)
+    one_block, eight_blocks = (_traced_peak(infer_int8, qp, rows) for rows in (obs[:BLOCK_ROWS], obs))
     assert eight_blocks <= 2 * one_block, f"peak {eight_blocks} B for 8 blocks, {one_block} B for one"
+
+
+def test_quantize_memory_grows_by_two_layer_outputs_per_row():
+    """The calibration pass holds a layer's float32 input and output, and
+    adds the bias and activates over row blocks in place, so from 1 to 8 blocks
+    of rows the traced peak grows by at most 4 * max(n_i + n_(i+1)) bytes per
+    row (768 on this network), plus 5% slack."""
+    dims = (24, 128, 64, 8)
+    p = random_policy(PolicySpec(dims, leaky_relu()), 6)
+    calib = np.random.default_rng(4).normal(size=(8 * BLOCK_ROWS, 24)).astype(np.float32)
+    per_row = 4 * max(a + b for a, b in zip(dims, dims[1:]))
+    one_block, eight_blocks = (_traced_peak(quantize_policy, p, QuantScheme.PER_FEATURE, rows)
+                               for rows in (calib[:BLOCK_ROWS], calib))
+    growth = (eight_blocks - one_block) / (7 * BLOCK_ROWS)
+    assert growth <= 1.05 * per_row, f"peak grows {growth:.0f} B per row, bound {per_row} B"
 
 
 def _identity_model(w: np.ndarray, bias: int) -> QuantizedPolicy:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import types
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from microgait import quant
 from microgait.errors import DataError, DomainError
 from microgait.kernel import requantize
-from microgait.policy import PolicySpec, infer_fp32, leaky_relu, random_policy
+from microgait.policy import BLOCK_ROWS, PolicySpec, infer_fp32, leaky_relu, random_policy
 from microgait.quant import (
     QuantizedPolicy,
     QuantScheme,
@@ -25,7 +26,7 @@ from microgait.quant import (
     sqnr_db,
 )
 from oracles import (RequantParams, dequantize_weights, encode_ratio_loop, layer_from_params,
-                     requant_layer, requantize_unbounded)
+                     quantize_whole_matrix, requant_layer, requantize_unbounded)
 
 
 def _calib(seed, n=64, dim=24):
@@ -264,6 +265,60 @@ def test_quantize_rejects_layer_output_that_overflows_float32():
     p.weights[0][:] = 3e38  # finite in float32; a dot product with it is not
     with pytest.raises(DataError, match="layer 0 output range .* is not finite"):
         quantize_policy(p, QuantScheme.PER_TENSOR, _calib(0))
+
+
+# a row of the last block meets +3e38 and -3e38 weights with inputs of 2; the
+# check runs in a fresh process under each BLAS kernel, and prints the product
+# that quantize_policy sees in that row and its error
+_NAN_RANGE_CHECK = """
+import numpy as np
+from microgait.errors import DataError
+from microgait.policy import BLOCK_ROWS, PolicySpec, leaky_relu, random_policy
+from microgait.quant import QuantScheme, quantize_policy
+p = random_policy(PolicySpec((24, 16, 8), leaky_relu()), 0)
+p.weights[0][0, :2] = 3e38, -3e38
+calib = np.zeros((2 * BLOCK_ROWS + 3, 24), dtype=np.float32)
+calib[-1, :2] = 2
+with np.errstate(all="ignore"):
+    product = (calib @ p.weights[0].T)[-1, 0]
+try:
+    quantize_policy(p, QuantScheme.PER_TENSOR, calib)
+except DataError as exc:
+    print(product, exc)
+"""
+
+
+def test_quantize_rejects_a_nan_in_one_row_of_the_last_block(run_python, blas_coretype):
+    run = run_python(_NAN_RANGE_CHECK, timeout=60, OPENBLAS_CORETYPE=blas_coretype)
+    assert run.returncode == 0, run.stderr
+    product, message = run.stdout.strip().split(" ", 1)
+    # a kernel that rounds each product alone sums inf and -inf to NaN; one that
+    # fuses the multiply-add adds the exact -6e38 to inf and keeps inf
+    if blas_coretype == "Prescott":
+        assert product == "nan"
+    if product == "nan":
+        assert message == "layer 0 output range [nan, nan] is not finite"
+    assert re.fullmatch(r"layer 0 output range \[.*\] is not finite", message), message
+
+
+@pytest.mark.parametrize("rows", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                  2 * BLOCK_ROWS + 3])
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_range_pass_matches_whole_matrix_oracle(tmp_path, scheme, rows):
+    p = random_policy(PolicySpec((24, 128, 64, 8), leaky_relu(0.1)), rows, row_scale_spread=0.5)
+    calib = np.random.default_rng(rows).normal(0.0, 0.5, size=(rows, 24)).astype(np.float32)
+    before = calib.copy()
+    got = quantize_policy(p, scheme, calib)
+    assert calib.tobytes() == before.tobytes()
+    want = quantize_whole_matrix(p, scheme, calib)
+    assert (got.obs_scale, got.obs_zp) == (want.obs_scale, want.obs_zp)
+    for g, w in zip(got.layers, want.layers, strict=True):
+        assert (g.output_scale, g.output_zp) == (w.output_scale, w.output_zp)
+        assert g.requant.tobytes() == w.requant.tobytes()
+        assert g.bias.tobytes() == w.bias.tobytes()
+    save_quantized(got, tmp_path / "got.bin")
+    save_quantized(want, tmp_path / "want.bin")
+    assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
 def test_constant_weight_tensor_per_tensor():
