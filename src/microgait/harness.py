@@ -19,9 +19,9 @@ import numpy as np
 from .errors import DataError
 from .inputs import check_finite
 from .kernel import fused_infer_dequant, infer_int8, quantize_obs
-from .policy import Fp32Policy, infer_fp32
+from .policy import Fp32Policy, const_0d, infer_fp32
 # dequantize_action is unused here: perfbench's tracer rebinds harness.dequantize_action
-from .quant import QuantizedPolicy, const_0d, dequantize_action
+from .quant import QuantizedPolicy, dequantize_action
 from .wire import LoopbackDevice, Session
 
 NUM_LEGS = 4

@@ -17,10 +17,10 @@ from dataclasses import astuple
 import numpy as np
 
 from .errors import DataError
-from .policy import BLOCK_ROWS
+from .policy import BLOCK_ROWS, const_0d
 # dequantize_action and expected_counters are unused here: perfbench's tracer
 # rebinds kernel.dequantize_action, and perfbench reads kernel.expected_counters
-from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy, const_0d,
+from .quant import (INT8_MAX, INT8_MIN, OpCounters, QuantizedLayer, QuantizedPolicy,
                     dequantize_action, expected_counters)
 
 # int8 code c at index c + 128: requantize saturates by a clip-mode take of this table
@@ -34,7 +34,7 @@ def quantize_obs(obs: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
     # np.array, not np.asarray: the steps below run in place on this one
     # float64 copy, and asarray would hand back a float64 input itself
     q = np.array(obs, dtype=np.float64)
-    if not np.isfinite(q).all():
+    if np.count_nonzero(np.isfinite(q)) != q.size:
         raise DataError("observation has a non-finite value")
     # on float64 q a Python number gives the same bits as the runtimes' 0-d float64 operands
     q /= scale

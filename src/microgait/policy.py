@@ -25,6 +25,16 @@ DEFAULT_LAYER_DIMS = (24, 128, 64, 8)
 BLOCK_ROWS = 256
 
 
+def const_0d(value, dtype) -> np.ndarray:
+    """A read-only 0-d array, numpy's cheapest ufunc operand, shared by every inference."""
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+_ZERO_F32, _ONE_F32 = const_0d(0.0, np.float32), const_0d(1.0, np.float32)
+
+
 class ActivationKind(enum.Enum):
     ELU = 0
     LEAKY_RELU = 1
@@ -32,10 +42,16 @@ class ActivationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ActivationSpec:
-    """Hidden-layer nonlinearity with its slope/scale parameter."""
+    """Hidden-layer nonlinearity with its slope/scale parameter.
+
+    A model file and the FP32 pass hold alpha as float32, so an alpha that
+    rounds to 0 or overflows in float32 is rejected here.
+    """
 
     kind: ActivationKind
     alpha: float = 1.0
+    # alpha in float32, built once: the FP32 pass's 0-d operand
+    alpha_0d: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         check_finite("activation alpha", self.alpha)
@@ -43,6 +59,12 @@ class ActivationSpec:
             raise DataError(f"activation alpha must be > 0, got {self.alpha}")
         if self.kind is ActivationKind.LEAKY_RELU and self.alpha > 1:
             raise DataError(f"leaky-relu alpha must be <= 1, got {self.alpha}")
+        with np.errstate(over="ignore"):
+            alpha_0d = const_0d(self.alpha, np.float32)
+        if not (0 < float(alpha_0d) < math.inf):
+            raise DataError(f"activation alpha {self.alpha} does not fit float32 "
+                            f"(rounds to {float(alpha_0d)})")
+        object.__setattr__(self, "alpha_0d", alpha_0d)
 
 
 def elu() -> ActivationSpec:
@@ -107,19 +129,24 @@ def activate(a: ActivationSpec, x: float) -> float:
     return a.alpha * x
 
 
-def _activate_array(a: ActivationSpec, x: np.ndarray) -> np.ndarray:
+def _activate_array(a: ActivationSpec, x: np.ndarray) -> None:
+    """Apply a to the float32 array x in place."""
     if a.kind is ActivationKind.ELU:
         # exp of min(x, 0), not of x: the branch where x >= 0 is discarded, and
         # its exp would overflow for x > 88; min(x, 0) is x wherever it is kept
-        neg = np.minimum(x, np.float32(0.0))
-        return np.where(x >= 0, x, np.float32(a.alpha) * (np.exp(neg, dtype=np.float32) - np.float32(1.0)))
-    # leaky-relu as max(x, alpha * x): for 0 < alpha <= 1 the rounded product
-    # is at most x when x >= 0 and at least x when x < 0, so this gives the
-    # bits of the branch where(x >= 0, x, alpha * x), signed zeros and
-    # infinities included, without a data-dependent select
-    y = np.float32(a.alpha) * x
-    np.maximum(x, y, out=y)
-    return y
+        neg = np.minimum(x, _ZERO_F32)
+        np.exp(neg, out=neg)
+        neg -= _ONE_F32
+        neg *= a.alpha_0d
+        # where not x >= 0, not where x < 0: a NaN takes the branch, as
+        # np.where(x >= 0, x, branch) gives it, and comes out as exp's NaN
+        np.putmask(x, ~(x >= 0), neg)
+    else:
+        # leaky-relu as max(x, alpha * x): for 0 < alpha <= 1 the rounded product
+        # is at most x when x >= 0 and at least x when x < 0, so this gives the
+        # bits of the branch where(x >= 0, x, alpha * x), signed zeros and
+        # infinities included, without a data-dependent select
+        np.maximum(x, a.alpha_0d * x, out=x)
 
 
 @dataclass(eq=False)
@@ -166,7 +193,7 @@ def infer_fp32(p: Fp32Policy, obs: np.ndarray) -> np.ndarray:
     n_in = p.spec.input_dim
     if x.ndim not in (1, 2) or x.shape[-1] != n_in:
         raise DataError(f"observation shape {x.shape} != ({n_in},) or (B, {n_in})")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise DataError("observation has a non-finite value")
     if x.ndim == 1:
         return _forward_fp32(p, x)
@@ -180,12 +207,13 @@ def _forward_fp32(p: Fp32Policy, x: np.ndarray) -> np.ndarray:
     # One observation is w.dot(x), one direct sgemv; in a block, x[..., None]
     # makes each row a column, so the stacked matmul runs that sgemv per row and
     # gives each row the same bits, where a 2-D product would go to sgemm
-    last = p.spec.num_layers - 1
+    act, last = p.spec.hidden_activation, len(p.weights) - 1
+    row = x.ndim == 1
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        x = w.dot(x) if x.ndim == 1 else (w @ x[..., None])[..., 0]
+        x = w.dot(x) if row else (w @ x[..., None])[..., 0]
         x += b
         if i != last:
-            x = _activate_array(p.spec.hidden_activation, x)
+            _activate_array(act, x)
     return x
 
 

@@ -26,6 +26,7 @@ from .policy import (
     PolicySpec,
     _activate_array,
     activation_count,
+    const_0d,
     mac_count,
     neuron_count,
     pack_layer_dims,
@@ -42,13 +43,6 @@ MAX_SHIFT = 31
 # Deployment-image sizes reported for the reference [24,128,64,8] controller,
 # including framework/runtime overhead; shown for context, never asserted.
 REFERENCE_IMAGE_KB = {"fp32_mlp": 204.54, "int8_mlp": 51.136}
-
-
-def const_0d(value, dtype) -> np.ndarray:
-    """A read-only 0-d array, numpy's cheapest ufunc operand, shared by every inference."""
-    a = np.array(value, dtype=dtype)
-    a.flags.writeable = False
-    return a
 
 
 class QuantScheme(enum.Enum):
@@ -290,7 +284,7 @@ def _finish_in_place(x: np.ndarray, b: np.ndarray,
         block = x[start:start + BLOCK_ROWS]
         block += b
         if act is not None:
-            block[...] = _activate_array(act, block)
+            _activate_array(act, block)
         lows.append(block.min())
         highs.append(block.max())
     return np.min(lows), np.max(highs)

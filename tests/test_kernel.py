@@ -93,12 +93,19 @@ def test_quantize_obs_same_bits_with_0d_operands(seed, scheme):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_quantize_obs_rejects_non_finite(bad):
-    with pytest.raises(DataError):
+@settings(max_examples=25, deadline=None)
+@given(slot=st.integers(0, (BLOCK_ROWS + 5) * 24 - 1))
+@example(slot=2 * 24 + 5)
+def test_quantize_obs_rejects_non_finite(bad, slot):
+    with pytest.raises(DataError, match="non-finite"):
         quantize_obs(np.full(24, bad), 0.5, 0)
-    obs = np.zeros((3, 24))
-    obs[2, 5] = bad
-    with pytest.raises(DataError):
+    obs = np.zeros(24)
+    obs[slot % 24] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        quantize_obs(obs, 0.5, 0)
+    obs = np.zeros((BLOCK_ROWS + 5, 24))
+    obs.flat[slot] = bad
+    with pytest.raises(DataError, match="non-finite"):
         quantize_obs(obs, 0.5, 0)
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from microgait.errors import DataError
@@ -79,6 +80,7 @@ def test_activation_monotone_and_continuous(x, alpha, kind):
     assert abs(activate(a, 0.0)) == 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_activation_alpha_validation():
     with pytest.raises(DataError):
         ActivationSpec(ActivationKind.ELU, 0.0)
@@ -86,6 +88,26 @@ def test_activation_alpha_validation():
         ActivationSpec(ActivationKind.LEAKY_RELU, 1.5)
     with pytest.raises(DataError, match="finite"):
         ActivationSpec(ActivationKind.ELU, math.inf)
+    # a model file and the FP32 pass hold alpha as float32, where these are 0 and inf
+    for kind, alpha in ((ActivationKind.ELU, 1e-50), (ActivationKind.LEAKY_RELU, 1e-50),
+                        (ActivationKind.ELU, 1e39)):
+        with pytest.raises(DataError, match="does not fit float32"):
+            ActivationSpec(kind, alpha)
+
+
+def test_alpha_0d_is_read_only_float32_outside_eq_hash_repr():
+    a = leaky_relu(0.1)
+    assert a.alpha_0d.shape == () and a.alpha_0d.dtype == np.float32
+    assert a.alpha_0d == np.float32(0.1) and not a.alpha_0d.flags.writeable
+    with pytest.raises(ValueError):
+        a.alpha_0d[...] = 0.5
+    b = leaky_relu(0.1)
+    object.__setattr__(b, "alpha_0d", np.array(0.5, dtype=np.float32))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "alpha_0d" not in repr(a)
+    assert PolicySpec((4, 3), a) == PolicySpec((4, 3), b)
+    f = next(f for f in dataclasses.fields(ActivationSpec) if f.name == "alpha_0d")
+    assert not (f.init or f.compare or f.repr)
 
 
 def test_infer_all_zero_weights_returns_bias():
@@ -131,15 +153,18 @@ def test_infer_shape_error():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_infer_rejects_non_finite(bad):
+@settings(max_examples=25, deadline=None)
+@given(slot=st.integers(0, (BLOCK_ROWS + 5) * 24 - 1))
+@example(slot=(BLOCK_ROWS + 2) * 24 + 3)
+def test_infer_rejects_non_finite(bad, slot):
     p = random_policy(PolicySpec((24, 16, 8)), 0)
     obs = np.zeros(24)
-    obs[3] = bad
-    with pytest.raises(DataError):
+    obs[slot % 24] = bad
+    with pytest.raises(DataError, match="non-finite"):
         infer_fp32(p, obs)
     batch = np.zeros((BLOCK_ROWS + 5, 24))
-    batch[BLOCK_ROWS + 2, 7] = bad
-    with pytest.raises(DataError):
+    batch.flat[slot] = bad
+    with pytest.raises(DataError, match="non-finite"):
         infer_fp32(p, batch)
 
 
@@ -226,10 +251,20 @@ def test_leaky_relu_array_bits_match_branch_reference(alpha, x):
     """max(x, alpha * x) gives the bits of where(x >= 0, x, alpha * x) for
     every float32 but NaN, on single rows and (B, n) blocks."""
     x.ravel()[:F32_SPECIALS.size] = F32_SPECIALS
-    got = _activate_array(leaky_relu(alpha), x)
-    want = leaky_relu_where(alpha, x)
-    assert got.dtype == np.float32 and got.shape == x.shape
+    _assert_activates_in_place(leaky_relu(alpha), x, leaky_relu_where(alpha, x))
+
+
+def _assert_activates_in_place(act, x, want):
+    """_activate_array puts want's bits into the array passed in: a copy of x,
+    and a view of x in a larger array, as quant's range pass passes its row
+    blocks, whose other rows stay as they were."""
+    got = x.copy()
+    assert _activate_array(act, got) is None
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    outer = np.stack([x, x])
+    _activate_array(act, outer[1])
+    np.testing.assert_array_equal(outer[0].view(np.uint32), x.view(np.uint32))
+    np.testing.assert_array_equal(outer[1].view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -239,15 +274,19 @@ def test_leaky_relu_array_bits_match_branch_reference(alpha, x):
                     elements=st.floats(width=32, allow_nan=False)))
 def test_elu_array_bits_match_where_reference_without_warning(alpha, x):
     """exp of min(x, 0) gives the bits of the former where(x >= 0, x, alpha *
-    (exp(x) - 1)) for every float32 but NaN, and warns of no overflow in the
-    branch it discards, so a default ELU policy runs on large finite input."""
+    (exp(x) - 1)) for every float32 but NaN, and for the NaN that arithmetic
+    gives, and warns of no overflow in the branch it discards, so a default
+    ELU policy runs on large finite input."""
     x.ravel()[:F32_SPECIALS.size] = F32_SPECIALS
     x.ravel()[-1] = 500.0
-    got = _activate_array(ActivationSpec(ActivationKind.ELU, alpha), x)
+    act = ActivationSpec(ActivationKind.ELU, alpha)
     with np.errstate(over="ignore"):
         want = elu_where(alpha, x)
-    assert got.dtype == np.float32 and got.shape == x.shape
-    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    _assert_activates_in_place(act, x, want)
+    # the NaN that inf - inf gives on x86: exp turns it into another NaN, and
+    # the branch of where(x >= 0, ...) that a NaN takes passes that one on
+    nan = np.array([0xFFC00000], dtype=np.uint32).view(np.float32)
+    _assert_activates_in_place(act, nan, elu_where(alpha, nan))
     out = infer_fp32(random_policy(PolicySpec(), 0), np.full(24, 500.0, dtype=np.float32))
     assert np.isfinite(out).all()
 
@@ -268,6 +307,26 @@ def test_save_load_round_trip(tmp_path):
     assert q.spec == p.spec
     for a, b in zip(p.weights + p.biases, q.weights + q.biases):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(list(ActivationKind)),
+       alpha=st.one_of(st.floats(0.0, 1e300, exclude_min=True),
+                       st.sampled_from([F32_TINY, F32_TINY / 2, F32_TINY * 0.51,
+                                        float(np.finfo(np.float32).max), 3.4028235677973366e38,
+                                        3.4028235677973367e38])))
+def test_every_spec_that_constructs_survives_a_model_file(tmp_path_factory, kind, alpha):
+    try:
+        spec = PolicySpec((2, 3, 1), ActivationSpec(kind, alpha))
+    except DataError:
+        return
+    path = tmp_path_factory.getbasetemp() / "alpha.bin"
+    save_policy(random_policy(spec, 0), path)
+    act = load_policy(path).spec.hidden_activation
+    assert act.kind is kind
+    assert act.alpha == float(np.float32(alpha))
+    assert act.alpha_0d.tobytes() == spec.hidden_activation.alpha_0d.tobytes()
 
 
 @pytest.mark.parametrize("dims, message", [((70000, 1), "layer width 70000 "),
