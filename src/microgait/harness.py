@@ -63,8 +63,6 @@ class PlantState:
     w: tuple[float, ...] = (0.0,) * 3                  # base ang vel
     att: tuple[float, ...] = (0.0,) * 2                # roll, pitch
     q: tuple[float, ...] = (0.0,) * NUM_JOINTS
-    qd: tuple[float, ...] = (0.0,) * NUM_JOINTS
-    q_targets: tuple[float, ...] = (0.0,) * NUM_JOINTS
     t_air: tuple[float, ...] = (0.0,) * NUM_LEGS
     contact: tuple[bool, ...] = (False,) * NUM_LEGS
     just_landed: tuple[bool, ...] = (False,) * NUM_LEGS
@@ -128,6 +126,9 @@ class DRPerturbation:
     def __post_init__(self):
         # vars(), not astuple: its deep copy costs more than the check itself
         check_finite("perturbation", tuple(vars(self).values()))
+        if not min(self.mass, self.friction, self.damping, self.stiffness) > 0:
+            raise DataError(f"DR scaling factors must be > 0, got mass {self.mass}, friction "
+                            f"{self.friction}, damping {self.damping}, stiffness {self.stiffness}")
         object.__setattr__(self, "observation_0d", const_0d(self.observation, np.float32))
 
 
@@ -183,25 +184,20 @@ def _apply_dr_to_params(p: PlantParams, dr: DRPerturbation) -> PlantParams:
     # friction scales drive; stiffness speeds the joint servo
     return replace(
         p,
-        tau_vel=p.tau_vel * dr.mass / max(dr.damping, 1e-6),
+        tau_vel=p.tau_vel * dr.mass / dr.damping,
         k_vel=p.k_vel * dr.friction,
-        tau_joint=p.tau_joint / max(dr.stiffness, 1e-6))
+        tau_joint=p.tau_joint / dr.stiffness)
 
 
-def hold_targets(targets, dr: DRPerturbation) -> tuple[float, ...]:
-    """The joint targets an update holds: NUM_JOINTS finite numbers as floats,
+def _hold_targets(held, dr: DRPerturbation) -> tuple[float, ...]:
+    """The joint targets an update holds: the 8 floats run_episode checked,
     each clamped to [-Q_LIMIT + dof_lower, Q_LIMIT + dof_upper].
 
     A bound replaces a value only when the value is strictly past it, as
     np.clip does in tests/oracles.py, so the bits match.
     """
-    if len(targets) != NUM_JOINTS:
-        raise DataError(f"expected {NUM_JOINTS} joint targets, got {len(targets)}")
-    if not all(map(math.isfinite, targets)):
-        j = next(j for j, x in enumerate(targets) if not math.isfinite(x))
-        raise DataError(f"joint {j} target is not finite: {targets[j]}")
     lo, hi = -Q_LIMIT + dr.dof_lower, Q_LIMIT + dr.dof_upper
-    x0, x1, x2, x3, x4, x5, x6, x7 = map(float, targets)
+    x0, x1, x2, x3, x4, x5, x6, x7 = held
     x0 = hi if hi < (y := lo if lo > x0 else x0) else y
     x1 = hi if hi < (y := lo if lo > x1 else x1) else y
     x2 = hi if hi < (y := lo if lo > x2 else x2) else y
@@ -215,7 +211,7 @@ def hold_targets(targets, dr: DRPerturbation) -> tuple[float, ...]:
 
 def plant_step(s: PlantState, q_targets: tuple[float, ...], params: PlantParams) -> PlantState:
     """Advance the surrogate by one step of DT toward q_targets, the tuple
-    hold_targets returns (held as is in the new state's q_targets).
+    _hold_targets returns.
 
     Straight-line code on Python floats: numpy's per-call dispatch, and even
     a comprehension frame per 4-leg or 8-joint tuple, costs more than the
@@ -229,9 +225,9 @@ def plant_step(s: PlantState, q_targets: tuple[float, ...], params: PlantParams)
     q0, q1, q2, q3, q4, q5, q6, q7 = s.q
     tau = params.tau_joint
     # lift- and swing-joint velocity per leg
-    qd = l0, w0, l1, w1, l2, w2, l3, w3 = ((x0 - q0) / tau, (x1 - q1) / tau, (x2 - q2) / tau,
-                                           (x3 - q3) / tau, (x4 - q4) / tau, (x5 - q5) / tau,
-                                           (x6 - q6) / tau, (x7 - q7) / tau)
+    l0, w0, l1, w1, l2, w2, l3, w3 = ((x0 - q0) / tau, (x1 - q1) / tau, (x2 - q2) / tau,
+                                      (x3 - q3) / tau, (x4 - q4) / tau, (x5 - q5) / tau,
+                                      (x6 - q6) / tau, (x7 - q7) / tau)
     q = (q0 + DT * l0, q1 + DT * w0, q2 + DT * l1, q3 + DT * w1,
          q4 + DT * l2, q5 + DT * w2, q6 + DT * l3, q7 + DT * w3)
     c0, c1, c2, c3 = contact = (q[0] < 0.0, q[2] < 0.0, q[4] < 0.0, q[6] < 0.0)
@@ -260,7 +256,7 @@ def plant_step(s: PlantState, q_targets: tuple[float, ...], params: PlantParams)
              (0.0 if p2 else t2) if c2 else t2 + DT, (0.0 if p3 else t3) if c3 else t3 + DT)
     landed = (c0 and not p0, c1 and not p1, c2 and not p2, c3 and not p3)
     att = (roll + DT * (w[0] - roll / TAU_ATT), pitch + DT * (w[1] - pitch / TAU_ATT))
-    return PlantState(v, w, att, q, qd, q_targets, t_air, contact, landed)
+    return PlantState(v, w, att, q, t_air, contact, landed)
 
 
 # --- runtimes -------------------------------------------------------------
@@ -367,18 +363,17 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
                 cmd: tuple[float, float]) -> EpisodeResult:
     """Run one deterministic closed-loop episode with zero-order-hold control.
 
-    Update k runs at the first step where floor(step * f_update / SIM_HZ)
-    reaches k, and its action, checked and clamped once by hold_targets, is
-    held until the next update, so the mean update rate is exactly f_update
-    even when it does not divide SIM_HZ.
+    Update k runs at the first step where step * f_update / SIM_HZ reaches k
+    (for an integer k, floor(x) >= k exactly when x >= k), and its action,
+    checked here once and clamped by _hold_targets, is held until the next
+    update, so the mean update rate is exactly f_update even when it does not
+    divide SIM_HZ.
     """
     check_finite("velocity command", cmd)
     dr = sample_dr(sim.seed) if dr_config is not None else DRPerturbation()
     params = _apply_dr_to_params(PlantParams(), dr)
 
-    n_steps = round(EPISODE_S * SIM_HZ)
-    schedule = [math.floor(step * sim.f_update_hz / SIM_HZ) for step in range(n_steps)]
-
+    f_update = sim.f_update_hz
     state = PlantState()
     held = [0.0] * NUM_JOINTS  # the last action as floats; step 0 is an update and sets targets
     dr_action = dr.action
@@ -386,9 +381,9 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     total = 0.0
     inference_count = 0
 
-    for step, due in enumerate(schedule):
+    for step in range(round(EPISODE_S * SIM_HZ)):
         t = step * DT
-        if due >= inference_count:
+        if step * f_update / SIM_HZ >= inference_count:
             obs = _build_observation(state, held, dr)
             action = np.asarray(runtime.act(obs, t), dtype=np.float64)
             if action.shape != (NUM_JOINTS,):
@@ -399,7 +394,7 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
             if not all([-F32_MAX <= x <= F32_MAX for x in held]):
                 raise DataError(f"runtime produced a non-finite or float32-overflowing "
                                 f"action at update {inference_count} (t={t:.6g} s)")
-            targets = hold_targets(held, dr)
+            targets = _hold_targets(held, dr)
             inference_count += 1
         state = plant_step(state, targets, params)
         reward = reward_step(state, cmd)

@@ -50,9 +50,8 @@ class QuantScheme(enum.Enum):
     PER_FEATURE = 1
 
 
-# a requant table entry, as kernel.requantize reads it, in the model file's 6-byte layout;
-# an entry taken from a table is an np.record, so it reads its fields as attributes too
-REQUANT_DTYPE = np.dtype((np.record, [("mult", "<i4"), ("shift", "u1"), ("zero_point", "i1")]))
+# a requant table entry, as kernel.requantize reads it, in the model file's 6-byte layout
+REQUANT_DTYPE = np.dtype([("mult", "<i4"), ("shift", "u1"), ("zero_point", "i1")])
 
 
 def encode_ratio(ratio) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +101,7 @@ class QuantizedLayer:
 
     ``bias`` is stored at scale input_scale*weight_scale with the input
     zero-point correction (-input_zp * row_sum) already folded in. ``requant``
-    is held once, in the model file's layout: a read-only record array of
+    is held once, in the model file's layout: a read-only structured array of
     REQUANT_DTYPE entries, built from any sequence of (mult, shift, zero_point).
 
     The kernel's tables are built once here, with array operations. The int8
@@ -123,7 +122,7 @@ class QuantizedLayer:
     weight_scales: np.ndarray      # float, len 1 (per-tensor) or n_out
     output_scale: float
     output_zp: int
-    requant: np.ndarray            # REQUANT_DTYPE records, len 1 (per-tensor) or n_out
+    requant: np.ndarray            # REQUANT_DTYPE entries, len 1 (per-tensor) or n_out
     weights_t: np.ndarray = field(init=False, repr=False)  # float32 or float64, (n_in, n_out)
     bias_i64: np.ndarray = field(init=False, repr=False)   # int64, (n_out,)
     mult: np.ndarray = field(init=False, repr=False)       # int64, (n_out,)

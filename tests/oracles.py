@@ -262,8 +262,7 @@ def plant_step_numpy(s, motor_targets, dt, params, dr):
     t_air[~contact] += dt
     t_air[contact & s.contact] = 0.0
     return {"v": v, "w": w, "att": s.att + dt * (w[:2] - s.att / params.tau_att),
-            "q": q, "qd": qd, "q_targets": targets, "t_air": t_air, "contact": contact,
-            "just_landed": contact & ~s.contact}
+            "q": q, "t_air": t_air, "contact": contact, "just_landed": contact & ~s.contact}
 
 
 def reward_step_numpy(s, cmd, dt, sigma=0.5):

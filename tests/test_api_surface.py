@@ -1,7 +1,8 @@
 """Every public top-level function and class in the package and the
 benchmark has a caller there, or a stated reason to stay; every name a
 package module imports is used in that module, or has a stated reason;
-and each name has one import path, the module that defines it.
+every field of a package class is read; and each name has one import
+path, the module that defines it.
 
 A name is reached when a Name or Attribute node anywhere in
 src/microgait/*.py or perfbench/*.py refers to it outside its own
@@ -158,3 +159,25 @@ def test_tracing_targets_resolve(monkeypatch):
     missing = [f"{module.__name__}.{attr}" for modules, attr, _, _ in tracing.TARGETS
                for module in modules if not callable(getattr(module, attr, None))]
     assert not missing, f"tracing.TARGETS names that do not resolve: {missing}"
+
+
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """A class's fields: the annotated names of a dataclass body, and every
+    `self.x` a method of the class stores."""
+    names = set()
+    if any("dataclass" in _refs(d) for d in cls.decorator_list):
+        names |= {node.target.id for node in cls.body
+                  if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    return names | {node.attr for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def test_every_field_is_read():
+    loaded = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{path.stem}.{cls.name}.{name}" for path, tree in TREES.items()
+                    if path.parent.name == "microgait"
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for name in _fields(cls) - loaded)
+    assert not unread, f"fields that no code in src/ or perfbench/ reads (delete them): {unread}"

@@ -17,6 +17,7 @@ from microgait.harness import (
     K_YAW,
     Q_LIMIT,
     QD_SAT,
+    SIM_HZ,
     TAU_ATT,
     TRAJECTORY_COLUMNS,
     CodecRuntime,
@@ -30,7 +31,7 @@ from microgait.harness import (
     SimConfig,
     _apply_dr_to_params,
     _build_observation,
-    hold_targets,
+    _hold_targets,
     plant_step,
     reward_step,
     run_episode,
@@ -127,26 +128,20 @@ def test_sample_dr_statistics():
     assert grav_std == pytest.approx(0.4, rel=0.05)
 
 
-def test_plant_step_validation():
-    for n in (7, 9):
-        with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
-            hold_targets([0.0] * n, DRPerturbation())
-    for bad in (math.nan, math.inf, -math.inf):
-        targets = [0.1] * 8
-        targets[5] = bad
-        with pytest.raises(DataError, match=f"joint 5 target is not finite: {bad}"):
-            hold_targets(targets, DRPerturbation())
-    # int targets are held as floats and step like the equal float targets
-    ints = hold_targets([0, 1, 0, -1, 2, 0, 0, 1], DRPerturbation())
-    floats = hold_targets([0.0, 1.0, 0.0, -1.0, 2.0, 0.0, 0.0, 1.0], DRPerturbation())
-    assert type(ints) is tuple and all(type(x) is float for x in ints)
-    assert ints == floats
-    assert plant_step(PlantState(), ints, PlantParams()) == \
-        plant_step(PlantState(), floats, PlantParams())
-
-
 _TARGETS = [-0.5, 1.25, 0.0, -0.0, 0.3, -1.3, 0.7, 1.0, 0.2]  # the first 8 are a step
 _KINDS = [np.float64, np.float32, np.int64, float, np.float16, np.float64, int, np.int32, float]
+
+
+class _Rotating:
+    """The first 8 of _TARGETS rotated by one slot per update, made into one container."""
+
+    def __init__(self, make):
+        self.make, self.calls = make, 0
+
+    def act(self, obs, t):
+        k = self.calls % len(_TARGETS)
+        self.calls += 1
+        return self.make((_TARGETS[k:] + _TARGETS[:k])[:8])
 
 
 @pytest.mark.parametrize("make", [
@@ -157,24 +152,21 @@ _KINDS = [np.float64, np.float32, np.int64, float, np.float16, np.float64, int, 
     lambda t: [kind(x) for kind, x in zip(_KINDS, t)],
 ], ids=["list", "tuple", "float64-array", "float32-array", "numpy-scalars-and-ints"])
 def test_plant_step_takes_any_target_container(make):
-    # two targets past the joint bounds, signed zeros, and (in float32) values that
-    # differ from their float64 literals; the oracle reads each container as float64
-    targets = make(_TARGETS[:8])
-    s = _state(q=[0.1, -0.2] * 4, contact=[True, False] * 2)
-    got = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
-    _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(PlantParams()),
-                                             DRPerturbation()))
-    for n in (7, 9):
-        wrong = make(_TARGETS[:n])
-        with pytest.raises(DataError, match=f"expected 8 joint targets, got {n}"):
-            hold_targets(wrong, DRPerturbation())
+    # targets past the joint bounds, signed zeros, ints and (in float32) values that
+    # differ from their float64 literals: run_episode holds each as the float it equals
+    rotating = _Rotating(make)
+    as_list = _Rotating(lambda t: [float(x) for x in make(t)])
+    sim = SimConfig(f_update_hz=30.0, seed=2)
+    got = run_episode(rotating, sim, DRConfig(), (0.08, 0.0))
+    assert got.rows == run_episode(as_list, sim, DRConfig(), (0.08, 0.0)).rows
+    assert rotating.calls == got.inference_count == 300
 
 
 def test_plant_step_deterministic_and_pure():
     s = PlantState()
     targets = np.linspace(-0.5, 0.5, 8).tolist()
-    a = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
-    b = plant_step(s, hold_targets(targets, DRPerturbation()), PlantParams())
+    a = plant_step(s, _hold_targets(targets, DRPerturbation()), PlantParams())
+    b = plant_step(s, _hold_targets(targets, DRPerturbation()), PlantParams())
     for f in fields(PlantState):
         np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
     np.testing.assert_array_equal(s.q, np.zeros(8))  # input untouched
@@ -237,7 +229,7 @@ def _plant_cases(draw):
 @given(_plant_cases())
 def test_plant_and_reward_match_numpy_reference(case):
     s, targets, params, dr, cmd = case
-    got = plant_step(s, hold_targets(targets.tolist(), dr), params)
+    got = plant_step(s, _hold_targets(targets.tolist(), dr), params)
     _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
     r = _reward(got, cmd)
     ref_total, ref_terms = reward_step_numpy(got, cmd, DT)
@@ -252,25 +244,25 @@ _OFFSET_DR = DRPerturbation(dof_lower=0.03, dof_upper=-0.04)
 _HALF_TAU = PlantParams(tau_joint=0.5)  # qd = 2 (target - q), exact for the targets below
 
 # Edge cases of the straight-line plant step: (state fields, targets, params, perturbation,
-# the fields each case is built to produce). Lift joints are q[0::2], swing joints q[1::2].
+# the fields each case is built to produce, with "held" the tuple _hold_targets returns).
+# Lift joints are q[0::2], swing joints q[1::2].
 PLANT_CASES = [
     pytest.param({}, [-Q_LIMIT, Q_LIMIT, -0.0, 0.0, 0.0, -0.0, Q_LIMIT, -Q_LIMIT],
                  PlantParams(), DRPerturbation(),
-                 {"q_targets": (-Q_LIMIT, Q_LIMIT, -0.0, 0.0, 0.0, -0.0, Q_LIMIT, -Q_LIMIT)},
+                 {"held": (-Q_LIMIT, Q_LIMIT, -0.0, 0.0, 0.0, -0.0, Q_LIMIT, -Q_LIMIT)},
                  id="targets-at-bounds-and-signed-zeros"),
     pytest.param({}, [_LO, _HI, _LO - 1e-12, _HI + 1e-12, -0.0, 0.0, _HI, _LO],
                  PlantParams(), _OFFSET_DR,
-                 {"q_targets": (_LO, _HI, _LO, _HI, -0.0, 0.0, _HI, _LO)},
+                 {"held": (_LO, _HI, _LO, _HI, -0.0, 0.0, _HI, _LO)},
                  id="targets-at-and-past-perturbed-bounds"),
     pytest.param({"q": [0.5, -0.25] * 4}, [0, 1, -1, 2, -2, 0, 1, -1],
                  PlantParams(), DRPerturbation(),
-                 {"q_targets": (0.0, 1.0, -1.0, Q_LIMIT, -Q_LIMIT, 0.0, 1.0, -1.0)},
+                 {"held": (0.0, 1.0, -1.0, Q_LIMIT, -Q_LIMIT, 0.0, 1.0, -1.0)},
                  id="int-targets"),
-    # swing qd of 0.75, -0.75, 1.0 and -1.0: -qd exactly at, then past, -QD_SAT and +QD_SAT
+    # swing qd of 0.75, -0.75, 1.0 and -1.0: -qd exactly at, then past, -QD_SAT and +QD_SAT;
+    # the saturated drive shows in v[1] (side_asym -3.0, against -3.5 unsaturated)
     pytest.param({}, [-0.5, 0.375, -0.5, -0.375, -0.5, 0.5, -0.5, -0.5],
-                 _HALF_TAU, DRPerturbation(),
-                 {"qd": (-1.0, QD_SAT, -1.0, -QD_SAT, -1.0, 1.0, -1.0, -1.0),
-                  "contact": (True,) * 4},
+                 _HALF_TAU, DRPerturbation(), {"contact": (True,) * 4},
                  id="swing-at-and-past-qd-sat"),
     pytest.param({"q": [-0.5, 0.1] * 4, "contact": [True] * 4, "t_air": [0.3] * 4},
                  [-0.5, 0.2, -0.6, 0.0, -0.4, -0.2, -0.5, 0.1], PlantParams(), DRPerturbation(),
@@ -297,10 +289,13 @@ PLANT_CASES = [
 @pytest.mark.parametrize("fields, targets, params, dr, expect", PLANT_CASES)
 def test_plant_edge_cases_match_numpy_reference(fields, targets, params, dr, expect):
     s = _state(**fields)
-    got = plant_step(s, hold_targets(targets, dr), params)
+    held = _hold_targets(np.asarray(targets, dtype=np.float64).tolist(), dr)  # run_episode's floats
+    assert type(held) is tuple and all(type(x) is float for x in held)
+    got = plant_step(s, held, params)
     _assert_same_state(got, plant_step_numpy(s, targets, DT, _oracle_params(params), dr))
     for name, want in expect.items():
-        assert [_bits(x) for x in getattr(got, name)] == [_bits(x) for x in want], name
+        values = held if name == "held" else getattr(got, name)
+        assert [_bits(x) for x in values] == [_bits(x) for x in want], name
     ref_total, ref_terms = reward_step_numpy(got, (0.08, 0.0), DT)
     r = _reward(got, (0.08, 0.0))
     assert [_bits(r[key]) for key in ref_terms] == [_bits(v) for v in ref_terms.values()]
@@ -337,12 +332,12 @@ def test_run_episode_calls_plant_and_reward_as_module_globals(monkeypatch):
 
 @pytest.mark.parametrize("f_update, holds", [(30.0, 300), (7.0, 70), (120.0, 1200)])
 def test_run_episode_holds_each_update_once(monkeypatch, f_update, holds):
-    # an update checks and clamps its action once; every plant step reuses the tuple
-    calls = _count_calls(monkeypatch, "hold_targets", "plant_step")
+    # an update clamps its action once; every plant step reuses the tuple
+    calls = _count_calls(monkeypatch, "_hold_targets", "plant_step")
     result = run_episode(ScriptedGaitController(0.08), SimConfig(f_update_hz=f_update), None,
                          (0.08, 0.0))
     assert result.inference_count == holds
-    assert calls == {"hold_targets": holds, "plant_step": 1200}
+    assert calls == {"_hold_targets": holds, "plant_step": 1200}
 
 
 def test_plant_episode_matches_numpy_reference():
@@ -354,7 +349,7 @@ def test_plant_episode_matches_numpy_reference():
     s = ref = PlantState()
     for step in range(1200):
         targets = ctrl.act(None, step * DT) + dr.action
-        s = plant_step(s, hold_targets(targets.tolist(), dr), params)
+        s = plant_step(s, _hold_targets(targets.tolist(), dr), params)
         want = plant_step_numpy(ref, targets, DT, ref_params, dr)
         _assert_same_state(s, want)
         ref = _state(**want)
@@ -382,7 +377,7 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
     new_times, ref_times = [], []
     for _ in range(5):  # interleaved, so a change in host speed hits both alike
         new_times.append(timed(lambda: steps(
-            held, lambda s, t: plant_step(s, hold_targets(t, dr), params),
+            held, lambda s, t: plant_step(s, _hold_targets(t, dr), params),
             lambda s: reward_step(s, (0.1, 0.0)))))
         ref_times.append(timed(lambda: steps(
             targets, lambda s, t: PlantState(**plant_step_numpy(s, t, DT, ref_params, dr)),
@@ -394,10 +389,10 @@ def test_plant_and_reward_much_faster_than_numpy_reference():
 def test_air_timers_track_contact():
     params = PlantParams()
     s = _state(q=(0.1,) + (0.0,) * 7)  # leg 0 lift joint above ground: airborne
-    up = plant_step(s, hold_targets(s.q, DRPerturbation()), params)
+    up = plant_step(s, _hold_targets(s.q, DRPerturbation()), params)
     assert not up.contact[0]
     assert up.t_air[0] == pytest.approx(DT)
-    down = plant_step(up, hold_targets([-0.5] * 8, DRPerturbation()), params)
+    down = plant_step(up, _hold_targets([-0.5] * 8, DRPerturbation()), params)
     assert down.contact[0]
     assert down.just_landed[0]
 
@@ -415,7 +410,7 @@ def test_attitude_stays_small_under_full_range_lift(legs):
                 level = Q_LIMIT if (step // half_period) % 2 == 0 else -Q_LIMIT
                 targets = [0.0] * 8
                 targets[0::2] = [sign * level for sign in legs]
-                s = plant_step(s, hold_targets(targets, dr), params)
+                s = plant_step(s, _hold_targets(targets, dr), params)
                 peak = max(peak, abs(s.att[0]), abs(s.att[1]))
             assert peak < 0.1, (params, half_period, peak)
 
@@ -496,23 +491,38 @@ def test_episode_rejects_non_finite_action(bad):
 
 
 class _Shaped:
-    """Zero actions of one shape."""
+    """Zero actions of one shape; records the time of each update."""
 
     def __init__(self, shape):
-        self.shape, self.calls = shape, 0
+        self.shape, self.times = shape, []
 
     def act(self, obs, t):
-        self.calls += 1
+        self.times.append(t)
         return np.zeros(self.shape)
 
 
-@pytest.mark.parametrize("shape", [(2, 4), (1, 8), (7,)])
+@pytest.mark.parametrize("shape", [(2, 4), (1, 8), (7,), (9,)])
 def test_episode_rejects_action_of_wrong_shape(shape):
     # eight values in the wrong shape are rejected too, at the first update
     runtime = _Shaped(shape)
     with pytest.raises(DataError, match=re.escape(f"runtime produced action shape {shape}")):
         run_episode(runtime, SimConfig(f_update_hz=30.0), None, (0.05, 0.0))
-    assert runtime.calls == 1
+    assert runtime.times == [0.0]
+
+
+@pytest.mark.parametrize("f_update", [120.0, 60.0, 45.0, 30.0, 13.3, 7.0, 1.0, 0.1, 1.4, 11.2])
+def test_updates_run_at_the_steps_of_the_floor_schedule(f_update):
+    # the floor schedule: update k runs at the first step where
+    # floor(step * f_update / SIM_HZ) reaches k; at 1.4 and 11.2 Hz, step * (f_update / SIM_HZ)
+    # rounds below an integer that this order reaches (steps 600 and 75)
+    steps = []
+    for step in range(1200):
+        if math.floor(step * f_update / SIM_HZ) >= len(steps):
+            steps.append(step)
+    runtime = _Shaped((8,))
+    res = run_episode(runtime, SimConfig(f_update_hz=f_update), None, (0.05, 0.0))
+    assert runtime.times == [step * DT for step in steps]
+    assert res.inference_count == len(steps)
 
 
 def test_sim_config_rejects_negative_seed():
@@ -534,11 +544,19 @@ def test_sim_config_rejects_negative_seed():
 @pytest.mark.parametrize("make", [
     lambda: PlantParams(tau_joint=0.0),
     lambda: PlantParams(tau_vel=-0.1),
-    lambda: _apply_dr_to_params(PlantParams(), DRPerturbation(mass=0.0)),
 ])
 def test_plant_time_constants_must_be_positive(make):
     with pytest.raises(DataError, match="time constants"):
         make()
+
+
+@pytest.mark.parametrize("name", ["mass", "friction", "damping", "stiffness"])
+def test_dr_scaling_factors_must_be_positive(name):
+    # a factor that is not > 0 is rejected, not clamped to a tiny positive one
+    for bad in (0.0, -0.0, -1.0, -1e-300):
+        with pytest.raises(DataError, match=f"DR scaling factors must be > 0, got .*{name} {bad}"):
+            DRPerturbation(**{name: bad})
+    assert getattr(DRPerturbation(**{name: 1e-300}), name) == 1e-300
 
 
 def test_sim_config_validation():

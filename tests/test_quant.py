@@ -147,6 +147,7 @@ def test_derive_requant_validation():
         derive_requant(1.0, [1.0], math.nan)
     table = derive_requant(0.02, [0.005, 0.01], 0.03, zero_point=-5)
     assert table.dtype == quant.REQUANT_DTYPE and table.shape == (2,)
+    assert quant.REQUANT_DTYPE.type is np.void and quant.REQUANT_DTYPE.itemsize == 6  # no np.record
     assert table["zero_point"].tolist() == [-5, -5]
     for (mult, shift, _), ws in zip(table.tolist(), (0.005, 0.01)):
         assert (mult, shift) == encode_ratio_loop(0.02 * ws / 0.03)
@@ -532,7 +533,7 @@ def test_load_names_the_bad_requant_entry(tmp_path, fmt, at, value, message):
     data = _saved_bytes(tmp_path, qp)
     off = _requant_entry_offset(qp, 2, 5)
     entry = qp.layers[2].requant[5]
-    assert struct.unpack_from("<iBb", data, off) == (entry.mult, entry.shift, entry.zero_point)
+    assert struct.unpack_from("<iBb", data, off) == entry.item()
     struct.pack_into(fmt, data, off + at, value)
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
