@@ -11,13 +11,12 @@ and forward drive (hence tracking reward) degrades as update rate drops.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError
-from .inputs import check_finite
+from .inputs import check_finite, check_seed
 from .kernel import fused_infer_dequant, infer_int8, quantize_obs
 from .policy import Fp32Policy, const_0d, infer_fp32
 # dequantize_action is unused here: perfbench's tracer rebinds harness.dequantize_action
@@ -132,21 +131,10 @@ class DRPerturbation:
         object.__setattr__(self, "observation_0d", const_0d(self.observation, np.float32))
 
 
-def _check_seed(seed) -> int:
-    """The seed as an int (numpy ints too); a non-integer or negative seed raises DataError."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise DataError(f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def sample_dr(seed: int) -> DRPerturbation:
     """One seeded perturbation draw: a Gaussian per ADDITIVE_ROWS row, then a
     uniform factor per SCALING_ROWS row, in table order."""
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     values = {name: mean + std * float(rng.standard_normal())
               for name, (mean, std) in ADDITIVE_ROWS.items()}
     for name, (lo, hi) in SCALING_ROWS.items():
@@ -337,7 +325,7 @@ class SimConfig:
         check_finite("update rate", self.f_update_hz)
         if not (0 < self.f_update_hz <= SIM_HZ):
             raise DataError(f"need 0 < f_update <= {SIM_HZ:g} Hz")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass
@@ -369,6 +357,8 @@ def run_episode(runtime, sim: SimConfig, dr_config: DRConfig | None,
     update, so the mean update rate is exactly f_update even when it does not
     divide SIM_HZ.
     """
+    if np.shape(cmd) != (2,):
+        raise DataError(f"velocity command must be two values (vx, wz), got {cmd!r}")
     check_finite("velocity command", cmd)
     dr = sample_dr(sim.seed) if dr_config is not None else DRPerturbation()
     params = _apply_dr_to_params(PlantParams(), dr)

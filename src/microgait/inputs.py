@@ -1,6 +1,7 @@
-"""Checks on outside input: finite numbers, `key = number` files, binary files (a leaf module)."""
+"""Checks on outside input: finite numbers, seeds, `key = number` and binary files (leaf module)."""
 from __future__ import annotations
 
+import operator
 import struct
 
 import numpy as np
@@ -12,6 +13,17 @@ def check_finite(what: str, values) -> None:
     """Raise DataError unless every number in `values` (scalar or nested sequence) is finite."""
     if not np.isfinite(np.asarray(values, dtype=np.float64)).all():
         raise DataError(f"{what} must be finite, got {values!r}")
+
+
+def check_seed(seed) -> int:
+    """The seed as an int (numpy ints too); a non-integer or negative seed raises DataError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DataError(f"seed must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def read_text(path) -> str:

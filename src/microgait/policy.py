@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .inputs import BinaryReader, check_finite
+from .inputs import BinaryReader, check_finite, check_seed
 
 POLICY_MAGIC = b"TGP1"
 
@@ -83,7 +84,10 @@ class PolicySpec:
     hidden_activation: ActivationSpec = field(default_factory=elu)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
+        try:
+            dims = tuple(map(operator.index, self.layer_dims))
+        except TypeError:
+            raise DataError(f"layer widths must be integers, got {self.layer_dims!r}") from None
         if len(dims) < 2:
             raise DataError("layer_dims needs at least input and output widths")
         if any(d <= 0 for d in dims):
@@ -220,7 +224,7 @@ def _forward_fp32(p: Fp32Policy, x: np.ndarray) -> np.ndarray:
 def random_policy(spec: PolicySpec, seed: int, weight_scale: float = 0.5,
                   row_scale_spread: float = 0.0) -> Fp32Policy:
     """Seeded random policy; row_scale_spread > 0 gives rows lognormal magnitude spread."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     weights, biases = [], []
     dims = spec.layer_dims
     for i in range(spec.num_layers):

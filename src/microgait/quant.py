@@ -99,9 +99,11 @@ def derive_requant(input_scale: float, weight_scales, output_scale: float,
 class QuantizedLayer:
     """One dense layer in int8 with its requantization table.
 
-    ``bias`` is stored at scale input_scale*weight_scale with the input
-    zero-point correction (-input_zp * row_sum) already folded in. ``requant``
-    is held once, in the model file's layout: a read-only structured array of
+    Only the output's scale and zero-point are held here; the input's are the
+    previous layer's output pair, or the observation's for layer 0. ``bias`` is
+    stored at scale input_scale*weight_scale with the input zero-point
+    correction (-input_zp * row_sum) already folded in. ``requant`` is held
+    once, in the model file's layout: a read-only structured array of
     REQUANT_DTYPE entries, built from any sequence of (mult, shift, zero_point).
 
     The kernel's tables are built once here, with array operations. The int8
@@ -117,8 +119,6 @@ class QuantizedLayer:
 
     weights: np.ndarray            # int8, (n_out, n_in)
     bias: np.ndarray               # int32, (n_out,)
-    input_scale: float
-    input_zp: int
     weight_scales: np.ndarray      # float, len 1 (per-tensor) or n_out
     output_scale: float
     output_zp: int
@@ -137,10 +137,10 @@ class QuantizedLayer:
             raise DataError(f"requant entry does not fit the requant record: {exc}") from None
         rq.flags.writeable = False
         put(self, "requant", rq)
-        scales = np.concatenate(([self.input_scale, self.output_scale], self.weight_scales))
+        scales = np.concatenate(([self.output_scale], self.weight_scales))
         if not (np.isfinite(scales).all() and (scales > 0).all()):
-            raise DataError(f"layer scales must be finite and > 0, got input {self.input_scale}, "
-                            f"output {self.output_scale}, weights {self.weight_scales}")
+            raise DataError(f"layer scales must be finite and > 0, got output "
+                            f"{self.output_scale}, weights {self.weight_scales}")
         put(self, "weights_t", self.weights.T.astype(
             np.float32 if self.weights.shape[-1] * 128 * 128 <= 2 ** 24 else np.float64))
         put(self, "bias_i64", self.bias.astype(np.int64))
@@ -220,9 +220,8 @@ class QuantizedPolicy:
             if bad.size:
                 raise DataError(f"layer {i} requant entry {bad[0]}: multiplier and shift "
                                 f"{rq[bad[0]].item()[:2]} outside [0, 2^31) x [0, {MAX_SHIFT}]")
-            if not all(INT8_MIN <= zp <= INT8_MAX for zp in (layer.input_zp, layer.output_zp)):
-                raise DataError(f"layer {i} zero-points {layer.input_zp}, {layer.output_zp} "
-                                "outside int8 range")
+            if not (INT8_MIN <= layer.output_zp <= INT8_MAX):
+                raise DataError(f"layer {i} output zero-point {layer.output_zp} outside int8 range")
             # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255;
             # |bias| is taken in int64 because abs() of the int32 minimum wraps
             worst = (dims[i] * WEIGHT_MAX * 255
@@ -302,6 +301,9 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
             "integer deployment uses leaky-relu; convert first with "
             "Fp32Policy.with_activation(leaky_relu())")
     calib = np.atleast_2d(np.asarray(calib, dtype=np.float32))
+    if calib.ndim != 2:
+        raise DataError(f"calibration set must be one row or a 2-D array of rows, "
+                        f"got shape {calib.shape}")
     if calib.size == 0:
         raise DataError("calibration set is empty")
     if calib.shape[1] != p.spec.input_dim:
@@ -333,9 +335,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
             raise DomainError(f"layer {i} quantized bias overflows int32")
         bias_folded = (bias_q - fold).astype(np.int32)
         layers.append(QuantizedLayer(
-            weights=w_q, bias=bias_folded,
-            input_scale=in_scale, input_zp=in_zp,
-            weight_scales=w_scales,
+            weights=w_q, bias=bias_folded, weight_scales=w_scales,
             output_scale=out_scale, output_zp=out_zp,
             requant=derive_requant(in_scale, w_scales, out_scale, out_zp)))
         in_scale, in_zp = out_scale, out_zp
@@ -391,18 +391,20 @@ def save_quantized(qp: QuantizedPolicy, path) -> None:
     out += pack_layer_dims(qp.spec.layer_dims)
     out += struct.pack("<fIBfb", qp.spec.hidden_activation.alpha,
                        qp.act_mult, qp.act_shift, qp.obs_scale, qp.obs_zp)
+    in_scale, in_zp = qp.obs_scale, qp.obs_zp  # each layer's input pair, as the file repeats it
     for i, layer in enumerate(qp.layers):
         out += layer.weights.astype("<i1").tobytes(order="C")
         out += layer.bias.astype("<i4").tobytes()
-        scales = [layer.input_scale, layer.output_scale] + [float(s) for s in layer.weight_scales]
+        scales = [in_scale, layer.output_scale] + [float(s) for s in layer.weight_scales]
         if len(scales) > 0xFFFF:  # a per-feature layer 65,534 or 65,535 wide
             raise DataError(f"layer {i} scale table has {len(scales)} entries, "
                             f"a model file holds at most 65535")
         out += struct.pack("<H", len(scales))
         out += struct.pack(f"<{len(scales)}f", *scales)
-        out += struct.pack("<bb", layer.input_zp, layer.output_zp)
+        out += struct.pack("<bb", in_zp, layer.output_zp)
         out += struct.pack("<H", len(layer.requant))
         out += layer.requant.tobytes()
+        in_scale, in_zp = layer.output_scale, layer.output_zp
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
@@ -418,6 +420,7 @@ def load_quantized(path) -> QuantizedPolicy:
         raise DataError(f"unknown quant scheme {scheme_val}") from None
     spec = PolicySpec(dims, ActivationSpec(ActivationKind.LEAKY_RELU, alpha))
     layers = []
+    in_scale, in_zp = obs_scale, obs_zp
     for i, (n_in, n_out) in enumerate(zip(spec.layer_dims, spec.layer_dims[1:])):
         w = r.array("<i1", n_in * n_out).reshape(n_out, n_in)
         b = r.array("<i4", n_out)
@@ -425,13 +428,17 @@ def load_quantized(path) -> QuantizedPolicy:
         if n_scales < 2:  # the input and output scale; the type checks the weight scales
             raise DataError(f"layer {i} scale table has {n_scales} entries, needs at least 2")
         scales = r.unpack(f"{n_scales}f")
-        in_zp, out_zp = r.unpack("bb")
+        copy_zp, out_zp = r.unpack("bb")
+        if (scales[0], copy_zp) != (in_scale, in_zp):  # the file repeats the input's pair
+            raise DataError(f"layer {i} input scale and zero-point {scales[0]}, {copy_zp} differ "
+                            f"from the {f'layer {i - 1} output' if i else 'observation'}'s "
+                            f"{in_scale}, {in_zp}")
         (n_rq,) = r.unpack("H")
         layers.append(QuantizedLayer(
             weights=w, bias=b.astype(np.int32),
-            input_scale=scales[0], input_zp=in_zp,
             weight_scales=np.asarray(scales[2:], dtype=np.float64),
             output_scale=scales[1], output_zp=out_zp,
             requant=r.array(REQUANT_DTYPE, n_rq)))
+        in_scale, in_zp = scales[1], out_zp
     r.finish()
     return QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

@@ -92,9 +92,8 @@ def layer_from_params(params):
     `QuantizedLayer` as inference builds them (weights and scales are unused)."""
     n = len(params)
     return QuantizedLayer(weights=np.zeros((n, 1), dtype=np.int8),
-                          bias=np.zeros(n, dtype=np.int32), input_scale=1.0, input_zp=0,
-                          weight_scales=np.ones(n), output_scale=1.0, output_zp=0,
-                          requant=params)
+                          bias=np.zeros(n, dtype=np.int32), weight_scales=np.ones(n),
+                          output_scale=1.0, output_zp=0, requant=params)
 
 
 def requant_layer(rp):
@@ -157,8 +156,8 @@ def quantize_whole_matrix(p, scheme, calib):
                 - in_zp * w_q.astype(np.int64).sum(axis=1))
         requant = [(*encode_ratio_loop(in_scale * float(s) / out_scale), out_zp) for s in w_scales]
         layers.append(QuantizedLayer(
-            weights=w_q, bias=bias.astype(np.int32), input_scale=in_scale, input_zp=in_zp,
-            weight_scales=w_scales, output_scale=out_scale, output_zp=out_zp, requant=requant))
+            weights=w_q, bias=bias.astype(np.int32), weight_scales=w_scales,
+            output_scale=out_scale, output_zp=out_zp, requant=requant))
         in_scale, in_zp = out_scale, out_zp
     act_mult, act_shift = encode_ratio_loop(alpha)
     return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

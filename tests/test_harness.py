@@ -510,6 +510,26 @@ def test_episode_rejects_action_of_wrong_shape(shape):
     assert runtime.times == [0.0]
 
 
+@pytest.mark.parametrize("cmd", [(0.1,), (0.1, 0.0, 5.0), (), ((0.1, 0.0),), 0.1,
+                                 np.zeros((1, 2))],
+                         ids=["one", "three", "empty", "nested", "scalar", "row-matrix"])
+def test_episode_rejects_command_that_is_not_two_values(cmd):
+    # reward_step reads (vx, wz); a short command failed at step 0, a long
+    # one ran with the extra values ignored
+    runtime = _Shaped((8,))
+    with pytest.raises(DataError, match=r"velocity command must be two values \(vx, wz\)"):
+        run_episode(runtime, SimConfig(f_update_hz=30.0), None, cmd)
+    assert runtime.times == []
+
+
+def test_episode_takes_any_finite_two_value_command():
+    rows = [run_episode(_Shaped((8,)), SimConfig(f_update_hz=30.0), None, cmd).rows
+            for cmd in ((0.1, 0.0), [0.1, 0.0], np.array([0.1, 0.0]))]
+    assert rows[0] == rows[1] == rows[2]
+    with pytest.raises(DataError, match="velocity command must be finite"):
+        run_episode(_Shaped((8,)), SimConfig(f_update_hz=30.0), None, (math.nan, 0.0))
+
+
 @pytest.mark.parametrize("f_update", [120.0, 60.0, 45.0, 30.0, 13.3, 7.0, 1.0, 0.1, 1.4, 11.2])
 def test_updates_run_at_the_steps_of_the_floor_schedule(f_update):
     # the floor schedule: update k runs at the first step where
@@ -529,7 +549,9 @@ def test_sim_config_rejects_negative_seed():
     with pytest.raises(DataError, match="seed"):
         SimConfig(seed=-1)
     assert SimConfig(seed=0).seed == 0
-    for make in (lambda seed: SimConfig(seed=seed), sample_dr):
+    # one rule for every seed: SimConfig, sample_dr and random_policy
+    for make in (lambda seed: SimConfig(seed=seed), sample_dr,
+                 lambda seed: random_policy(PolicySpec((6, 4, 2)), seed)):
         for seed in (1.5, math.nan, 2.0, "3", None):
             with pytest.raises(DataError, match="seed must be an integer"):
                 make(seed)

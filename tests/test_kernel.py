@@ -51,8 +51,8 @@ def _random_qp(rng, dims, scheme):
         layers.append(QuantizedLayer(
             weights=rng.integers(-127, 128, size=(n_out, n_in), dtype=np.int8),
             bias=rng.integers(-room, room + 1, size=n_out).astype(np.int32),
-            input_scale=1.0, input_zp=0, weight_scales=np.ones(len(requant)),
-            output_scale=1.0, output_zp=0, requant=requant))
+            weight_scales=np.ones(len(requant)), output_scale=1.0, output_zp=0,
+            requant=requant))
     act_mult, act_shift = encode_ratio(float(rng.uniform(0.01, 1.0)))
     return QuantizedPolicy(PolicySpec(tuple(dims), leaky_relu()), scheme, layers,
                            1.0, 0, act_mult, act_shift)
@@ -211,8 +211,8 @@ def _identity_model(w: np.ndarray, bias: int) -> QuantizedPolicy:
     passes an accumulator in the int8 range through unchanged."""
     layer = QuantizedLayer(
         weights=w[None, :].copy(), bias=np.array([bias], dtype=np.int32),
-        input_scale=1.0, input_zp=0, weight_scales=np.ones(1),
-        output_scale=1.0, output_zp=0, requant=[RequantParams(1, 0, 0)])
+        weight_scales=np.ones(1), output_scale=1.0, output_zp=0,
+        requant=[RequantParams(1, 0, 0)])
     return QuantizedPolicy(PolicySpec((len(w), 1), leaky_relu()), QuantScheme.PER_TENSOR,
                            [layer], 1.0, 0, 1, 7)
 
@@ -395,8 +395,7 @@ def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
         rq = [requants[i % len(requants)] for i in range(entries)]
         layers.append(QuantizedLayer(
             weights=weights.astype(np.int8), bias=bias.astype(np.int32),
-            input_scale=1.0, input_zp=0, weight_scales=np.ones(entries),
-            output_scale=1.0, output_zp=0, requant=rq))
+            weight_scales=np.ones(entries), output_scale=1.0, output_zp=0, requant=rq))
     return QuantizedPolicy(PolicySpec(dims, leaky_relu()), scheme, layers, 1.0, 0, *act)
 
 
@@ -456,8 +455,7 @@ def test_hand_built_models_round_trip_through_a_file(tmp_path):
             assert a.weights.tobytes() == b.weights.tobytes()
             assert a.bias.tobytes() == b.bias.tobytes()
             assert a.requant.tobytes() == b.requant.tobytes()
-            assert (a.input_scale, a.input_zp, a.output_scale, a.output_zp) == \
-                (b.input_scale, b.input_zp, b.output_scale, b.output_zp)
+            assert (a.output_scale, a.output_zp) == (b.output_scale, b.output_zp)
             assert a.weight_scales.tolist() == b.weight_scales.tolist()
             for table in ("mult", "shift", "offset"):
                 np.testing.assert_array_equal(getattr(a, table), getattr(b, table))
@@ -493,11 +491,11 @@ def test_integer_leaky_relu_matches_unbounded_form(acc, slope):
     hidden = QuantizedLayer(
         weights=np.full((32, 1), w, dtype=np.int8),
         bias=np.full(32, acc + 128 * w, dtype=np.int32),
-        input_scale=1.0, input_zp=0, weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
+        weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
         requant=[RequantParams(1, j, 0) for j in range(32)])
     out = QuantizedLayer(
         weights=np.eye(32, dtype=np.int8), bias=np.zeros(32, dtype=np.int32),
-        input_scale=1.0, input_zp=0, weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
+        weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
         requant=[RequantParams(1, 0, 0)] * 32)
     qp = QuantizedPolicy(PolicySpec((1, 32, 32), leaky_relu()), QuantScheme.PER_FEATURE,
                          [hidden, out], 1.0, 0, act_mult, act_shift)

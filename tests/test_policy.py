@@ -61,6 +61,13 @@ def test_spec_validation():
         PolicySpec((24,))
     with pytest.raises(DataError):
         PolicySpec((24, 0, 8))
+    # widths are integers: no truncation of 24.5 and no parse of "24"
+    for dims in ((24.5, 8), ("24", 8), (24, 8.0), (np.float64(24), 8), 24):
+        with pytest.raises(DataError, match="layer widths must be integers"):
+            PolicySpec(dims)
+    # numpy integers are indexes, held as Python ints
+    spec = PolicySpec((np.int64(24), np.uint16(128), 8))
+    assert spec.layer_dims == (24, 128, 8) and all(type(d) is int for d in spec.layer_dims)
 
 
 def test_activation_values():

@@ -251,6 +251,19 @@ def test_quantize_rejects_bad_calib():
         quantize_policy(p, QuantScheme.PER_TENSOR, np.zeros((4, 23)))
 
 
+def test_quantize_rejects_calibration_of_more_than_two_dimensions():
+    # a (2, 24, 24) array was quantized as if it were 48 rows
+    p = random_policy(PolicySpec((24, 8), leaky_relu()), 0)
+    with pytest.raises(DataError, match=r"got shape \(2, 24, 24\)"):
+        quantize_policy(p, QuantScheme.PER_TENSOR, np.zeros((2, 24, 24)))
+    # one 1-D row is one calibration row
+    row = _calib(0)[0]
+    one = quantize_policy(p, QuantScheme.PER_TENSOR, row)
+    two = quantize_policy(p, QuantScheme.PER_TENSOR, row[None, :])
+    assert (one.obs_scale, one.obs_zp) == (two.obs_scale, two.obs_zp)
+    assert one.layers[0].bias.tobytes() == two.layers[0].bias.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_quantize_rejects_non_finite_calib_row(bad):
     p = random_policy(PolicySpec((24, 8), leaky_relu()), 0)
@@ -488,7 +501,8 @@ def _first_layer_offset(qp):
 
 
 def _scale_table_offset(qp, index):
-    """Byte offset of layer `index`'s f32 scale table: input, output, then weight scales."""
+    """Byte offset of layer `index`'s f32 scale table: input, output, then weight scales,
+    followed by the i8 input and output zero-points."""
     off = _first_layer_offset(qp)
     for layer in qp.layers[:index]:
         off += (layer.weights.size + 4 * layer.bias.size + 2 + 4 * (2 + len(layer.weight_scales))
@@ -506,12 +520,40 @@ def test_load_rejects_bad_layer_scales(tmp_path, index, slot, value):
     data = _saved_bytes(tmp_path, qp)
     off = _scale_table_offset(qp, index) + 4 * slot
     layer = qp.layers[index]
-    table = [layer.input_scale, layer.output_scale, *layer.weight_scales]
+    in_scale = qp.layers[index - 1].output_scale if index else qp.obs_scale
+    table = [in_scale, layer.output_scale, *layer.weight_scales]
     assert struct.unpack_from("<f", data, off)[0] == np.float32(table[slot])
     struct.pack_into("<f", data, off, value)
     path = tmp_path / "bad.bin"
     path.write_bytes(data)
-    with pytest.raises(DataError, match="scales must be finite and > 0"):
+    # slot 0 repeats the input tensor's scale, which no layer holds
+    message = "input scale and zero-point" if slot == 0 else "scales must be finite and > 0"
+    with pytest.raises(DataError, match=message):
+        load_quantized(path)
+
+
+@pytest.mark.parametrize("index, field", [(1, "scale"), (1, "zero-point"),
+                                          (0, "scale"), (0, "zero-point")])
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_load_rejects_input_copy_that_differs_from_the_tensor_before(
+        tmp_path, scheme, index, field):
+    # a layer's stored input pair repeats the observation's (layer 0) or the
+    # previous layer's output pair; the kernel reads neither copy
+    _, qp = _quantized(4, scheme)
+    data = _saved_bytes(tmp_path, qp)
+    off = _scale_table_offset(qp, index)
+    if field == "scale":
+        (scale,) = struct.unpack_from("<f", data, off)
+        struct.pack_into("<f", data, off, 3 * scale)
+    else:
+        off += 4 * (2 + len(qp.layers[index].weight_scales))
+        (zp,) = struct.unpack_from("<b", data, off)
+        struct.pack_into("<b", data, off, (zp + 37 + 128) % 256 - 128)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    before = "layer 0 output" if index else "observation"
+    with pytest.raises(DataError, match=f"layer {index} input scale and zero-point .* "
+                                        f"differ from the {before}'s"):
         load_quantized(path)
 
 
@@ -562,10 +604,8 @@ def _with_first_layer(qp, **change):
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda qp: dataclasses.replace(qp, obs_zp=200),
                  "obs_zp 200 outside int8 range", id="obs-zp"),
-    pytest.param(lambda qp: _with_first_layer(qp, input_zp=300),
-                 "layer 0 zero-points 300, ", id="input-zp"),
     pytest.param(lambda qp: _with_first_layer(qp, output_zp=-200),
-                 "layer 0 zero-points .*, -200 outside int8 range", id="output-zp"),
+                 "layer 0 output zero-point -200 outside int8 range", id="output-zp"),
     pytest.param(lambda qp: _with_first_layer(qp, weight_scales=np.ones(3)),
                  "layer 0 requant table has 1 entries and 3 weight scales, per_tensor needs 1",
                  id="weight-scales"),
