@@ -21,7 +21,7 @@ from .kernel import fused_infer_dequant, infer_int8, quantize_obs
 from .policy import Fp32Policy, const_0d, infer_fp32
 # dequantize_action is unused here: perfbench's tracer rebinds harness.dequantize_action
 from .quant import QuantizedPolicy, dequantize_action
-from .wire import LoopbackDevice, Session
+from .wire import ACT_DIM, OBS_DIM, LoopbackDevice, Session
 
 NUM_LEGS = 4
 NUM_JOINTS = 8
@@ -293,25 +293,33 @@ class CodecRuntime:
     """Route another runtime's observations/actions through the wire codec."""
 
     def __init__(self, inner, precision: str):
+        if precision == "int8" and not isinstance(inner, QuantizedRuntime):
+            raise DataError("int8 codec transport needs a QuantizedRuntime")
+        spec = (inner.qp.spec if isinstance(inner, QuantizedRuntime)
+                else inner.policy.spec if isinstance(inner, PolicyRuntime) else None)
+        if spec is not None and (spec.input_dim, spec.layer_dims[-1]) != (OBS_DIM, ACT_DIM):
+            raise DataError(f"the wire carries OBS_DIM={OBS_DIM} observations in and "
+                            f"ACT_DIM={ACT_DIM} actions out; the model's layer widths are "
+                            f"{list(spec.layer_dims)}")
         if precision == "int8":
-            if not isinstance(inner, QuantizedRuntime):
-                raise DataError("int8 codec transport needs a QuantizedRuntime")
-            qp = inner.qp
             # quantize_obs and infer_int8 are read as module globals on every
             # call, so they can be rebound for tracing; the int8 actions are
             # dequantized from QuantizedPolicy.action_table, not per update
-            self._to_wire = lambda obs: quantize_obs(obs, qp.obs_scale_0d, qp.obs_zp_0d)
-            self._from_wire = lambda a: qp.action_table.take(a, mode="wrap")
+            self._qp = qp = inner.qp
             act_fn = lambda obs_q, t: infer_int8(qp, obs_q)[0]
         else:
-            self._to_wire = self._from_wire = lambda x: x
+            self._qp = None  # fp32 values go on the wire as they are
             act_fn = inner.act
         self.session = Session(precision)
         self.device = LoopbackDevice(act_fn, precision)
 
     def act(self, obs: np.ndarray, t: float) -> np.ndarray:
-        frame = self.session.send_observation(self._to_wire(obs))
-        return self._from_wire(self.session.receive_action(self.device.handle(frame, t)))
+        qp = self._qp
+        if qp is not None:
+            obs = quantize_obs(obs, qp.obs_scale_0d, qp.obs_zp_0d)
+        frame = self.session.send_observation(obs)
+        action = self.session.receive_action(self.device.handle(frame, t))
+        return action if qp is None else qp.action_table.take(action, mode="wrap")
 
 
 # --- episode loop ---------------------------------------------------------

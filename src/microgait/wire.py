@@ -26,12 +26,17 @@ MSG_ACT_FP32 = 0x02
 MSG_OBS_INT8 = 0x11
 MSG_ACT_INT8 = 0x12
 
-# (direction, precision) -> message type, and each type's (direction, precision, dtype, count)
+# (direction, precision) -> message type, and each type's
+# (direction, precision, dtype, count, payload size in bytes)
 _MSG_TYPES = {("obs", "fp32"): MSG_OBS_FP32, ("act", "fp32"): MSG_ACT_FP32,
               ("obs", "int8"): MSG_OBS_INT8, ("act", "int8"): MSG_ACT_INT8}
-_TYPES = {t: (d, p, np.dtype("<f4" if p == "fp32" else "<i1"), OBS_DIM if d == "obs" else ACT_DIM)
-          for (d, p), t in _MSG_TYPES.items()}
+_TYPES = {t: (d, p, dtype, count, count * dtype.itemsize)
+          for (d, p), t in _MSG_TYPES.items()
+          for dtype, count in [(np.dtype("<f4" if p == "fp32" else "<i1"),
+                                OBS_DIM if d == "obs" else ACT_DIM)]}
 _HEADER = struct.Struct("<BBBH")  # sync, msg_type, seq, payload length
+_BODY_HEADER = struct.Struct("<BBH")  # the CRC'd part of the header: msg_type, seq, length
+_SYNC_BYTE = bytes([SYNC])
 _BYTES = tuple(bytes([b]) for b in range(256))  # one-byte objects for the CRC trailer
 
 
@@ -72,6 +77,11 @@ def _crc8_masks() -> tuple[int, ...]:
 
 
 _CRC8_MASKS = _crc8_masks()
+# (message, CRC) of the last immutable bytes message, of at most 127 bytes, that crc8
+# computed: a frame decoded in the process that encoded it asks for its body's CRC
+# twice. The bound keeps the compare cheap (a frame body is at most 100 bytes) and no
+# large buffer alive; one tuple, rebound whole, keeps each message with its own CRC.
+_crc8_last: tuple[bytes, int] = (b"", 0)
 
 
 def crc8(data: bytes) -> int:
@@ -79,16 +89,26 @@ def crc8(data: bytes) -> int:
 
     Leading zero bytes drop out of int.from_bytes without changing the CRC, as init
     is 0; a message over 127 bytes XOR-folds its 127-byte chunks, aligned at its end, in halves.
+    A `bytes` message equal to the last one computed returns its CRC without computing it.
     """
+    global _crc8_last
+    memo = type(data) is bytes and len(data) <= 127
+    if memo:
+        last, crc = _crc8_last
+        if data == last:
+            return crc
     d = int.from_bytes(data, "big")
     while d >> _SPAN_BITS:
         k = _SPAN_BITS * max(1, d.bit_length() // (2 * _SPAN_BITS))  # a whole number of chunks
         d = d >> k ^ d & ((1 << k) - 1)
     m0, m1, m2, m3, m4, m5, m6, m7 = _CRC8_MASKS
-    return ((d & m0).bit_count() & 1 | ((d & m1).bit_count() & 1) << 1
-            | ((d & m2).bit_count() & 1) << 2 | ((d & m3).bit_count() & 1) << 3
-            | ((d & m4).bit_count() & 1) << 4 | ((d & m5).bit_count() & 1) << 5
-            | ((d & m6).bit_count() & 1) << 6 | ((d & m7).bit_count() & 1) << 7)
+    crc = ((d & m0).bit_count() & 1 | ((d & m1).bit_count() & 1) << 1
+           | ((d & m2).bit_count() & 1) << 2 | ((d & m3).bit_count() & 1) << 3
+           | ((d & m4).bit_count() & 1) << 4 | ((d & m5).bit_count() & 1) << 5
+           | ((d & m6).bit_count() & 1) << 6 | ((d & m7).bit_count() & 1) << 7)
+    if memo:
+        _crc8_last = (data, crc)
+    return crc
 
 
 @dataclass(frozen=True)
@@ -98,25 +118,38 @@ class Frame:
     payload: bytes
 
 
-def _check_payload(msg_type: int, length: int) -> None:
-    """The one frame rule, for encode and decode: a known type, carrying its payload size."""
-    if msg_type not in _TYPES:
+def _check_payload(msg_type: int, length: int) -> tuple:
+    """The one frame rule, for encode and decode: a known type, carrying its payload size.
+    Returns the type's entry."""
+    entry = _TYPES.get(msg_type)
+    if entry is None:
         raise UnknownTypeError(f"unknown message type 0x{msg_type:02X}")
-    _, _, dtype, count = _TYPES[msg_type]
-    if length != (need := count * dtype.itemsize):
-        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {need}")
+    if length != entry[4]:
+        raise LengthError(f"payload is {length} bytes, type 0x{msg_type:02X} needs {entry[4]}")
+    return entry
+
+
+def _frame(msg_type: int, seq: int, payload: bytes, entry: tuple | None) -> bytes:
+    """The one frame builder: checks seq, then the payload against the type's entry
+    (None for an unknown type), and appends the CRC of the body it packs."""
+    if not (0 <= seq <= 0xFF):
+        raise ProtocolError(f"seq {seq} outside u8 range")
+    if entry is None or len(payload) != entry[4]:
+        _check_payload(msg_type, len(payload))  # raises: an unknown type or a wrong size
+    try:
+        body = _BODY_HEADER.pack(msg_type, seq, entry[4]) + payload
+    except struct.error:  # type and length are checked, so only a non-integer seq is left
+        raise ProtocolError(f"seq {seq} is not an integer") from None
+    return _SYNC_BYTE + body + _BYTES[crc8(body)]
 
 
 def encode_frame(msg_type: int, seq: int, payload: bytes) -> bytes:
-    if not (0 <= seq <= 0xFF):
-        raise ProtocolError(f"seq {seq} outside u8 range")
-    _check_payload(msg_type, len(payload))
-    frame = _HEADER.pack(SYNC, msg_type, seq, len(payload)) + payload
-    return frame + _BYTES[crc8(frame[1:])]
+    return _frame(msg_type, seq, payload, _TYPES.get(msg_type))
 
 
-def _check_frame(buf: bytes) -> tuple[int, int]:
-    """(msg_type, seq) of one frame, checked for size, sync, length, CRC, type and payload size."""
+def _check_frame(buf: bytes) -> tuple[int, int, tuple]:
+    """(msg_type, seq, type entry) of one frame, checked for size, sync, length, CRC, type
+    and payload size."""
     if len(buf) < 6:
         raise LengthError(f"frame too short ({len(buf)} bytes)")
     sync, msg_type, seq, length = _HEADER.unpack_from(buf)
@@ -127,13 +160,12 @@ def _check_frame(buf: bytes) -> tuple[int, int]:
     crc = crc8(buf[1:-1])
     if crc != buf[-1]:
         raise CrcError(f"crc mismatch: computed 0x{crc:02X}, got 0x{buf[-1]:02X}")
-    _check_payload(msg_type, length)
-    return msg_type, seq
+    return msg_type, seq, _check_payload(msg_type, length)
 
 
 def decode_frame(buf: bytes) -> Frame:
     """Decode one exact frame of its type's payload size; raises a distinct error per failure."""
-    msg_type, seq = _check_frame(buf)
+    msg_type, seq, _ = _check_frame(buf)
     return Frame(msg_type, seq, bytes(buf[5:-1]))
 
 
@@ -155,7 +187,7 @@ def _encode(direction: str, values, precision: str, seq: int) -> bytes:
     msg_type = _MSG_TYPES.get((direction, precision))
     if msg_type is None:
         raise ProtocolError(f"unknown precision {precision!r}")
-    _, _, dtype, count = _TYPES[msg_type]
+    _, _, dtype, count, _ = entry = _TYPES[msg_type]
     # an array in the payload dtype needs no check; an int8 frame carries the values
     # that survive the cast, a fp32 frame all but the finite values that overflow float32
     if getattr(values, "dtype", None) is not dtype:
@@ -163,15 +195,14 @@ def _encode(direction: str, values, precision: str, seq: int) -> bytes:
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(x if precision == "int8" else values, dtype=dtype)
         fits = values == x if precision == "int8" else np.isfinite(values) | ~np.isfinite(x)
-        if x.size == count and not fits.all():  # a wrong length is encode_frame's LengthError
+        if x.size == count and not fits.all():  # a wrong length is _frame's LengthError
             i = int(np.argmin(fits.ravel()))
             raise DataError(f"a {precision} frame cannot carry {float(x.flat[i])} at index {i}")
-    return encode_frame(msg_type, seq, values.tobytes())
+    return _frame(msg_type, seq, values.tobytes(), entry)
 
 
 def _decode(direction: str, buf: bytes) -> tuple[np.ndarray, str, int]:
-    msg_type, seq = _check_frame(buf)
-    frame_direction, precision, dtype, count = _TYPES[msg_type]
+    msg_type, seq, (frame_direction, precision, dtype, count, _) = _check_frame(buf)
     if frame_direction != direction:
         raise UnknownTypeError(f"unexpected message type 0x{msg_type:02X}")
     # the payload, count values from offset 5: numpy parses positional arguments faster

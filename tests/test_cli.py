@@ -142,6 +142,11 @@ def _file(path, data: bytes) -> str:
     return str(path)
 
 
+def _model(path, dims) -> str:
+    save_policy(random_policy(PolicySpec(dims), 0), path)
+    return str(path)
+
+
 def _overflowing_model(path) -> str:
     p = random_policy(PolicySpec(), 0)
     p.weights[0][:] = 3e38  # finite in float32; the first layer's outputs are not
@@ -179,6 +184,10 @@ PARTIAL_POWER = b"cycles_per_update = 1e5\nv_volts = 1.8\np_max_watts = 0.0018\n
     pytest.param(lambda tmp, model: ["run-loop", "--command", "0.05",
                                      "--model", _file(tmp / "m.bin", Path(model).read_bytes()[:-1])],
                  "truncated policy file", id="run-loop-truncated-fp32-model"),
+    pytest.param(lambda tmp, model: ["run-loop", "--command", "0.05", "--codec",
+                                     "--model", _model(tmp / "m.bin", (24, 16, 6))],
+                 "ACT_DIM=8 actions out; the model's layer widths are [24, 16, 6]",
+                 id="run-loop-codec-model-the-wire-cannot-carry"),
     pytest.param(lambda tmp, model: ["codec"], "provide --selftest or --decode", id="codec-no-flag"),
     pytest.param(lambda tmp, model: ["codec", "--decode", _file(tmp / "f.hex", b"zz01")],
                  "bad hex in", id="codec-bad-hex"),

@@ -634,6 +634,19 @@ def test_codec_runtime_rejects_int8_for_fp32_runtime():
         CodecRuntime(rt, "int8")
 
 
+@pytest.mark.parametrize("dims", [(24, 16, 6), (20, 16, 8), (24, 16, 9)])
+def test_codec_runtime_rejects_a_model_the_wire_cannot_carry(dims):
+    # the wire carries 24 observations and 8 actions; the check runs once, when built
+    p = random_policy(PolicySpec(dims, leaky_relu()), 0)
+    qp = quantize_policy(p, QuantScheme.PER_FEATURE,
+                         np.random.default_rng(1).normal(size=(64, dims[0])))
+    message = (f"OBS_DIM=24 observations in and ACT_DIM=8 actions out; "
+               f"the model's layer widths are {list(dims)}")
+    for runtime, precision in ((PolicyRuntime(p), "fp32"), (QuantizedRuntime(qp), "int8")):
+        with pytest.raises(DataError, match=re.escape(message)):
+            CodecRuntime(runtime, precision)
+
+
 def test_randomized_episode_deterministic_per_seed():
     ctrl = ScriptedGaitController(0.08)
     a = run_episode(ctrl, SimConfig(seed=4), DRConfig(), (0.08, 0.0))

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -60,6 +61,32 @@ def test_127_zero_bytes_return_every_crc_state_to_itself():
     # and no shorter run of zero bytes does it
     assert all(any(crc8_longdiv(bytes([b]) + bytes(k)) != crc8_longdiv(bytes([b]))
                    for b in range(256)) for k in range(1, 127))
+
+
+def test_crc_memo_serves_only_an_equal_bytes_message():
+    data = np.random.default_rng(3).integers(0, 256, size=100, dtype=np.uint8).tobytes()
+    want = crc8_longdiv(data)
+    assert crc8(data) == want  # held
+    for other in (bytearray(data), memoryview(data), np.frombuffer(data, dtype=np.uint8)):
+        assert crc8(other) == want
+    # a mutable buffer is never held: changed after its CRC, it gets the CRC of what it holds
+    buf = bytearray(data)
+    assert crc8(buf) == want
+    buf[0] ^= 0x80
+    assert crc8(buf) == crc8(bytes(buf)) == crc8_longdiv(bytes(buf)) != want
+    # the memo now holds the changed bytes, of the same length: it is matched by value
+    assert crc8(data) == want
+
+
+def test_crc_memo_never_holds_a_message_over_127_bytes():
+    rng = np.random.default_rng(4)
+    held = rng.integers(0, 256, size=127, dtype=np.uint8).tobytes()
+    crc8(held)
+    assert wire._crc8_last == (held, crc8_longdiv(held))
+    for n in (128, 255, 4096):
+        data = rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        assert crc8(data) == crc8_longdiv(data)
+        assert wire._crc8_last[0] is held
 
 
 def test_crc_known_values():
@@ -129,6 +156,10 @@ def test_every_single_bit_flip_is_detected(frame):
         bad = bytearray(frame)
         bad[bit // 8] ^= 1 << (bit % 8)
         for fn in (decode_frame, decode):
+            with pytest.raises(ProtocolError):
+                fn(bytes(bad))
+            # the same flip straight after the frame was encoded, while crc8 holds its good body
+            assert encode_frame(frame[1], frame[2], frame[5:-1]) == frame
             with pytest.raises(ProtocolError):
                 fn(bytes(bad))
 
@@ -271,12 +302,33 @@ def test_wire_dtype_arrays_encode_as_before():
 def test_encode_validation():
     with pytest.raises(UnknownTypeError):
         encode_frame(0x99, 0, b"")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="^seq 300 outside u8 range$"):
         encode_frame(wire.MSG_OBS_FP32, 300, b"")
     with pytest.raises(LengthError):
         encode_observation(np.zeros(23), "fp32")
     with pytest.raises(ProtocolError):
         encode_observation(np.zeros(24), "fp64")
+
+
+SEQ_ENCODERS = [
+    lambda seq: encode_frame(wire.MSG_ACT_INT8, seq, bytes(8)),
+    lambda seq: encode_observation(np.zeros(24, dtype=np.float32), "fp32", seq),
+    lambda seq: encode_action(np.zeros(8, dtype=np.int8), "int8", seq),
+]
+
+
+@pytest.mark.parametrize("encode", SEQ_ENCODERS, ids=["frame", "observation", "action"])
+@pytest.mark.parametrize("seq", [1.5, 255.0, -0.0, np.float64(3.0)])
+def test_non_integer_seq_is_a_protocol_error(encode, seq):
+    with pytest.raises(ProtocolError, match=f"^seq {re.escape(str(seq))} is not an integer$"):
+        encode(seq)
+
+
+@pytest.mark.parametrize("encode", SEQ_ENCODERS, ids=["frame", "observation", "action"])
+def test_numpy_integer_seq_encodes_as_the_int(encode):
+    for seq in (0, 3, 255):
+        assert encode(np.int64(seq)) == encode(np.uint8(seq)) == encode(seq)
+        assert encode(seq)[2] == seq
 
 
 @pytest.mark.parametrize("precision,dim,encode,decode", [
