@@ -186,6 +186,9 @@ class QuantizedPolicy:
     act_shift_0d: np.ndarray = field(init=False, repr=False)  # int64, read-only
     obs_scale_0d: np.ndarray = field(init=False, repr=False)  # float64, read-only
     obs_zp_0d: np.ndarray = field(init=False, repr=False)     # float64, read-only
+    # int64 (n_out,), read-only: the output layer's mult * bias + offset, the
+    # requant addend of an accumulator without its bias
+    out_addend: np.ndarray = field(init=False, repr=False)
     # float64 (256,), read-only: the dequantized action of int8 code c at index c mod 256
     action_table: np.ndarray = field(init=False, repr=False)
 
@@ -235,8 +238,13 @@ class QuantizedPolicy:
         object.__setattr__(self, "act_shift_0d", const_0d(self.act_shift, np.int64))
         object.__setattr__(self, "obs_scale_0d", const_0d(self.obs_scale, np.float64))
         object.__setattr__(self, "obs_zp_0d", const_0d(self.obs_zp, np.float64))
-        # an int8 action takes one of 256 values, so an update dequantizes with one take
+        # the output layer has no activation, so its bias folds into the addend:
+        # |mult * bias| < 2^62, and the headroom check bounds the whole sum
         out = self.layers[-1]
+        addend = out.mult * out.bias_i64 + out.offset
+        addend.flags.writeable = False
+        object.__setattr__(self, "out_addend", addend)
+        # an int8 action takes one of 256 values, so an update dequantizes with one take
         table = dequantize_action(np.arange(256, dtype=np.uint8).view(np.int8),
                                   out.output_scale, out.output_zp)
         table.flags.writeable = False
