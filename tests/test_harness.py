@@ -264,6 +264,11 @@ PLANT_CASES = [
     pytest.param({}, [-0.5, 0.375, -0.5, -0.375, -0.5, 0.5, -0.5, -0.5],
                  _HALF_TAU, DRPerturbation(), {"contact": (True,) * 4},
                  id="swing-at-and-past-qd-sat"),
+    # swing drives -0.2, -0.4, -0.6 and -0.7 sum to -1.9000000000000001 left to
+    # right but to -1.9 pairwise, so thrust shows the drive sum's order
+    pytest.param({}, [-0.5, 0.1, -0.5, 0.2, -0.5, 0.3, -0.5, 0.35],
+                 _HALF_TAU, DRPerturbation(), {"contact": (True,) * 4},
+                 id="drive-sum-order"),
     pytest.param({"q": [-0.5, 0.1] * 4, "contact": [True] * 4, "t_air": [0.3] * 4},
                  [-0.5, 0.2, -0.6, 0.0, -0.4, -0.2, -0.5, 0.1], PlantParams(), DRPerturbation(),
                  {"contact": (True,) * 4, "just_landed": (False,) * 4, "t_air": (0.0,) * 4},

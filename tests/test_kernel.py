@@ -414,6 +414,25 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     first = qp.layers[0]
     acc = obs.astype(np.int64) @ first.weights.T.astype(np.int64) + first.bias
     assert acc.max() == -acc.min() == 2 ** 31 - 1 - n_in * 127 * 128
+    # so do the output layer's wherever every code into it is 127: per-tensor
+    # tables of zero-point 127 whose multiplier or slope is 0. Other tables
+    # give codes of both signs, or unsaturated ones, whatever the observation
+    codes = obs.astype(np.int64)
+    for layer in qp.layers[:-1]:
+        hidden = codes @ layer.weights.T.astype(np.int64) + layer.bias
+        hidden = np.maximum(hidden, (hidden * qp.act_mult) >> qp.act_shift)
+        entries = layer.requant.tolist() * (layer.weights.shape[0] // len(layer.requant))
+        codes = np.array([[requantize_unbounded(a, *rp) for a, rp in zip(row, entries)]
+                          for row in hidden.tolist()])
+    out = qp.layers[-1]
+    acc = codes @ out.weights.T.astype(np.int64) + out.bias
+    head = requants[0]
+    if scheme is QuantScheme.PER_TENSOR and head.zero_point == 127 and 0 in (head.mult, act[0]):
+        assert acc.max() == -acc.min() == 2 ** 31 - 1 - out.weights.shape[1] * 127 * 128
+    # the folded output addend mult * bias + offset comes within 2^51 of +-2^62
+    # wherever a multiplier of 2^31 - 1 meets a bias at the headroom limit
+    if 2 ** 31 - 1 in out.mult.tolist():
+        assert np.abs(qp.out_addend).max() > 2 ** 62 - 2 ** 51
 
     want = np.stack([int8_forward_bigint(qp, row) for row in obs])
     batched, _ = infer_int8(qp, obs)

@@ -689,6 +689,11 @@ def test_kernel_tables_built_at_construction(scheme):
     assert table.shape == (256,) and table.dtype == np.float64 and not table.flags.writeable
     want = dequantize_action(codes, out.output_scale, out.output_zp)
     assert table.take(codes, mode="wrap").view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    # the output bias folded into the output requant addend, in Python ints
+    addend = qp.out_addend
+    assert addend.dtype == np.int64 and not addend.flags.writeable
+    assert addend.tolist() == [m * b + o for m, b, o in
+                               zip(out.mult.tolist(), out.bias.tolist(), out.offset.tolist())]
 
 
 def test_shared_0d_operands_are_read_only():
@@ -700,12 +705,13 @@ def test_shared_0d_operands_are_read_only():
         assert operand.shape == () and operand.dtype == dtype
         with pytest.raises(ValueError, match="read-only"):
             operand[...] = 0
-    # requantize's saturating table: int8 code i - 128 at index i
-    codes = kernel._INT8_CODES
-    assert codes.shape == (256,) and codes.dtype == np.int8
-    assert codes.tolist() == [i - 128 for i in range(256)]
-    with pytest.raises(ValueError, match="read-only"):
-        codes[...] = 0
+    # requantize's saturating tables: code i - 128 at index i, int8 for the
+    # output layer and float32 for hidden layers
+    for codes, dtype in ((kernel._INT8_CODES, np.int8), (kernel._F32_CODES, np.float32)):
+        assert codes.shape == (256,) and codes.dtype == dtype
+        assert codes.tolist() == [i - 128 for i in range(256)]
+        with pytest.raises(ValueError, match="read-only"):
+            codes[...] = 0
     assert (int(qp.act_mult_0d), int(qp.act_shift_0d)) == (qp.act_mult, qp.act_shift)
     assert (float(qp.obs_scale_0d), float(qp.obs_zp_0d)) == (qp.obs_scale, qp.obs_zp)
 
