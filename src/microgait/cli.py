@@ -257,7 +257,7 @@ def cmd_run_loop(model, scripted, f_update, v_cmd, omega, seed, episodes, random
 def cmd_ik(geometry, x_end, y_end):
     """Solve leg inverse kinematics for one end-effector target."""
     g = kinematics.load_geometry(geometry)
-    sol = kinematics.ik(g, kinematics.EndEffector(x_end, y_end))
+    sol = kinematics.ik(g, x_end, y_end)
     return [("theta_x_rad", sol.theta_x), ("theta_y_rad", sol.theta_y),
             ("x_motor_m", sol.x_motor), ("y_motor_m", sol.y_motor)]
 

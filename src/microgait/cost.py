@@ -48,19 +48,6 @@ class PowerParams:
             raise DataError("electrical parameters must all be > 0")
 
 
-@dataclass(frozen=True)
-class RateMeasurement:
-    f_clk_hz: float
-    f_update_hz: float
-    scheme: QuantScheme
-    spec: PolicySpec
-
-    def __post_init__(self):
-        check_finite("clock and update rate", (self.f_clk_hz, self.f_update_hz))
-        if not (self.f_clk_hz > self.f_update_hz > 0):
-            raise DataError("need f_clk > f_update > 0")
-
-
 def _design_row(spec: PolicySpec, scheme: QuantScheme) -> list[float]:
     """The counts per update that the coefficients weight, in COEFF_NAMES order."""
     ops = expected_counters(spec, scheme)
@@ -80,9 +67,12 @@ def cycles_decomposed(c: CycleCoeffs, spec: PolicySpec, scheme: QuantScheme) -> 
     return _finite_result("cycles per update", total)
 
 
-def measured_cycles(m: RateMeasurement) -> float:
+def measured_cycles(f_clk_hz: float, f_update_hz: float) -> float:
     """End-to-end cycles per update observed as f_clk / f_update."""
-    return _finite_result("measured cycles per update", m.f_clk_hz / m.f_update_hz)
+    check_finite("clock and update rate", (f_clk_hz, f_update_hz))
+    if not (f_clk_hz > f_update_hz > 0):
+        raise DataError("need f_clk > f_update > 0")
+    return _finite_result("measured cycles per update", f_clk_hz / f_update_hz)
 
 
 def _check_cycles(cycles: float) -> None:

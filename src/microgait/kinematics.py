@@ -27,12 +27,6 @@ class LegGeometry:
 
 
 @dataclass(frozen=True)
-class EndEffector:
-    x_end: float
-    y_end: float
-
-
-@dataclass(frozen=True)
 class IkSolution:
     theta_x: float
     theta_y: float
@@ -48,15 +42,15 @@ def _checked_asin(arg: float, which: str) -> float:
     return math.asin(arg)
 
 
-def ik(g: LegGeometry, e: EndEffector) -> IkSolution:
+def ik(g: LegGeometry, x_end: float, y_end: float) -> IkSolution:
     """Solve the leg's angle and motor-position equations (principal arcsine branch)."""
-    check_finite("end effector", (e.x_end, e.y_end))
-    theta_y = _checked_asin((e.x_end - g.x_motor_ref) / g.l_y, "swing (theta_y)")
+    check_finite("end effector", (x_end, y_end))
+    theta_y = _checked_asin((x_end - g.x_motor_ref) / g.l_y, "swing (theta_y)")
     theta_x = _checked_asin(
-        (e.y_end + (0.5 * g.l_y * math.cos(theta_y) - g.y_motor_ref)) / g.l_x,
+        (y_end + (0.5 * g.l_y * math.cos(theta_y) - g.y_motor_ref)) / g.l_x,
         "lift (theta_x)")
-    x_motor = e.x_end - 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x)
-    y_motor = e.y_end + g.l_y * math.cos(theta_y)
+    x_motor = x_end - 0.5 * g.l_y * math.sin(theta_y) - g.l_x * math.cos(theta_x)
+    y_motor = y_end + g.l_y * math.cos(theta_y)
     return IkSolution(theta_x, theta_y, x_motor, y_motor)
 
 

@@ -10,8 +10,8 @@ FP32 leaky-relu and ELU in their former forms.
 Three references check what the package computes another way: the
 dequantized weights of a quantized layer, forward kinematics (the algebraic
 inversion of ik's angle equations) and the closed-form motor targets of an
-action. They use the package's `EndEffector`, `DataError`, `DomainError`
-and `check_finite`. `RequantParams` is one requant table entry as the tests
+action. They use the package's `DataError`, `DomainError` and
+`check_finite`. `RequantParams` is one requant table entry as the tests
 write it, and `layer_from_params` builds a `QuantizedLayer` with one output
 per entry, the subject of the requantize tests. `encode_ratio_loop` is the
 package's former scalar ratio encoder, kept frozen as the reference for its
@@ -28,7 +28,6 @@ import numpy as np
 
 from microgait.errors import DataError, DomainError
 from microgait.inputs import check_finite
-from microgait.kinematics import EndEffector
 from microgait.quant import MAX_SHIFT, QuantizedLayer, QuantizedPolicy, QuantScheme
 
 INT8_MIN, INT8_MAX = -128, 127
@@ -284,7 +283,7 @@ def fk_oracle(g, theta_x, theta_y):
     """Algebraic inversion of the two angle equations; round-trip check for ik."""
     x_end = g.x_motor_ref + g.l_y * math.sin(theta_y)
     y_end = g.y_motor_ref + g.l_x * math.sin(theta_x) - 0.5 * g.l_y * math.cos(theta_y)
-    return EndEffector(x_end, y_end)
+    return x_end, y_end
 
 
 def action_to_motor_targets(action, geoms):

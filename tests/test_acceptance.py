@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from microgait import wire
-from microgait.cost import RateMeasurement, measured_cycles, required_clock
+from microgait.cost import measured_cycles, required_clock
 from microgait.errors import DomainError
 from microgait.gait import GaitRegime, load_gait_table, reward_at, select_gait
 from microgait.harness import (
@@ -24,7 +24,7 @@ from microgait.harness import (
     write_trajectory_csv,
 )
 from microgait.kernel import fused_infer_dequant, infer_int8, requantize
-from microgait.kinematics import EndEffector, LegGeometry, ik
+from microgait.kinematics import LegGeometry, ik
 from microgait.policy import (
     PolicySpec,
     activation_count,
@@ -59,8 +59,8 @@ def test_criterion_01_counting_identities():
 
 
 def test_criterion_02_measured_cycles_and_required_clock():
-    c1 = measured_cycles(RateMeasurement(5e6, 47.62, QuantScheme.PER_FEATURE, REF_SPEC))
-    c2 = measured_cycles(RateMeasurement(5e6, 52.63, QuantScheme.PER_TENSOR, REF_SPEC))
+    c1 = measured_cycles(5e6, 47.62)  # per-feature
+    c2 = measured_cycles(5e6, 52.63)  # per-tensor
     assert abs(c1 - 104998) <= 1
     assert abs(c2 - 95003) <= 1
     assert 6.25e6 <= required_clock(104998, 60.0) <= 6.30e6
@@ -202,13 +202,13 @@ def test_criterion_08_ik_round_trip():
     thetas = rng.uniform(-math.pi / 2 + eps, math.pi / 2 - eps, size=(10_000, 2))
     g = LegGeometry(l_x=0.02, l_y=0.015, x_motor_ref=0.001, y_motor_ref=-0.002)
     for theta_x, theta_y in thetas:
-        sol = ik(g, fk_oracle(g, theta_x, theta_y))
+        sol = ik(g, *fk_oracle(g, theta_x, theta_y))
         assert abs(sol.theta_x - theta_x) <= 1e-9
         assert abs(sol.theta_y - theta_y) <= 1e-9
     unit = LegGeometry(l_x=1.0, l_y=1.0)
-    ik(unit, EndEffector(1.0, 0.0))  # |asin arg| = 1: accepted
+    ik(unit, 1.0, 0.0)  # |asin arg| = 1: accepted
     with pytest.raises(DomainError):
-        ik(unit, EndEffector(1.0 + 1e-12, 0.0))
+        ik(unit, 1.0 + 1e-12, 0.0)
 
 
 def test_criterion_09_reward_oracle_replay():

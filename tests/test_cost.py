@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from microgait.cost import (
     CycleCoeffs,
     PowerParams,
-    RateMeasurement,
     cycles_decomposed,
     feasible_update_rate,
     fit_coeffs,
@@ -25,10 +24,8 @@ SPEC = PolicySpec((24, 128, 64, 8))
 
 
 def test_measured_cycles_reference_points():
-    m1 = RateMeasurement(5e6, 47.62, QuantScheme.PER_FEATURE, SPEC)
-    m2 = RateMeasurement(5e6, 52.63, QuantScheme.PER_TENSOR, SPEC)
-    assert measured_cycles(m1) == pytest.approx(104998, abs=1)
-    assert measured_cycles(m2) == pytest.approx(95003, abs=1)
+    assert measured_cycles(5e6, 47.62) == pytest.approx(104998, abs=1)  # per-feature
+    assert measured_cycles(5e6, 52.63) == pytest.approx(95003, abs=1)  # per-tensor
 
 
 def test_required_clock_reference_points():
@@ -71,13 +68,13 @@ def test_rate_domain_errors():
     with pytest.raises(DomainError):
         required_clock(1e5, -1.0)
     with pytest.raises(DataError):
-        RateMeasurement(100.0, 200.0, QuantScheme.PER_TENSOR, SPEC)
+        measured_cycles(100.0, 200.0)
     # finite inputs whose result leaves the float range: v * i underflows to 0,
     # or the quotient, product or sum overflows
     with pytest.raises(DomainError, match="cycles per update is not finite"):
         cycles_decomposed(CycleCoeffs(1e308, 1e308, 1e308), SPEC, QuantScheme.PER_TENSOR)
     with pytest.raises(DomainError, match="measured cycles per update is not finite"):
-        measured_cycles(RateMeasurement(1e300, 1e-300, QuantScheme.PER_TENSOR, SPEC))
+        measured_cycles(1e300, 1e-300)
     for p in (PowerParams(1e-200, 1e-200, 1.0), PowerParams(1e-300, 1e-300, 1e300)):
         with pytest.raises(DomainError, match="clock at the power budget is not finite"):
             max_clock(p)
@@ -168,6 +165,6 @@ def test_non_finite_inputs_rejected(bad):
     with pytest.raises(DataError):
         required_clock(1e5, bad)
     with pytest.raises(DataError):
-        RateMeasurement(bad, 60.0, QuantScheme.PER_TENSOR, SPEC)
+        measured_cycles(bad, 60.0)
     with pytest.raises(DataError):
-        RateMeasurement(5e6, bad, QuantScheme.PER_TENSOR, SPEC)
+        measured_cycles(5e6, bad)

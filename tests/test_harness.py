@@ -345,21 +345,41 @@ def test_run_episode_holds_each_update_once(monkeypatch, f_update, holds):
     assert calls == {"_hold_targets": holds, "plant_step": 1200}
 
 
-def test_plant_episode_matches_numpy_reference():
-    # 1200 chained steps of the scripted trot under one DR draw
-    dr = sample_dr(9)
-    params = _apply_dr_to_params(PlantParams(), dr)
-    ref_params = _oracle_params(params)
-    ctrl = ScriptedGaitController(0.08)
-    s = ref = PlantState()
-    for step in range(1200):
-        targets = ctrl.act(None, step * DT) + dr.action
-        s = plant_step(s, _hold_targets(targets.tolist(), dr), params)
-        want = plant_step_numpy(ref, targets, DT, ref_params, dr)
-        _assert_same_state(s, want)
+# The random policy's seed, also its DR seed, is the first from 0 whose episode has at
+# least 3 nonzero, unsaturated stance swing drives in most steps, where the drive sum's
+# order shows: seed 2 has them in 1195 of 1200 steps, seeds 0 and 1 in none. The trot
+# has at most 2 in any step.
+@pytest.mark.parametrize("runtime, f_update, seed", [
+    (ScriptedGaitController(0.08), 120.0, 9),
+    (PolicyRuntime(random_policy(PolicySpec((24, 128, 64, 8), leaky_relu()), 2)), 30.0, 2),
+], ids=["scripted-trot", "random-policy"])
+def test_plant_episode_matches_numpy_reference(monkeypatch, runtime, f_update, seed):
+    """Every step of a 1200-step run_episode under DR, in bits, against the
+    numpy reference chained on its own states and fed the unclamped held action."""
+    held, steps = [], []
+
+    def hold(action, dr):
+        held.append(action)
+        return _hold_targets(action, dr)
+
+    def step(s, targets, params):
+        steps.append((plant_step(s, targets, params), held[-1]))
+        return steps[-1][0]
+
+    monkeypatch.setattr(harness, "_hold_targets", hold)
+    monkeypatch.setattr(harness, "plant_step", step)
+    result = run_episode(runtime, SimConfig(f_update_hz=f_update, seed=seed), DRConfig(),
+                         (0.08, 0.0))
+    assert len(steps) == len(result.rows) == 1200
+    assert len(held) == result.inference_count
+    dr = sample_dr(seed)
+    ref_params = _oracle_params(_apply_dr_to_params(PlantParams(), dr))
+    ref = PlantState()
+    for (got, action), row in zip(steps, result.rows):
+        want = plant_step_numpy(ref, action, DT, ref_params, dr)
+        _assert_same_state(got, want)
         ref = _state(**want)
-        assert _bits(reward_step(s, (0.08, 0.0))[0]) == \
-            _bits(reward_step_numpy(ref, (0.08, 0.0), DT)[0])
+        assert _bits(row[4]) == _bits(reward_step_numpy(ref, (0.08, 0.0), DT)[0])
 
 
 def test_plant_and_reward_much_faster_than_numpy_reference():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from microgait.errors import DataError, DomainError
-from microgait.kinematics import EndEffector, LegGeometry, ik, load_geometry
+from microgait.kinematics import LegGeometry, ik, load_geometry
 from oracles import action_to_motor_targets, fk_oracle
 
 UNIT = LegGeometry(l_x=1.0, l_y=1.0)
@@ -23,7 +23,7 @@ def test_geometry_validation():
 
 
 def test_hand_checked_solution():
-    sol = ik(UNIT, EndEffector(0.0, 0.0))
+    sol = ik(UNIT, 0.0, 0.0)
     assert sol.theta_y == 0.0
     assert sol.theta_x == pytest.approx(math.pi / 6)
     assert sol.x_motor == pytest.approx(-math.cos(math.pi / 6))
@@ -32,25 +32,25 @@ def test_hand_checked_solution():
 
 def test_swing_angle_depends_only_on_x():
     for y in (-0.3, 0.0, 0.2):
-        assert ik(UNIT, EndEffector(0.4, y)).theta_y == math.asin(0.4)
+        assert ik(UNIT, 0.4, y).theta_y == math.asin(0.4)
 
 
 def test_workspace_errors_name_the_equation():
     with pytest.raises(DomainError, match="swing"):
-        ik(UNIT, EndEffector(1.5, 0.0))
+        ik(UNIT, 1.5, 0.0)
     with pytest.raises(DomainError, match="lift"):
-        ik(UNIT, EndEffector(0.0, 2.0))
+        ik(UNIT, 0.0, 2.0)
 
 
 def test_non_finite_end_effector_is_data_error():
     with pytest.raises(DataError, match="finite"):
-        ik(UNIT, EndEffector(math.nan, 0.0))
+        ik(UNIT, math.nan, 0.0)
 
 
 def test_boundary_is_inclusive():
-    ik(UNIT, EndEffector(1.0, 0.0))  # |asin arg| = 1 exactly: accepted
+    ik(UNIT, 1.0, 0.0)  # |asin arg| = 1 exactly: accepted
     with pytest.raises(DomainError):
-        ik(UNIT, EndEffector(1.0 + 1e-12, 0.0))
+        ik(UNIT, 1.0 + 1e-12, 0.0)
 
 
 U = 2.0 ** -53  # float64 unit roundoff
@@ -88,7 +88,7 @@ def _round_trip_error_bounds(g, theta_x, theta_y):
 @example(math.pi / 2 - 1e-3, math.pi / 2 - 1e-3, 0.0625, 1.75, 0.0, 0.0)
 def test_round_trip_property(theta_x, theta_y, l_x, l_y, xr, yr):
     g = LegGeometry(l_x=l_x, l_y=l_y, x_motor_ref=xr, y_motor_ref=yr)
-    sol = ik(g, fk_oracle(g, theta_x, theta_y))
+    sol = ik(g, *fk_oracle(g, theta_x, theta_y))
     err_x, err_y, err_xm, err_ym = _round_trip_error_bounds(g, theta_x, theta_y)
     assert abs(sol.theta_x - theta_x) <= err_x
     assert abs(sol.theta_y - theta_y) <= err_y
@@ -103,7 +103,7 @@ def test_action_to_motor_targets():
     action = np.zeros(8)
     targets = action_to_motor_targets(action, geoms)
     assert len(targets) == 4
-    sol = ik(UNIT, fk_oracle(UNIT, 0.0, 0.0))
+    sol = ik(UNIT, *fk_oracle(UNIT, 0.0, 0.0))
     for x_m, y_m in targets:
         assert x_m == pytest.approx(sol.x_motor)
         assert y_m == pytest.approx(sol.y_motor)

@@ -76,6 +76,9 @@ def test_crc_memo_serves_only_an_equal_bytes_message():
     assert crc8(buf) == crc8(bytes(buf)) == crc8_longdiv(bytes(buf)) != want
     # the memo now holds the changed bytes, of the same length: it is matched by value
     assert crc8(data) == want
+    # by the whole message: one that differs from the held one in its last byte is computed
+    changed = data[:-1] + bytes([data[-1] ^ 1])
+    assert crc8(changed) == crc8_longdiv(changed) != want
 
 
 def test_crc_memo_never_holds_a_message_over_127_bytes():
