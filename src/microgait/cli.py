@@ -308,9 +308,6 @@ def main(argv=None) -> int:
     except click.UsageError as exc:
         click.echo(f"usage error: {exc.format_message()}", err=True)
         return 2
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 2
     except OSError as exc:  # an output path that cannot be written, as click reports a bad path
         click.echo(f"error: {exc}", err=True)
         return 2

@@ -105,6 +105,8 @@ class QuantizedLayer:
     correction (-input_zp * row_sum) already folded in. ``requant`` is held
     once, in the model file's layout: a read-only structured array of
     REQUANT_DTYPE entries, built from any sequence of (mult, shift, zero_point).
+    An int8 tensor has one zero-point, so every entry carries the same one,
+    which ``output_zp`` reads.
 
     The kernel's tables are built once here, with array operations. The int8
     weights are held again as floats, exact, for BLAS to accumulate: float32 up
@@ -121,8 +123,8 @@ class QuantizedLayer:
     bias: np.ndarray               # int32, (n_out,)
     weight_scales: np.ndarray      # float, len 1 (per-tensor) or n_out
     output_scale: float
-    output_zp: int
     requant: np.ndarray            # REQUANT_DTYPE entries, len 1 (per-tensor) or n_out
+    output_zp: int = field(init=False)  # the requant table's one zero-point
     weights_t: np.ndarray = field(init=False, repr=False)  # float32 or float64, (n_in, n_out)
     bias_i64: np.ndarray = field(init=False, repr=False)   # int64, (n_out,)
     mult: np.ndarray = field(init=False, repr=False)       # int64, (n_out,)
@@ -137,6 +139,10 @@ class QuantizedLayer:
             raise DataError(f"requant entry does not fit the requant record: {exc}") from None
         rq.flags.writeable = False
         put(self, "requant", rq)
+        zps = np.unique(rq["zero_point"]).tolist()
+        if len(zps) > 1:
+            raise DataError(f"requant table holds zero-points {zps}, a layer's output has one")
+        put(self, "output_zp", zps[0] if zps else 0)  # QuantizedPolicy rejects an empty table
         scales = np.concatenate(([self.output_scale], self.weight_scales))
         if not (np.isfinite(scales).all() and (scales > 0).all()):
             raise DataError(f"layer scales must be finite and > 0, got output "
@@ -147,10 +153,10 @@ class QuantizedLayer:
         # a table of another wrong length, or with an entry out of range, is
         # QuantizedPolicy's to reject
         full = rq.repeat(len(self.weights)) if len(rq) == 1 else rq
-        mult, shift, zp = (full[name].astype(np.int64) for name in REQUANT_DTYPE.names)
+        mult, shift = (full[name].astype(np.int64) for name in ("mult", "shift"))
         put(self, "mult", mult)
         put(self, "shift", shift)
-        put(self, "offset", ((1 << shift) >> 1) + ((zp + 128) << shift))
+        put(self, "offset", ((1 << shift) >> 1) + ((self.output_zp + 128) << shift))
 
 
 @dataclass(frozen=True)
@@ -223,8 +229,6 @@ class QuantizedPolicy:
             if bad.size:
                 raise DataError(f"layer {i} requant entry {bad[0]}: multiplier and shift "
                                 f"{rq[bad[0]].item()[:2]} outside [0, 2^31) x [0, {MAX_SHIFT}]")
-            if not (INT8_MIN <= layer.output_zp <= INT8_MAX):
-                raise DataError(f"layer {i} output zero-point {layer.output_zp} outside int8 range")
             # int32 accumulator headroom: worst case |sum w*x| <= n_in*127*255;
             # |bias| is taken in int64 because abs() of the int32 minimum wraps
             worst = (dims[i] * WEIGHT_MAX * 255
@@ -344,8 +348,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
         bias_folded = (bias_q - fold).astype(np.int32)
         layers.append(QuantizedLayer(
             weights=w_q, bias=bias_folded, weight_scales=w_scales,
-            output_scale=out_scale, output_zp=out_zp,
-            requant=derive_requant(in_scale, w_scales, out_scale, out_zp)))
+            output_scale=out_scale, requant=derive_requant(in_scale, w_scales, out_scale, out_zp)))
         in_scale, in_zp = out_scale, out_zp
 
     return QuantizedPolicy(
@@ -442,11 +445,14 @@ def load_quantized(path) -> QuantizedPolicy:
                             f"from the {f'layer {i - 1} output' if i else 'observation'}'s "
                             f"{in_scale}, {in_zp}")
         (n_rq,) = r.unpack("H")
+        rq = r.array(REQUANT_DTYPE, n_rq)
+        if (rq["zero_point"] != out_zp).any():  # the file repeats the table's zero-point
+            raise DataError(f"layer {i} output zero-point {out_zp} differs from its requant "
+                            f"table's {np.unique(rq['zero_point']).tolist()}")
         layers.append(QuantizedLayer(
             weights=w, bias=b.astype(np.int32),
             weight_scales=np.asarray(scales[2:], dtype=np.float64),
-            output_scale=scales[1], output_zp=out_zp,
-            requant=r.array(REQUANT_DTYPE, n_rq)))
+            output_scale=scales[1], requant=rq))
         in_scale, in_zp = scales[1], out_zp
     r.finish()
     return QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

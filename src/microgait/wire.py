@@ -195,9 +195,11 @@ def _encode(direction: str, values, precision: str, seq: int) -> bytes:
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.asarray(x if precision == "int8" else values, dtype=dtype)
         fits = values == x if precision == "int8" else np.isfinite(values) | ~np.isfinite(x)
-        if x.size == count and not fits.all():  # a wrong length is _frame's LengthError
-            i = int(np.argmin(fits.ravel()))
-            raise DataError(f"a {precision} frame cannot carry {float(x.flat[i])} at index {i}")
+        if x.shape == (count,) and not fits.all():  # a wrong shape or length is rejected below
+            i = int(np.argmin(fits))
+            raise DataError(f"a {precision} frame cannot carry {float(x[i])} at index {i}")
+    if values.ndim != 1:  # a wrong length is _frame's LengthError
+        raise LengthError(f"{direction} values of shape {values.shape}, a frame carries ({count},)")
     return _frame(msg_type, seq, values.tobytes(), entry)
 
 

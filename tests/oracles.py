@@ -92,7 +92,7 @@ def layer_from_params(params):
     n = len(params)
     return QuantizedLayer(weights=np.zeros((n, 1), dtype=np.int8),
                           bias=np.zeros(n, dtype=np.int32), weight_scales=np.ones(n),
-                          output_scale=1.0, output_zp=0, requant=params)
+                          output_scale=1.0, requant=params)
 
 
 def requant_layer(rp):
@@ -156,7 +156,7 @@ def quantize_whole_matrix(p, scheme, calib):
         requant = [(*encode_ratio_loop(in_scale * float(s) / out_scale), out_zp) for s in w_scales]
         layers.append(QuantizedLayer(
             weights=w_q, bias=bias.astype(np.int32), weight_scales=w_scales,
-            output_scale=out_scale, output_zp=out_zp, requant=requant))
+            output_scale=out_scale, requant=requant))
         in_scale, in_zp = out_scale, out_zp
     act_mult, act_shift = encode_ratio_loop(alpha)
     return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)

@@ -196,6 +196,14 @@ PARTIAL_POWER = b"cycles_per_update = 1e5\nv_volts = 1.8\np_max_watts = 0.0018\n
     pytest.param(lambda tmp, model: ["quantize", "--model", model, "--scheme", "per-tensor",
                                      "--calib", _file(tmp / "c.csv", b""), "--out", str(tmp / "q")],
                  "is empty", id="empty-calib"),
+    pytest.param(lambda tmp, model: ["quantize", "--model", model, "--scheme", "per-tensor",
+                                     "--calib", _file(tmp / "c.csv", b"0.5," * 23 + b"fast\n"),
+                                     "--out", str(tmp / "q")],
+                 "cannot read calibration CSV", id="calib-not-a-number"),
+    pytest.param(lambda tmp, model: ["quantize", "--model", model, "--scheme", "per-tensor",
+                                     "--calib", _file(tmp / "c.csv", b"0.5,0.5\n0.5\n"),
+                                     "--out", str(tmp / "q")],
+                 "cannot read calibration CSV", id="calib-ragged-row"),
     pytest.param(lambda tmp, model: ["quantize", "--model", _overflowing_model(tmp / "big.bin"),
                                      "--scheme", "per-tensor", "--calib",
                                      _file(tmp / "c.csv", b"0.5," * 23 + b"-0.5\n"),

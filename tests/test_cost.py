@@ -148,6 +148,12 @@ def test_load_budget_errors(tmp_path):
         load_budget(bad)
 
 
+@pytest.mark.parametrize("name", ["c_mac", "c_q", "c_phi", "c_load", "c0"])
+def test_negative_coefficient_rejected(name):
+    with pytest.raises(DataError, match=f"^{name} must be >= 0$"):
+        CycleCoeffs(**{"c_mac": 1.0, "c_q": 1.0, "c_phi": 1.0, name: -1.0})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_inputs_rejected(bad):
     with pytest.raises(DataError):

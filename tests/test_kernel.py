@@ -46,13 +46,12 @@ def _random_qp(rng, dims, scheme):
         room = min(2 ** 31 - 1 - n_in * 127 * 255, 2 ** 20)
         typical = 73 * 74 * math.sqrt(n_in)  # rms of a sum of n_in random int8 products
         ratios = 64 / typical * rng.uniform(0.25, 4.0, size=n_out if per_feature else 1)
-        requant = [RequantParams(*encode_ratio(float(r)), int(rng.integers(-128, 128)))
-                   for r in ratios]
+        zp = int(rng.integers(-128, 128))  # one per layer: an int8 tensor has one zero-point
+        requant = [RequantParams(*encode_ratio(float(r)), zp) for r in ratios]
         layers.append(QuantizedLayer(
             weights=rng.integers(-127, 128, size=(n_out, n_in), dtype=np.int8),
             bias=rng.integers(-room, room + 1, size=n_out).astype(np.int32),
-            weight_scales=np.ones(len(requant)), output_scale=1.0, output_zp=0,
-            requant=requant))
+            weight_scales=np.ones(len(requant)), output_scale=1.0, requant=requant))
     act_mult, act_shift = encode_ratio(float(rng.uniform(0.01, 1.0)))
     return QuantizedPolicy(PolicySpec(tuple(dims), leaky_relu()), scheme, layers,
                            1.0, 0, act_mult, act_shift)
@@ -211,8 +210,7 @@ def _identity_model(w: np.ndarray, bias: int) -> QuantizedPolicy:
     passes an accumulator in the int8 range through unchanged."""
     layer = QuantizedLayer(
         weights=w[None, :].copy(), bias=np.array([bias], dtype=np.int32),
-        weight_scales=np.ones(1), output_scale=1.0, output_zp=0,
-        requant=[RequantParams(1, 0, 0)])
+        weight_scales=np.ones(1), output_scale=1.0, requant=[RequantParams(1, 0, 0)])
     return QuantizedPolicy(PolicySpec((len(w), 1), leaky_relu()), QuantScheme.PER_TENSOR,
                            [layer], 1.0, 0, 1, 7)
 
@@ -377,6 +375,12 @@ CORNER_REQUANTS = [RequantParams(m, s, zp) for m in (0, 2 ** 31 - 1)
 EXTREME_REQUANTS = CORNER_REQUANTS + [RequantParams(m, s, zp) for m in (1, 2 ** 31 - 1)
                                       for s in (1, 13) for zp in (-128, 0, 127)]
 EXTREME_SLOPES = [(0, 0), (1, 0), (0, 31), (1 << 31, 31), encode_ratio(0.01)]
+# (scheme, table): a per-feature table takes the entries of one zero-point, as an
+# int8 tensor has one. The ids are positional, so zero-points 0 and 127 come last
+_PER_FEATURE = [(QuantScheme.PER_FEATURE, [rp for rp in EXTREME_REQUANTS if rp.zero_point == zp])
+                for zp in (-128, 0, 127)]
+EXTREME_TABLES = [_PER_FEATURE[0], *((QuantScheme.PER_TENSOR, [rp]) for rp in CORNER_REQUANTS),
+                  *_PER_FEATURE[1:]]
 
 
 def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
@@ -395,15 +399,12 @@ def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
         rq = [requants[i % len(requants)] for i in range(entries)]
         layers.append(QuantizedLayer(
             weights=weights.astype(np.int8), bias=bias.astype(np.int32),
-            weight_scales=np.ones(entries), output_scale=1.0, output_zp=0, requant=rq))
+            weight_scales=np.ones(entries), output_scale=1.0, requant=rq))
     return QuantizedPolicy(PolicySpec(dims, leaky_relu()), scheme, layers, 1.0, 0, *act)
 
 
 @pytest.mark.parametrize("act", EXTREME_SLOPES)
-@pytest.mark.parametrize("scheme, requants", [
-    (QuantScheme.PER_FEATURE, EXTREME_REQUANTS),
-    *((QuantScheme.PER_TENSOR, [rp]) for rp in CORNER_REQUANTS),
-])
+@pytest.mark.parametrize("scheme, requants", EXTREME_TABLES)
 def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     qp = _extreme_qp(scheme, requants, act)
     n_in = qp.spec.input_dim
@@ -458,11 +459,9 @@ def test_hand_built_models_round_trip_through_a_file(tmp_path):
     models = [_random_qp(np.random.default_rng(seed), dims, scheme) for seed, dims in
               enumerate([(24, 128, 64, 8), (37, 29, 11, 5), (6, 5, 3), (4, 4), (1, 1)])
               for scheme in QuantScheme]
-    tables = [(QuantScheme.PER_FEATURE, EXTREME_REQUANTS),
-              *((QuantScheme.PER_TENSOR, [rp]) for rp in CORNER_REQUANTS)]
     models += [_extreme_qp(scheme, requants, act)
-               for act in EXTREME_SLOPES for scheme, requants in tables]
-    assert len(models) == 55
+               for act in EXTREME_SLOPES for scheme, requants in EXTREME_TABLES]
+    assert len(models) == 65
     path = tmp_path / "q.bin"
     for qp in models:
         save_quantized(qp, path)
@@ -510,12 +509,11 @@ def test_integer_leaky_relu_matches_unbounded_form(acc, slope):
     hidden = QuantizedLayer(
         weights=np.full((32, 1), w, dtype=np.int8),
         bias=np.full(32, acc + 128 * w, dtype=np.int32),
-        weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
+        weight_scales=np.ones(32), output_scale=1.0,
         requant=[RequantParams(1, j, 0) for j in range(32)])
     out = QuantizedLayer(
         weights=np.eye(32, dtype=np.int8), bias=np.zeros(32, dtype=np.int32),
-        weight_scales=np.ones(32), output_scale=1.0, output_zp=0,
-        requant=[RequantParams(1, 0, 0)] * 32)
+        weight_scales=np.ones(32), output_scale=1.0, requant=[RequantParams(1, 0, 0)] * 32)
     qp = QuantizedPolicy(PolicySpec((1, 32, 32), leaky_relu()), QuantScheme.PER_FEATURE,
                          [hidden, out], 1.0, 0, act_mult, act_shift)
     obs = np.array([-128], dtype=np.int8)

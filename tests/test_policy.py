@@ -304,6 +304,10 @@ def test_policy_shape_validation():
         Fp32Policy(spec, [np.zeros((3, 2))], [np.zeros(2)])
     with pytest.raises(DataError):
         Fp32Policy(spec, [np.full((2, 3), np.nan)], [np.zeros(2)])
+    with pytest.raises(DataError, match="^layer count does not match spec$"):
+        Fp32Policy(spec, [np.zeros((2, 3))] * 2, [np.zeros(2)] * 2)
+    with pytest.raises(DataError, match=r"^layer 0 bias shape \(3,\) != \(2,\)$"):
+        Fp32Policy(spec, [np.zeros((2, 3))], [np.zeros(3)])
 
 
 def test_save_load_round_trip(tmp_path):

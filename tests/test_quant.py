@@ -69,7 +69,9 @@ def _one_layer_policy(params):
 
 def test_requant_params_validation():
     ok = RequantParams(1, 0)
-    _one_layer_policy([ok, RequantParams(2 ** 31 - 1, 31, -128), RequantParams(0, 0, 127)])
+    for zp in (-128, 0, 127):  # one zero-point per table, as an int8 tensor has one
+        _one_layer_policy([RequantParams(1, 0, zp), RequantParams(2 ** 31 - 1, 31, zp),
+                           RequantParams(0, 0, zp)])
     with pytest.raises(DataError, match=r"layer 0 requant entry 2: multiplier and shift \(1, 32\) "
                                         r"outside \[0, 2\^31\) x \[0, 31\]"):
         _one_layer_policy([ok, ok, RequantParams(1, 32)])
@@ -271,6 +273,14 @@ def test_quantize_rejects_non_finite_calib_row(bad):
     calib[2] = bad
     with pytest.raises(DataError, match="observation range .* is not finite"):
         quantize_policy(p, QuantScheme.PER_FEATURE, calib)
+
+
+def test_quantize_rejects_a_bias_that_overflows_int32():
+    # weights of 1e-12 put a bias's scale, input_scale * weight_scale, near 1e-16
+    p = random_policy(PolicySpec((24, 128, 64, 8), leaky_relu()), 0)
+    p.weights[0][:] = 1e-12
+    with pytest.raises(DomainError, match="^layer 0 quantized bias overflows int32$"):
+        quantize_policy(p, QuantScheme.PER_TENSOR, _calib(0))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # numpy's, before the DataError
@@ -604,8 +614,9 @@ def _with_first_layer(qp, **change):
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda qp: dataclasses.replace(qp, obs_zp=200),
                  "obs_zp 200 outside int8 range", id="obs-zp"),
-    pytest.param(lambda qp: _with_first_layer(qp, output_zp=-200),
-                 "layer 0 output zero-point -200 outside int8 range", id="output-zp"),
+    pytest.param(lambda qp: _with_first_layer(qp, requant=[(1, 0, 5), (1, 0, -3)]),
+                 r"requant table holds zero-points \[-3, 5\], a layer's output has one",
+                 id="two-zero-points"),
     pytest.param(lambda qp: _with_first_layer(qp, weight_scales=np.ones(3)),
                  "layer 0 requant table has 1 entries and 3 weight scales, per_tensor needs 1",
                  id="weight-scales"),
@@ -614,6 +625,63 @@ def test_model_the_file_cannot_hold_is_rejected_when_built(build, message):
     _, qp = _quantized(2, QuantScheme.PER_TENSOR)
     with pytest.raises(DataError, match=message):
         build(qp)
+
+
+# none of these reaches the file: the loader's own checks reject each first
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda qp: dataclasses.replace(qp, layers=qp.layers[:-1]),
+                 "quantized layer count does not match spec", id="layer-count"),
+    pytest.param(lambda qp: dataclasses.replace(qp, obs_scale=math.nan),
+                 "obs_scale must be finite and > 0, got nan", id="obs-scale-nan"),
+    pytest.param(lambda qp: dataclasses.replace(qp, obs_scale=0.0),
+                 "obs_scale must be finite and > 0, got 0.0", id="obs-scale-0"),
+    pytest.param(lambda qp: _with_first_layer(qp, weights=qp.layers[0].weights[:, 1:]),
+                 r"layer 0 weight shape \(128, 23\) != \(128, 24\)", id="weight-shape"),
+])
+def test_inconsistent_model_is_rejected_when_built(build, message):
+    _, qp = _quantized(2, QuantScheme.PER_TENSOR)
+    with pytest.raises(DataError, match=message):
+        build(qp)
+
+
+def _output_zp_offset(qp, index):
+    """Byte offset of layer `index`'s stored output zero-point, after its input copy."""
+    return _scale_table_offset(qp, index) + 4 * (2 + len(qp.layers[index].weight_scales)) + 1
+
+
+@pytest.mark.parametrize("index", [1, 2])
+@pytest.mark.parametrize("scheme", list(QuantScheme))
+def test_load_rejects_output_zero_point_that_differs_from_its_table(tmp_path, scheme, index):
+    # the kernel reads the table's zero-point; the next layer's bias fold, or
+    # the action table, the stored one. A hidden layer's next input copy moves
+    # with it, so the stored pairs agree with each other
+    _, qp = _quantized(4, scheme)
+    data = _saved_bytes(tmp_path, qp)
+    zp = qp.layers[index].output_zp
+    moved = (zp + 37 + 128) % 256 - 128
+    struct.pack_into("<b", data, _output_zp_offset(qp, index), moved)
+    if index + 1 < len(qp.layers):
+        struct.pack_into("<b", data, _output_zp_offset(qp, index + 1) - 1, moved)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=rf"layer {index} output zero-point {moved} differs "
+                                        rf"from its requant table's \[{zp}\]"):
+        load_quantized(path)
+
+
+def test_load_rejects_output_table_whose_zero_points_moved(tmp_path):
+    # every action would move by 40 output steps: the kernel requantizes onto
+    # the table's zero-point, and the action table dequantizes from the stored one
+    _, qp = _quantized(4, QuantScheme.PER_FEATURE)
+    out = qp.layers[-1]
+    data = _saved_bytes(tmp_path, qp)
+    for entry in range(len(out.requant)):  # a record is "<iBb": the zero-point at byte 5
+        struct.pack_into("<b", data, _requant_entry_offset(qp, 2, entry) + 5, out.output_zp + 40)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=rf"layer 2 output zero-point {out.output_zp} differs "
+                                        rf"from its requant table's \[{out.output_zp + 40}\]"):
+        load_quantized(path)
 
 
 @pytest.mark.parametrize("n_scales", [0, 1])

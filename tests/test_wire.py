@@ -250,6 +250,20 @@ def test_int8_encoders_reject_values_the_frame_cannot_carry(encode, dim, value, 
             encode(np.append(values, value), "int8")
 
 
+@pytest.mark.parametrize("encode, shape", [
+    *(pytest.param(encode_observation, shape, id=f"obs-{'x'.join(map(str, shape)) or '0d'}")
+      for shape in [(2, 12), (24, 1), (1, 24), ()]),
+    pytest.param(encode_action, (2, 4), id="act-2x4"),
+])
+@pytest.mark.parametrize("precision", ["fp32", "int8"])
+def test_encoders_reject_values_of_another_shape(encode, shape, precision):
+    # the right count of values in another shape would decode as one flat row
+    dtype = np.float32 if precision == "fp32" else np.int8
+    for values in (np.ones(shape, dtype=dtype), np.ones(shape), np.ones(shape).tolist()):
+        with pytest.raises(LengthError, match=re.escape(f"values of shape {shape}, a frame")):
+            encode(values, precision)
+
+
 @pytest.mark.parametrize("encode,dim", [(encode_observation, 24), (encode_action, 8)])
 def test_fp32_encoders_reject_only_finite_float32_overflow(encode, dim):
     big = float(np.finfo(np.float32).max)
@@ -441,6 +455,13 @@ def test_session_recovers_after_a_bad_reply(bad_reply, error):
     assert again == frame
     assert np.array_equal(session.receive_action(device.handle(again, 2.0)), obs[:8] * 2)
     assert session.send_observation(obs)[2] == 1  # a good reply advances the seq
+
+
+def test_loopback_device_rejects_an_observation_of_another_precision():
+    device = LoopbackDevice(lambda obs, t: obs[:8], "int8")
+    with pytest.raises(UnknownTypeError, match="observation precision 'fp32' != device "
+                                               "precision 'int8'"):
+        device.handle(encode_observation(np.zeros(24, dtype=np.float32), "fp32"), 0.0)
 
 
 def test_session_rejects_action_without_observation():
