@@ -82,7 +82,7 @@ def _forward_int8(qp: QuantizedPolicy, x: np.ndarray) -> np.ndarray:
     # integer leaky-relu max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift)
     # as max(acc, (acc * act_mult) >> act_shift): for 0 <= act_mult <= 2^act_shift
     # the shifted product is at most acc where acc >= 0, at least acc where acc < 0.
-    # It fits int64: |acc| < 2^31 by the headroom check, act_mult <= 2^31
+    # It fits int64: |acc| < 2^31 by the headroom check, act_mult < 2^31 by its encoding
     act_mult, act_shift = qp.act_mult_0d, qp.act_shift_0d
     # int32 accumulate, done in floats through BLAS: every partial sum of int8 x
     # int8 products is an integer of at most n_in * 2^14: up to 2^24, exact in the

@@ -33,7 +33,7 @@ def const_0d(value, dtype) -> np.ndarray:
     return a
 
 
-_ZERO_F32, _ONE_F32 = const_0d(0.0, np.float32), const_0d(1.0, np.float32)
+_ZERO_F32 = const_0d(0.0, np.float32)
 
 
 class ActivationKind(enum.Enum):
@@ -136,15 +136,13 @@ def activate(a: ActivationSpec, x: float) -> float:
 def _activate_array(a: ActivationSpec, x: np.ndarray) -> None:
     """Apply a to the float32 array x in place."""
     if a.kind is ActivationKind.ELU:
-        # exp of min(x, 0), not of x: the branch where x >= 0 is discarded, and
-        # its exp would overflow for x > 88; min(x, 0) is x wherever it is kept
-        neg = np.minimum(x, _ZERO_F32)
-        np.exp(neg, out=neg)
-        neg -= _ONE_F32
+        # alpha * expm1(min(x, 0)) in float64, rounded once to float32 whatever numpy's
+        # SIMD level; min(x, 0), as expm1 of a discarded x > 709 would overflow
+        neg = np.expm1(np.minimum(x, _ZERO_F32), dtype=np.float64)
         neg *= a.alpha_0d
         # where not x >= 0, not where x < 0: a NaN takes the branch, as
-        # np.where(x >= 0, x, branch) gives it, and comes out as exp's NaN
-        np.putmask(x, ~(x >= 0), neg)
+        # np.where(x >= 0, x, branch) gives it, and comes out as expm1's NaN
+        np.putmask(x, ~(x >= 0), neg.astype(np.float32))
     else:
         # leaky-relu as max(x, alpha * x): for 0 < alpha <= 1 the rounded product
         # is at most x when x >= 0 and at least x when x < 0, so this gives the

@@ -184,9 +184,9 @@ class QuantizedPolicy:
     layers: tuple[QuantizedLayer, ...]
     obs_scale: float
     obs_zp: int
-    act_mult: int     # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
-    act_shift: int
     # built once here; the dataclass is frozen so they stay in step
+    act_mult: int = field(init=False)   # integer leaky-relu slope, alpha ~= act_mult / 2^act_shift
+    act_shift: int = field(init=False)
     row_counters: OpCounters = field(init=False, repr=False)
     act_mult_0d: np.ndarray = field(init=False, repr=False)   # int64, read-only
     act_shift_0d: np.ndarray = field(init=False, repr=False)  # int64, read-only
@@ -203,12 +203,14 @@ class QuantizedPolicy:
         dims = self.spec.layer_dims
         if len(self.layers) != self.spec.num_layers:
             raise DataError("quantized layer count does not match spec")
-        if not (0 <= self.act_shift <= MAX_SHIFT):
-            raise DataError(f"act_shift {self.act_shift} outside [0, {MAX_SHIFT}]")
-        # a slope of at most 1 keeps the activated accumulator inside int32
-        if not (0 <= self.act_mult <= 1 << self.act_shift):
-            raise DataError(
-                f"activation slope {self.act_mult}/2^{self.act_shift} outside [0, 1]")
+        if (act := self.spec.hidden_activation).kind is not ActivationKind.LEAKY_RELU:
+            raise DataError(f"the integer kernel runs leaky-relu, not {act.kind.name.lower()}")
+        # the slope of alpha as float32, as the FP32 pass and the file hold it. For
+        # such an alpha in (0, 1] that encode_ratio accepts, act_shift is 30 or 31 and
+        # 1 <= act_mult <= 2^act_shift, act_mult < 2^31: a slope of at most 1 keeps
+        # the activated accumulator inside int32
+        for name, v in zip(("act_mult", "act_shift"), encode_ratio(float(act.alpha_0d))):
+            object.__setattr__(self, name, int(v))
         if not (math.isfinite(self.obs_scale) and self.obs_scale > 0):
             raise DataError(f"obs_scale must be finite and > 0, got {self.obs_scale}")
         if not (INT8_MIN <= self.obs_zp <= INT8_MAX):
@@ -322,7 +324,6 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
         raise DataError(f"calibration width {calib.shape[1]} != {p.spec.input_dim}")
 
     obs_scale, obs_zp = _affine_params(calib.min(), calib.max(), "observation")
-    act_mult, act_shift = (int(v) for v in encode_ratio(act.alpha))
 
     # The FP32 pass of layer i gives its output range, then layer i is quantized
     # onto it. Hidden-layer ranges are taken post-activation: the kernel applies
@@ -351,11 +352,7 @@ def quantize_policy(p: Fp32Policy, scheme: QuantScheme,
             output_scale=out_scale, requant=derive_requant(in_scale, w_scales, out_scale, out_zp)))
         in_scale, in_zp = out_scale, out_zp
 
-    return QuantizedPolicy(
-        spec=p.spec,
-        scheme=scheme, layers=layers,
-        obs_scale=obs_scale, obs_zp=obs_zp,
-        act_mult=act_mult, act_shift=act_shift)
+    return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp)
 
 
 def dequantize_action(q: np.ndarray, scale: float, zero_point: int) -> np.ndarray:
@@ -455,4 +452,8 @@ def load_quantized(path) -> QuantizedPolicy:
             output_scale=scales[1], requant=rq))
         in_scale, in_zp = scales[1], out_zp
     r.finish()
-    return QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)
+    qp = QuantizedPolicy(spec, scheme, layers, obs_scale, obs_zp)
+    if (act_mult, act_shift) != (qp.act_mult, qp.act_shift):  # the file repeats the slope
+        raise DataError(f"activation slope {act_mult}, {act_shift} differs from alpha "
+                        f"{alpha}'s {qp.act_mult}, {qp.act_shift}")
+    return qp

@@ -54,6 +54,11 @@ MUTANTS = [
     Mutant("int8-leaky-relu-minimum", "src/microgait/kernel.py",
            "np.maximum(acc, neg, out=acc)", "np.minimum(acc, neg, out=acc)",
            ("tests/test_kernel.py::test_matches_bigint_oracle",)),
+    # 0.3 and its float32 value, which the FP32 pass and the file hold, encode
+    # to slopes 644245094 and 644245120 at shift 31
+    Mutant("slope-from-float64-alpha", "src/microgait/quant.py",
+           "encode_ratio(float(act.alpha_0d))", "encode_ratio(act.alpha)",
+           ("tests/test_quant.py::test_model_holds_the_slope_of_its_float32_alpha",)),
 ]
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)

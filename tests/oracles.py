@@ -5,7 +5,8 @@ pure-Python integer arithmetic (unbounded), naive matrix products, CRC by
 polynomial long division, and a scalar re-evaluation of the reward terms.
 The plant and reward steps are also kept in their former numpy array form,
 frozen, as the bit-exact reference for the package's scalar form, and the
-FP32 leaky-relu and ELU in their former forms.
+FP32 leaky-relu in its former form. The FP32 ELU reference is a `where` over
+the whole array with its branch rounded once from float64.
 
 Three references check what the package computes another way: the
 dequantized weights of a quantized layer, forward kinematics (the algebraic
@@ -58,10 +59,13 @@ def leaky_relu_where(alpha, x):
 
 
 def elu_where(alpha, x):
-    """The FP32 ELU as the package first wrote it, with exp taken of x on both
-    branches, kept frozen as the bit-exact reference for its form that takes
-    exp of min(x, 0); this one overflows in the discarded branch for x > 88."""
-    return np.where(x >= 0, x, np.float32(alpha) * (np.exp(x, dtype=np.float32) - np.float32(1.0)))
+    """The FP32 ELU as where(x >= 0, x, branch), the branch alpha * expm1(x)
+    taken in float64 of the float32 alpha and rounded once to float32, with
+    expm1 taken of x on both branches: the bit-exact reference for the
+    package's form that takes expm1 of min(x, 0) and writes the branch with
+    putmask. This one overflows in the discarded branch for x > 709."""
+    branch = np.float64(np.float32(alpha)) * np.expm1(x.astype(np.float64))
+    return np.where(x >= 0, x, branch.astype(np.float32))
 
 
 def requantize_unbounded(acc, mult, shift, zp):
@@ -134,7 +138,8 @@ def quantize_whole_matrix(p, scheme, calib):
     the package's pass, which adds the bias, activates and takes the range
     over row blocks of the product in place. Weights take symmetric scales
     (one per tensor or per output row), biases the input scale with the input
-    zero-point folded in, and each requant entry encode_ratio_loop's rescale."""
+    zero-point folded in, and each requant entry encode_ratio_loop's rescale;
+    the model derives its slope from the spec's alpha."""
     alpha = p.spec.hidden_activation.alpha
     x = np.atleast_2d(np.asarray(calib, dtype=np.float32))
     in_scale, in_zp = obs_scale, obs_zp = _affine_range(x.min(), x.max())
@@ -158,8 +163,7 @@ def quantize_whole_matrix(p, scheme, calib):
             weights=w_q, bias=bias.astype(np.int32), weight_scales=w_scales,
             output_scale=out_scale, requant=requant))
         in_scale, in_zp = out_scale, out_zp
-    act_mult, act_shift = encode_ratio_loop(alpha)
-    return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp, act_mult, act_shift)
+    return QuantizedPolicy(p.spec, scheme, layers, obs_scale, obs_zp)
 
 
 def dequantize_weights(layer):

@@ -12,10 +12,14 @@ floats; the `cost --measured`, `cost --power` and `select-gait --power` pins
 were recorded before the two commands shared one budget resolver; the
 `select-gait --f-update`, `codec`, plain scripted `run-loop` and `--pretty`
 pins were recorded before the key=value rendering gained other forms, from
-commands whose output takes no BLAS or SIMD path. Change them only with a
-deliberate change of output, recorded in CHANGES.md.
+commands whose output takes no BLAS or SIMD path; the ELU FP32 run-loop
+CSV digest was re-recorded when the ELU branch became float64 `expm1`
+rounded once to float32, whose bits do not depend on numpy's SIMD level.
+Change them only with a deliberate change of output, recorded in CHANGES.md.
 """
 import hashlib
+import os
+import platform
 
 import numpy as np
 import pytest
@@ -227,7 +231,49 @@ def test_golden_run_loop_fp32_randomized(capsys, tmp_path, elu_model):
         "csv={tmp}/fp32.csv",
     ]
     assert _sha256(csv_out) == \
-        "55896872d08519a223f217c40bb70620b79be99361fffa2c7868bf3144d723e1"
+        "53fad59d5206a5bf916025314a2b1eaa208859ec68d761bcfbf014a9e8ff515a"
+
+
+# The ELU outputs in a process of its own, as numpy picks its SIMD loops when
+# it loads: the CSV digest of the pinned command above, the bits of the ELU
+# over the float32 specials and 4096 normal draws, and whether numpy runs its
+# X86_V3 (AVX2) loops
+_ELU_HOST_CHECK = """
+import contextlib, hashlib, io, os, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+sys.path.insert(0, sys.argv[2])
+from test_policy import F32_SPECIALS
+from microgait.cli import main
+from microgait.policy import PolicySpec, _activate_array, elu, random_policy, save_policy
+model, csv = (os.path.join(sys.argv[1], name) for name in ("policy.bin", "fp32.csv"))
+save_policy(random_policy(PolicySpec(), 5), model)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run-loop", "--model", model, "--randomize", "--f-update", "60", "--seed", "2",
+                 "--command", "0.06", "--omega", "0.1", "--csv-out", csv]) == 0
+x = np.concatenate([F32_SPECIALS, np.random.default_rng(0).normal(0, 4, 4096).astype(np.float32)])
+_activate_array(elu(), x)
+with open(csv, "rb") as fh:
+    print(hashlib.sha256(fh.read()).hexdigest(), hashlib.sha256(x.tobytes()).hexdigest(),
+          __cpu_features__["X86_V3"])
+"""
+
+
+def test_elu_outputs_do_not_depend_on_numpy_simd_level(run_python, tmp_path):
+    """The default process and one held to numpy's X86_V2 baseline give the
+    same ELU bits and the same CSV for the pinned ELU command."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("numpy's X86_V2 baseline exists only on x86-64")
+    runs = {}
+    for setting, env in (("default", {}), ("X86_V2", {
+            "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"})):
+        out = tmp_path / setting
+        out.mkdir()
+        run = run_python(_ELU_HOST_CHECK, str(out), os.path.dirname(__file__), timeout=120, **env)
+        assert run.returncode == 0, run.stderr
+        runs[setting] = run.stdout.split()
+    assert runs["X86_V2"][2] == "False", "NPY_DISABLE_CPU_FEATURES left numpy's X86_V3 loops on"
+    assert runs["X86_V2"][:2] == runs["default"][:2]
 
 
 def test_golden_run_loop_fp32_leaky_relu_codec_randomized(capsys, tmp_path):

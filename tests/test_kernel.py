@@ -52,9 +52,8 @@ def _random_qp(rng, dims, scheme):
             weights=rng.integers(-127, 128, size=(n_out, n_in), dtype=np.int8),
             bias=rng.integers(-room, room + 1, size=n_out).astype(np.int32),
             weight_scales=np.ones(len(requant)), output_scale=1.0, requant=requant))
-    act_mult, act_shift = encode_ratio(float(rng.uniform(0.01, 1.0)))
-    return QuantizedPolicy(PolicySpec(tuple(dims), leaky_relu()), scheme, layers,
-                           1.0, 0, act_mult, act_shift)
+    alpha = float(rng.uniform(0.01, 1.0))
+    return QuantizedPolicy(PolicySpec(tuple(dims), leaky_relu(alpha)), scheme, layers, 1.0, 0)
 
 
 def test_expected_counters_reference():
@@ -211,8 +210,8 @@ def _identity_model(w: np.ndarray, bias: int) -> QuantizedPolicy:
     layer = QuantizedLayer(
         weights=w[None, :].copy(), bias=np.array([bias], dtype=np.int32),
         weight_scales=np.ones(1), output_scale=1.0, requant=[RequantParams(1, 0, 0)])
-    return QuantizedPolicy(PolicySpec((len(w), 1), leaky_relu()), QuantScheme.PER_TENSOR,
-                           [layer], 1.0, 0, 1, 7)
+    return QuantizedPolicy(PolicySpec((len(w), 1), leaky_relu(2 ** -7)), QuantScheme.PER_TENSOR,
+                           [layer], 1.0, 0)
 
 
 def test_accumulation_exact_where_partial_sums_cancel():
@@ -368,13 +367,16 @@ def test_matches_bigint_oracle(scheme, dims):
             (exp.macs, exp.activations, exp.requants, exp.param_loads)
 
 
-# Requant and leaky-relu tables at the ends of their ranges: shift 0 and 31,
-# mult 0 and 2^31 - 1, zero-point -128 and 127; slope 0 and 1 at shift 0 and 31.
+# Requant tables at the ends of their ranges: shift 0 and 31, mult 0 and
+# 2^31 - 1, zero-point -128 and 127.
 CORNER_REQUANTS = [RequantParams(m, s, zp) for m in (0, 2 ** 31 - 1)
                    for s in (0, 31) for zp in (-128, 127)]
 EXTREME_REQUANTS = CORNER_REQUANTS + [RequantParams(m, s, zp) for m in (1, 2 ** 31 - 1)
                                       for s in (1, 13) for zp in (-128, 0, 127)]
-EXTREME_SLOPES = [(0, 0), (1, 0), (0, 31), (1 << 31, 31), encode_ratio(0.01)]
+# leaky-relu alphas at the ends of the slopes an alpha encodes to: act_mult 1
+# (2^-31), 2^24 (2^-7), the largest act_mult 2^31 - 128 (the float32 just
+# below 1) and slope 1 at shift 30 (1.0)
+EXTREME_SLOPES = [2.0 ** -31, 2.0 ** -7, 0.01, float(np.float32(1 - 2 ** -24)), 1.0]
 # (scheme, table): a per-feature table takes the entries of one zero-point, as an
 # int8 tensor has one. The ids are positional, so zero-points 0 and 127 come last
 _PER_FEATURE = [(QuantScheme.PER_FEATURE, [rp for rp in EXTREME_REQUANTS if rp.zero_point == zp])
@@ -383,7 +385,7 @@ EXTREME_TABLES = [_PER_FEATURE[0], *((QuantScheme.PER_TENSOR, [rp]) for rp in CO
                   *_PER_FEATURE[1:]]
 
 
-def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
+def _extreme_qp(scheme, requants, alpha, dims=(4, 27, 27, 5)):
     """Weights at +-127 and biases at +-(2^31 - 1 - n_in * 127 * 255), the
     largest the int32 headroom check admits, so accumulators come within
     n_in * 127 * 128 of +-2^31; requant entries cycle through `requants`."""
@@ -400,13 +402,19 @@ def _extreme_qp(scheme, requants, act, dims=(4, 27, 27, 5)):
         layers.append(QuantizedLayer(
             weights=weights.astype(np.int8), bias=bias.astype(np.int32),
             weight_scales=np.ones(entries), output_scale=1.0, requant=rq))
-    return QuantizedPolicy(PolicySpec(dims, leaky_relu()), scheme, layers, 1.0, 0, *act)
+    return QuantizedPolicy(PolicySpec(dims, leaky_relu(alpha)), scheme, layers, 1.0, 0)
 
 
-@pytest.mark.parametrize("act", EXTREME_SLOPES)
+def test_extreme_slopes_reach_the_ends_of_the_encoding():
+    slopes = [(qp.act_mult, qp.act_shift) for qp in
+              (_extreme_qp(QuantScheme.PER_TENSOR, CORNER_REQUANTS, a) for a in EXTREME_SLOPES)]
+    assert slopes == [(1, 31), (2 ** 24, 31), (21474836, 31), (2 ** 31 - 128, 31), (2 ** 30, 30)]
+
+
+@pytest.mark.parametrize("alpha", EXTREME_SLOPES, ids=[f"act{i}" for i in range(5)])
 @pytest.mark.parametrize("scheme, requants", EXTREME_TABLES)
-def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
-    qp = _extreme_qp(scheme, requants, act)
+def test_extreme_tables_match_bigint_oracle(scheme, requants, alpha):
+    qp = _extreme_qp(scheme, requants, alpha)
     n_in = qp.spec.input_dim
     rng = np.random.default_rng(5)
     obs = np.concatenate([np.full((1, n_in), -128), np.full((1, n_in), 127),
@@ -416,8 +424,8 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     acc = obs.astype(np.int64) @ first.weights.T.astype(np.int64) + first.bias
     assert acc.max() == -acc.min() == 2 ** 31 - 1 - n_in * 127 * 128
     # so do the output layer's wherever every code into it is 127: per-tensor
-    # tables of zero-point 127 whose multiplier or slope is 0. Other tables
-    # give codes of both signs, or unsaturated ones, whatever the observation
+    # tables of zero-point 127 whose multiplier is 0. Other tables give codes
+    # of both signs, or unsaturated ones, whatever the observation
     codes = obs.astype(np.int64)
     for layer in qp.layers[:-1]:
         hidden = codes @ layer.weights.T.astype(np.int64) + layer.bias
@@ -428,7 +436,7 @@ def test_extreme_tables_match_bigint_oracle(scheme, requants, act):
     out = qp.layers[-1]
     acc = codes @ out.weights.T.astype(np.int64) + out.bias
     head = requants[0]
-    if scheme is QuantScheme.PER_TENSOR and head.zero_point == 127 and 0 in (head.mult, act[0]):
+    if scheme is QuantScheme.PER_TENSOR and head.zero_point == 127 and head.mult == 0:
         assert acc.max() == -acc.min() == 2 ** 31 - 1 - out.weights.shape[1] * 127 * 128
     # the folded output addend mult * bias + offset comes within 2^51 of +-2^62
     # wherever a multiplier of 2^31 - 1 meets a bias at the headroom limit
@@ -459,8 +467,8 @@ def test_hand_built_models_round_trip_through_a_file(tmp_path):
     models = [_random_qp(np.random.default_rng(seed), dims, scheme) for seed, dims in
               enumerate([(24, 128, 64, 8), (37, 29, 11, 5), (6, 5, 3), (4, 4), (1, 1)])
               for scheme in QuantScheme]
-    models += [_extreme_qp(scheme, requants, act)
-               for act in EXTREME_SLOPES for scheme, requants in EXTREME_TABLES]
+    models += [_extreme_qp(scheme, requants, alpha)
+               for alpha in EXTREME_SLOPES for scheme, requants in EXTREME_TABLES]
     assert len(models) == 65
     path = tmp_path / "q.bin"
     for qp in models:
@@ -484,27 +492,18 @@ def test_hand_built_models_round_trip_through_a_file(tmp_path):
 ACC_REACH = 2 ** 31 - 1 - 127 * 127
 
 
-@st.composite
-def _slopes(draw):
-    shift = draw(st.integers(0, 31))
-    return draw(st.integers(0, 1 << shift)), shift
-
-
 @settings(max_examples=200, deadline=None)
-@given(acc=st.integers(-ACC_REACH, ACC_REACH), slope=_slopes())
-@example(acc=ACC_REACH, slope=(0, 0)).via("endpoint")
-@example(acc=ACC_REACH, slope=(1, 0)).via("endpoint")
-@example(acc=ACC_REACH, slope=(0, 31)).via("endpoint")
-@example(acc=ACC_REACH, slope=(1 << 31, 31)).via("endpoint")
-@example(acc=-ACC_REACH, slope=(0, 0)).via("endpoint")
-@example(acc=-ACC_REACH, slope=(1, 0)).via("endpoint")
-@example(acc=-ACC_REACH, slope=(0, 31)).via("endpoint")
-@example(acc=-ACC_REACH, slope=(1 << 31, 31)).via("endpoint")
-def test_integer_leaky_relu_matches_unbounded_form(acc, slope):
+@given(acc=st.integers(-ACC_REACH, ACC_REACH), alpha=st.floats(2.0 ** -31, 1.0, width=32))
+@example(acc=ACC_REACH, alpha=2.0 ** -31).via("endpoint")       # act_mult 1
+@example(acc=ACC_REACH, alpha=EXTREME_SLOPES[3]).via("endpoint")  # act_mult 2^31 - 128
+@example(acc=ACC_REACH, alpha=1.0).via("endpoint")
+@example(acc=-ACC_REACH, alpha=2.0 ** -31).via("endpoint")
+@example(acc=-ACC_REACH, alpha=EXTREME_SLOPES[3]).via("endpoint")
+@example(acc=-ACC_REACH, alpha=1.0).via("endpoint")
+def test_integer_leaky_relu_matches_unbounded_form(acc, alpha):
     """One hidden accumulator `acc` through the kernel's leaky-relu, seen
     through 32 requant windows: hidden output j is the activated value
     rounded and shifted right by j, and the output layer passes it through."""
-    act_mult, act_shift = slope
     w = -127 if acc >= 0 else 127  # times the observation -128
     hidden = QuantizedLayer(
         weights=np.full((32, 1), w, dtype=np.int8),
@@ -514,8 +513,9 @@ def test_integer_leaky_relu_matches_unbounded_form(acc, slope):
     out = QuantizedLayer(
         weights=np.eye(32, dtype=np.int8), bias=np.zeros(32, dtype=np.int32),
         weight_scales=np.ones(32), output_scale=1.0, requant=[RequantParams(1, 0, 0)] * 32)
-    qp = QuantizedPolicy(PolicySpec((1, 32, 32), leaky_relu()), QuantScheme.PER_FEATURE,
-                         [hidden, out], 1.0, 0, act_mult, act_shift)
+    qp = QuantizedPolicy(PolicySpec((1, 32, 32), leaky_relu(alpha)), QuantScheme.PER_FEATURE,
+                         [hidden, out], 1.0, 0)
+    act_mult, act_shift = qp.act_mult, qp.act_shift
     obs = np.array([-128], dtype=np.int8)
 
     activated = max(acc, 0) + ((min(acc, 0) * act_mult) >> act_shift)

@@ -280,18 +280,18 @@ def _assert_activates_in_place(act, x, want):
        x=hnp.arrays(np.float32, st.sampled_from([(10,), (3, 24)]),
                     elements=st.floats(width=32, allow_nan=False)))
 def test_elu_array_bits_match_where_reference_without_warning(alpha, x):
-    """exp of min(x, 0) gives the bits of the former where(x >= 0, x, alpha *
-    (exp(x) - 1)) for every float32 but NaN, and for the NaN that arithmetic
-    gives, and warns of no overflow in the branch it discards, so a default
-    ELU policy runs on large finite input."""
+    """expm1 of min(x, 0) gives the bits of where(x >= 0, x, alpha * expm1(x))
+    with the branch rounded once from float64, for every float32 but NaN, and
+    for the NaN that arithmetic gives, and warns of no overflow in the branch
+    it discards, so a default ELU policy runs on large finite input."""
     x.ravel()[:F32_SPECIALS.size] = F32_SPECIALS
     x.ravel()[-1] = 500.0
     act = ActivationSpec(ActivationKind.ELU, alpha)
     with np.errstate(over="ignore"):
         want = elu_where(alpha, x)
     _assert_activates_in_place(act, x, want)
-    # the NaN that inf - inf gives on x86: exp turns it into another NaN, and
-    # the branch of where(x >= 0, ...) that a NaN takes passes that one on
+    # the NaN that inf - inf gives on x86: expm1 passes it on, and so does the
+    # branch of where(x >= 0, ...) that a NaN takes
     nan = np.array([0xFFC00000], dtype=np.uint32).view(np.float32)
     _assert_activates_in_place(act, nan, elu_where(alpha, nan))
     out = infer_fp32(random_policy(PolicySpec(), 0), np.full(24, 500.0, dtype=np.float32))

@@ -33,8 +33,8 @@ def _calib(seed, n=64, dim=24):
     return np.random.default_rng(seed).normal(size=(n, dim))
 
 
-def _quantized(seed, scheme, dims=(24, 128, 64, 8), spread=0.0):
-    p = random_policy(PolicySpec(dims, leaky_relu()), seed, row_scale_spread=spread)
+def _quantized(seed, scheme, dims=(24, 128, 64, 8), spread=0.0, alpha=0.01):
+    p = random_policy(PolicySpec(dims, leaky_relu(alpha)), seed, row_scale_spread=spread)
     return p, quantize_policy(p, scheme, _calib(1000 + seed, dim=dims[0]))
 
 
@@ -61,10 +61,10 @@ def test_requantize_saturates_indices_far_past_the_table(acc, shift, zp):
         (127 if acc > 0 else -128)
 
 
-def _one_layer_policy(params):
+def _one_layer_policy(params, alpha=0.01):
     layer = layer_from_params(params)
-    return QuantizedPolicy(PolicySpec((1, len(params)), leaky_relu()), QuantScheme.PER_FEATURE,
-                           [layer], 1.0, 0, 0, 0)
+    return QuantizedPolicy(PolicySpec((1, len(params)), leaky_relu(alpha)),
+                           QuantScheme.PER_FEATURE, [layer], 1.0, 0)
 
 
 def test_requant_params_validation():
@@ -223,7 +223,8 @@ def test_requantize_oracle_takes_numpy_ints_unbounded():
 
 def test_build_save_load_encodes_once_per_layer(tmp_path, monkeypatch):
     # each layer's requant table is derived in one call, so per-neuron Python
-    # work on the build and load path would show here as extra calls
+    # work on the build and load path would show here as extra calls; each
+    # model built, here by quantize_policy and by the loader, encodes its slope
     calls = []
 
     def counting(ratio):
@@ -234,8 +235,8 @@ def test_build_save_load_encodes_once_per_layer(tmp_path, monkeypatch):
     _, qp = _quantized(0, QuantScheme.PER_FEATURE)
     save_quantized(qp, tmp_path / "q.bin")
     back = load_quantized(tmp_path / "q.bin")
-    assert len(calls) <= qp.spec.num_layers + 1
-    assert sorted(calls) == [(), (8,), (64,), (128,)]
+    assert len(calls) <= qp.spec.num_layers + 2
+    assert sorted(calls) == [(), (), (8,), (64,), (128,)]
     assert [len(layer.requant) for layer in back.layers] == [128, 64, 8]
 
 
@@ -336,6 +337,8 @@ def test_range_pass_matches_whole_matrix_oracle(tmp_path, scheme, rows):
     assert calib.tobytes() == before.tobytes()
     want = quantize_whole_matrix(p, scheme, calib)
     assert (got.obs_scale, got.obs_zp) == (want.obs_scale, want.obs_zp)
+    # the slope of the float32 alpha, encoded by the frozen scalar encoder
+    assert (got.act_mult, got.act_shift) == encode_ratio_loop(float(np.float32(0.1)))
     for g, w in zip(got.layers, want.layers, strict=True):
         assert (g.output_scale, g.output_zp) == (w.output_scale, w.output_zp)
         assert g.requant.tobytes() == w.requant.tobytes()
@@ -504,6 +507,74 @@ def test_load_rejects_bad_header_values(tmp_path, field, value):
     path.write_bytes(data)
     with pytest.raises(DataError):
         load_quantized(path)
+
+
+@pytest.mark.parametrize("act_mult, act_shift", [
+    (0, 31),          # slope 0: every negative hidden accumulator would read 0
+    (10737418, 30),   # alpha 0.01's slope, in a form encode_ratio never gives
+])
+def test_load_rejects_slope_that_differs_from_alpha(tmp_path, act_mult, act_shift):
+    # the kernel reads the slope, the spec and the FP32 pass the alpha
+    _, qp = _quantized(3, QuantScheme.PER_FEATURE)
+    assert (qp.act_mult, qp.act_shift) == (21474836, 31)
+    data = _saved_bytes(tmp_path, qp)
+    _pack_header_field(data, qp.spec.layer_dims, "act_mult", act_mult)
+    _pack_header_field(data, qp.spec.layer_dims, "act_shift", act_shift)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=rf"activation slope {act_mult}, {act_shift} differs from "
+                                        rf"alpha 0\.0099999\d*'s 21474836, 31"):
+        load_quantized(path)
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 2.0 ** -32])
+def test_load_rejects_alpha_no_slope_encodes(tmp_path, alpha):
+    # a float32 alpha ActivationSpec accepts, at most 2^-32
+    _, qp = _quantized(3, QuantScheme.PER_TENSOR)
+    data = _saved_bytes(tmp_path, qp)
+    _pack_header_field(data, qp.spec.layer_dims, "alpha", alpha)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(DomainError, match=r"is at most 2\^-32 and not representable"):
+        load_quantized(path)
+
+
+def test_model_holds_the_slope_of_its_float32_alpha(tmp_path):
+    # 0.3 and its float32 value 0.30000001192... encode to different slopes;
+    # the FP32 pass and the file hold the float32 value, and so does the slope
+    _, qp = _quantized(3, QuantScheme.PER_FEATURE, alpha=0.3)
+    assert encode_ratio(0.3) == (644245094, 31)
+    assert (qp.act_mult, qp.act_shift) == (644245120, 31)
+    save_quantized(qp, tmp_path / "q.bin")
+    back = load_quantized(tmp_path / "q.bin")
+    assert back.spec.hidden_activation.alpha == float(np.float32(0.3))
+    assert (back.act_mult, back.act_shift) == (644245120, 31)
+
+
+def test_quantized_policy_rejects_an_elu_spec():
+    # the kernel runs only leaky-relu, so an ELU spec would describe another network
+    _, qp = _quantized(2, QuantScheme.PER_TENSOR)
+    with pytest.raises(DataError, match="the integer kernel runs leaky-relu, not elu"):
+        dataclasses.replace(qp, spec=PolicySpec(qp.spec.layer_dims))
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.sampled_from([2.0 ** -32, float(np.nextafter(np.float32(2.0 ** -32), 1)),
+                                  2.0 ** -31, 0.01, float(np.float32(1 - 2 ** -24)), 1.0]),
+                 st.floats(0.0, 1.0, exclude_min=True, width=32)))
+def test_float32_alpha_slope_needs_no_range_check(alpha):
+    """For a float32 alpha in (0, 1] that encode_ratio accepts, act_shift is
+    30 or 31 and 1 <= act_mult <= 2^act_shift, act_mult < 2^31, so a model
+    needs no range check of its slope; the model's pair is the encoder's."""
+    try:
+        mult, shift = (int(v) for v in encode_ratio(alpha))
+    except DomainError:
+        assert alpha <= 2.0 ** -32
+        return
+    assert shift in (30, 31) and 1 <= mult <= 2 ** shift and mult < 2 ** 31
+    assert (shift == 30) == (alpha == 1.0)
+    qp = _one_layer_policy([RequantParams(1, 0)], alpha)
+    assert (qp.act_mult, qp.act_shift) == (mult, shift)
 
 
 def _first_layer_offset(qp):
@@ -791,7 +862,7 @@ def test_load_rejects_empty_requant_table(tmp_path, scheme):
     _, qp = _quantized(2, scheme)
     empty = dataclasses.replace(qp.layers[0], weight_scales=np.ones(0), requant=[])
     assert empty.mult.shape == (0,)
-    fields = {f.name: getattr(qp, f.name) for f in dataclasses.fields(qp) if f.init}
+    fields = {f.name: getattr(qp, f.name) for f in dataclasses.fields(qp)}
     save_quantized(types.SimpleNamespace(**{**fields, "layers": (empty, *qp.layers[1:])}),
                    tmp_path / "empty.bin")
     with pytest.raises(DataError, match="layer 0 requant table has 0 entries"):
